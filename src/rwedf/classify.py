@@ -18,18 +18,21 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .family import (
     DifferenceProfile,
     DisjointFamily,
     check_weights,
+    column_sums,
     difference_profile,
-    e_hat,
     is_bimodal,
     r_bound,
     reciprocal_sums,
+    scaled_fractions,
     BimodalVerdict,
 )
-from .groups import FiniteGroup
+from .groups import FiniteGroup, self_difference_counts
 
 
 def check_edf(profile: DifferenceProfile) -> Optional[int]:
@@ -37,10 +40,10 @@ def check_edf(profile: DifferenceProfile) -> Optional[int]:
     fam = profile.family
     if fam.m < 2 or len(set(fam.sizes)) != 1:
         return None
-    cols = [sum(row[d] for row in profile.counts) for d in range(fam.n - 1)]
-    if len(set(cols)) != 1:
+    cols = profile.matrix.sum(axis=0)
+    if (cols != cols[0]).any():
         return None
-    return cols[0]
+    return int(cols[0])
 
 
 def check_sedf(profile: DifferenceProfile) -> Optional[int]:
@@ -48,12 +51,10 @@ def check_sedf(profile: DifferenceProfile) -> Optional[int]:
     fam = profile.family
     if fam.m < 2 or len(set(fam.sizes)) != 1:
         return None
-    values = set()
-    for row in profile.counts:
-        values.update(row)
-        if len(values) > 1:
-            return None
-    return values.pop()
+    matrix = profile.matrix
+    if (matrix != matrix[0, 0]).any():
+        return None
+    return int(matrix[0, 0])
 
 
 def check_gsedf(profile: DifferenceProfile) -> Optional[Tuple[int, ...]]:
@@ -61,13 +62,22 @@ def check_gsedf(profile: DifferenceProfile) -> Optional[Tuple[int, ...]]:
     fam = profile.family
     if fam.m < 2:
         return None
-    out = []
-    for row in profile.counts:
-        vals = set(row)
-        if len(vals) != 1:
-            return None
-        out.append(vals.pop())
-    return tuple(out)
+    matrix = profile.matrix
+    if (matrix != matrix[:, :1]).any():
+        return None
+    return tuple(matrix[:, 0].tolist())
+
+
+def _constant_value(sums: List[int], denominator: int) -> Optional[Fraction]:
+    """sums[0] / denominator when every entry of the scaled sums is equal."""
+    if not sums or sums.count(sums[0]) != len(sums):
+        return None
+    return Fraction(sums[0], denominator)
+
+
+def _first_change(sums: List[int]) -> Optional[int]:
+    """The least delta whose sum differs from delta = 1's."""
+    return next((d for d, s in enumerate(sums, start=1) if s != sums[0]), None)
 
 
 def check_wedf(
@@ -76,15 +86,8 @@ def check_wedf(
     weights: Sequence[Fraction],
 ) -> Optional[Fraction]:
     """Constant weighted column sum under the given weights, if constant."""
-    ws = check_weights(family.m, weights)
-    first: Optional[Fraction] = None
-    for d in range(family.n - 1):
-        s = sum((w * row[d] for w, row in zip(ws, profile.counts)), Fraction(0))
-        if first is None:
-            first = s
-        elif s != first:
-            return None
-    return first
+    d, coef = scaled_fractions(check_weights(family.m, weights))
+    return _constant_value(column_sums(profile.matrix, coef), d)
 
 
 def check_rwedf(
@@ -94,41 +97,22 @@ def check_rwedf(
     if profile is None:
         profile = difference_profile(family)
     k, sums = reciprocal_sums(profile)
-    if not sums:
-        return None
-    first = sums[0]
-    for s in sums:
-        if s != first:
-            return None
-    return Fraction(first, k)
+    return _constant_value(sums, k)
 
 
 def rwedf_failure_witness(
     family: DisjointFamily, profile: DifferenceProfile
 ) -> Optional[int]:
     """Smallest delta whose reciprocal sum differs from delta = 1's, if any."""
-    _, sums = reciprocal_sums(profile)
-    first = sums[0]
-    for d, s in enumerate(sums):
-        if s != first:
-            return d + 1
-    return None
+    return _first_change(reciprocal_sums(profile)[1])
 
 
 def check_difference_set(group: FiniteGroup, members: Sequence[int]) -> Optional[int]:
     """lambda if every non-identity element arises exactly lambda times as d1*d2^-1."""
-    ms = sorted(set(members))
-    n = group.order
-    counts = [0] * n
-    for a in ms:
-        for b in ms:
-            if a != b:
-                counts[group.diff(a, b)] += 1
-    lam = counts[1] if n > 1 else 0
-    for delta in range(2, n):
-        if counts[delta] != lam:
-            return None
-    return lam
+    counts = self_difference_counts(group, members)[1:]
+    if (counts != counts[:1]).any():
+        return None
+    return int(counts[0]) if len(counts) else 0
 
 
 def check_partial_difference_set(
@@ -145,18 +129,15 @@ def check_partial_difference_set(
     ms = sorted(set(members))
     if len(ms) <= 1:
         return None
-    n = group.order
-    counts = [0] * n
-    for a in ms:
-        for b in ms:
-            if a != b:
-                counts[group.diff(a, b)] += 1
-    inside = {counts[x] for x in ms if x != 0}
-    outside = {counts[x] for x in range(1, n) if x not in set(ms)}
-    if len(inside) > 1 or len(outside) > 1:
+    counts = self_difference_counts(group, ms)
+    inside = np.zeros(group.order, dtype=bool)
+    inside[ms] = True
+    inside_counts = set(counts[1:][inside[1:]].tolist())
+    outside_counts = set(counts[1:][~inside[1:]].tolist())
+    if len(inside_counts) > 1 or len(outside_counts) > 1:
         return None
-    lam = inside.pop() if inside else 0
-    mu = outside.pop() if outside else 0
+    lam = inside_counts.pop() if inside_counts else 0
+    mu = outside_counts.pop() if outside_counts else 0
     return lam, mu
 
 
@@ -240,6 +221,7 @@ def classify(
     profile = difference_profile(family)
     m = family.m
     sizes = family.sizes
+    k, sums = reciprocal_sums(profile)
 
     if m == 1:
         edf = sedf = None
@@ -250,11 +232,11 @@ def classify(
         edf = check_edf(profile)
         sedf = check_sedf(profile)
         gsedf = check_gsedf(profile)
-        rwedf = check_rwedf(family, profile)
-        witness = None if rwedf is not None else rwedf_failure_witness(family, profile)
+        rwedf = _constant_value(sums, k)
+        witness = None if rwedf is not None else _first_change(sums)
 
     bimodal = is_bimodal(family, profile)
-    ehat = e_hat(family, profile)
+    ehat = Fraction(max(sums), k * m)
     bound = r_bound(family.n, m, family.total)
     trivial = _is_trivial_shape(family)
 
@@ -271,9 +253,9 @@ def classify(
 
     key_prop: Optional[Tuple[int, int]] = None
     if bimodal.holds and m >= 1 and family.n > 1:
-        nonzero = [sum(1 for row in profile.counts if row[d]) for d in range(family.n - 1)]
-        if len(set(nonzero)) == 1:
-            lam = nonzero[0]
+        nonzero = np.count_nonzero(profile.matrix, axis=0)
+        if (nonzero == nonzero[0]).all():
+            lam = int(nonzero[0])
             key_prop = (lam, m - lam)
 
     report = ClassificationReport(

@@ -7,13 +7,15 @@ ordered pairs (a, b) with a in A_i, b in any other set, and a * b^-1 = delta.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import BadWeight, IdentityDelta
-from .groups import FiniteGroup, Subgroup, closure
+from .groups import FiniteGroup, Subgroup, closure, difference_counts, self_difference_counts
 
 
 @dataclass(frozen=True)
@@ -63,10 +65,6 @@ class DisjointFamily:
     def n(self) -> int:
         return self.group.order
 
-    @property
-    def union_mask(self) -> int:
-        return self._union_mask
-
     def support(self) -> Tuple[int, ...]:
         return tuple(sorted(x for s in self.sets for x in s))
 
@@ -90,10 +88,15 @@ class DisjointFamily:
 
 @dataclass(frozen=True)
 class DifferenceProfile:
-    """Dense count matrix: rows are family sets, columns are delta = 1..n-1."""
+    """Dense count matrix: rows are family sets, columns are delta = 1..n-1.
+
+    ``counts`` holds the cells as Python ints; ``matrix`` is the same table as
+    an int64 array, which the checkers reduce over.
+    """
 
     family: DisjointFamily
     counts: Tuple[Tuple[int, ...], ...]
+    matrix: np.ndarray = field(compare=False, repr=False)
 
     def row(self, i: int) -> Tuple[int, ...]:
         return self.counts[i]
@@ -111,60 +114,48 @@ class DifferenceProfile:
 
 def difference_profile(family: DisjointFamily) -> DifferenceProfile:
     """Count external differences a * b^-1 out of each set into the rest."""
-    g = family.group
-    n = g.order
-    support = family.support()
-    owner = {}
-    for i, members in enumerate(family.sets):
-        for x in members:
-            owner[x] = i
-    if n <= 2048:
-        rows = g.diff_rows
-        counts = [[0] * n for _ in family.sets]
-        for a in support:
-            row_a = rows[a]
-            ca = counts[owner[a]]
-            oa = owner[a]
-            for b in support:
-                if owner[b] != oa:
-                    ca[row_a[b]] += 1
-    else:
-        counts = [[0] * n for _ in family.sets]
-        for a in support:
-            ca = counts[owner[a]]
-            oa = owner[a]
-            for b in support:
-                if owner[b] != oa:
-                    ca[g.diff(a, b)] += 1
-    return DifferenceProfile(family, tuple(tuple(row[1:]) for row in counts))
+    matrix = difference_counts(family.group, family.sets)[:, 1:]
+    return DifferenceProfile(family, tuple(map(tuple, matrix.tolist())), matrix)
 
 
 def scaled_weights(sizes: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:
     """Common denominator K = lcm(sizes) and integer weights K / k_i."""
-    k = lcm(*sizes) if len(sizes) > 1 else sizes[0]
+    k = lcm(*sizes)
     return k, tuple(k // s for s in sizes)
+
+
+def scaled_fractions(weights: Sequence[Fraction]) -> Tuple[int, Tuple[int, ...]]:
+    """Common denominator D of the weights and the integer weights D * w_i."""
+    ws = [Fraction(w) for w in weights]
+    d = lcm(*(w.denominator for w in ws))
+    return d, tuple(int(w * d) for w in ws)
+
+
+def column_sums(matrix: np.ndarray, coef: Sequence[int]) -> List[int]:
+    """Exact sum_i coef_i * matrix[i, d] for every column d, as Python ints.
+
+    One matrix product: in int64 while max(coef) * max(count, 1) * m < 2^62 bounds
+    every sum and every coefficient, otherwise over Python ints.
+    """
+    peak = int(matrix.max(initial=1))
+    if max(coef) * peak * len(coef) < 2**62:
+        return (np.array(coef, dtype=np.int64) @ matrix).tolist()
+    return (np.array(coef, dtype=object) @ matrix.astype(object)).tolist()
 
 
 def reciprocal_sums(profile: DifferenceProfile) -> Tuple[int, List[int]]:
     """Integer-scaled reciprocal row sums: K and [K * sum_i N_i(delta)/k_i] per delta."""
     k, coef = scaled_weights(profile.family.sizes)
-    cols = len(profile.counts[0]) if profile.counts else 0
-    sums = [0] * cols
-    for c, row in zip(coef, profile.counts):
-        for d in range(cols):
-            if row[d]:
-                sums[d] += c * row[d]
-    return k, sums
+    return k, column_sums(profile.matrix, coef)
 
 
 def e_delta(family: DisjointFamily, profile: DifferenceProfile, delta: int) -> Fraction:
     """Exact adversary success probability at shift delta."""
     if delta == 0:
         raise IdentityDelta("delta must be a non-identity element")
-    total = Fraction(0)
-    for k, row in zip(family.sizes, profile.counts):
-        total += Fraction(row[delta - 1], k)
-    return total / family.m
+    k, coef = scaled_weights(family.sizes)
+    (total,) = column_sums(profile.matrix[:, delta - 1 : delta], coef)
+    return Fraction(total, k * family.m)
 
 
 def e_hat(family: DisjointFamily, profile: Optional[DifferenceProfile] = None) -> Fraction:
@@ -188,13 +179,7 @@ def r_bound(n: int, m: int, total: int) -> Fraction:
 
 def internal_differences(group: FiniteGroup, members: Sequence[int]) -> Tuple[int, ...]:
     """Sorted distinct differences a * b^-1 over ordered pairs within one set."""
-    ms = sorted(set(members))
-    out = set()
-    for a in ms:
-        for b in ms:
-            if a != b:
-                out.add(group.diff(a, b))
-    return tuple(sorted(out))
+    return tuple(np.flatnonzero(self_difference_counts(group, members)).tolist())
 
 
 def internal_difference_group(group: FiniteGroup, members: Sequence[int]) -> Subgroup:
@@ -215,11 +200,12 @@ def is_bimodal(family: DisjointFamily, profile: Optional[DifferenceProfile] = No
     """
     if profile is None:
         profile = difference_profile(family)
-    for i, (k, row) in enumerate(zip(family.sizes, profile.counts)):
-        for d, c in enumerate(row):
-            if c != 0 and c != k:
-                return BimodalVerdict(False, (i, d + 1, c))
-    return BimodalVerdict(True, None)
+    matrix = profile.matrix
+    between = (matrix != 0) & (matrix != np.array(family.sizes)[:, None])
+    if not between.any():
+        return BimodalVerdict(True, None)
+    i, d = divmod(int(between.argmax()), matrix.shape[1])
+    return BimodalVerdict(False, (i, d + 1, int(matrix[i, d])))
 
 
 def check_weights(m: int, weights: Sequence[Fraction]) -> Tuple[Fraction, ...]:
@@ -243,5 +229,6 @@ def weighted_sum(
     """sum_i w_i * N_i(delta) for positive weights w_i <= 1."""
     if delta == 0:
         raise IdentityDelta("delta must be a non-identity element")
-    ws = check_weights(family.m, weights)
-    return sum((w * row[delta - 1] for w, row in zip(ws, profile.counts)), Fraction(0))
+    d, coef = scaled_fractions(check_weights(family.m, weights))
+    (total,) = column_sums(profile.matrix[:, delta - 1 : delta], coef)
+    return Fraction(total, d)

@@ -63,13 +63,6 @@ class FieldGF:
         self.q = p**a
         self.modulus = self._least_irreducible()
 
-    def _decode(self, x: int) -> List[int]:
-        coeffs = []
-        for _ in range(self.a):
-            x, c = divmod(x, self.p)
-            coeffs.append(c)
-        return coeffs
-
     def _encode(self, coeffs: List[int]) -> int:
         x = 0
         for c in reversed(coeffs):
@@ -134,7 +127,8 @@ class FieldGF:
         return out
 
     def mul(self, x: int, y: int) -> int:
-        return self._encode(_poly_mulmod(self._decode(x), self._decode(y), self.modulus, self.p))
+        u, v = self._decode_any(x, self.a), self._decode_any(y, self.a)
+        return self._encode(_poly_mulmod(u, v, self.modulus, self.p))
 
     def pow(self, x: int, e: int) -> int:
         out, base = 1, x

@@ -5,9 +5,15 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import GroupTooLarge, IdentityNotZero, NotAGroup
 
 SUBGROUP_ORDER_LIMIT = 256
+# Pairs handled per step of the pair-counting kernel.  Small enough that every
+# temporary stays a few hundred KB, so heap growth and allocator thresholds
+# track the data the caller keeps, not the kernel's scratch.
+PAIR_CHUNK = 1 << 15
 
 
 def is_prime(p: int) -> bool:
@@ -25,7 +31,9 @@ class FiniteGroup:
     """Base class: subclasses define mul/inv arithmetic on indices.
 
     The identity is always index 0.  Composition is written multiplicatively;
-    for the additive groups in this package mul is addition.
+    for the additive groups in this package mul is addition.  ``diff_array``
+    is the same left difference as ``diff``, elementwise over numpy index
+    arrays with broadcasting; every pair-counting loop goes through it.
     """
 
     kind = "abstract"
@@ -51,6 +59,10 @@ class FiniteGroup:
         """Left difference a * b^-1; the one difference convention used throughout."""
         return self.mul(a, self.inv(b))
 
+    def diff_array(self, a, b) -> np.ndarray:
+        """a * b^-1 elementwise over int64 index arrays, broadcasting a against b."""
+        raise NotImplementedError
+
     @cached_property
     def abelian(self) -> bool:
         n = self.order
@@ -58,15 +70,14 @@ class FiniteGroup:
         return all(mul(a, b) == mul(b, a) for a in range(n) for b in range(a + 1, n))
 
     @cached_property
-    def inv_table(self) -> Tuple[int, ...]:
-        return tuple(self.inv(a) for a in range(self.order))
-
-    @cached_property
     def diff_rows(self) -> List[List[int]]:
-        """diff_rows[a][b] == a * b^-1, built lazily for hot loops."""
-        inv = self.inv_table
-        mul = self.mul
-        return [[mul(a, inv[b]) for b in range(self.order)] for a in range(self.order)]
+        """diff_rows[a][b] == a * b^-1 as Python ints, for scalar-indexed hot loops."""
+        idx = np.arange(self.order, dtype=np.int64)
+        step = max(1, PAIR_CHUNK // self.order)
+        rows: List[List[int]] = []
+        for lo in range(0, self.order, step):
+            rows += self.diff_array(idx[lo : lo + step, None], idx).tolist()
+        return rows
 
     def order_of(self, a: int) -> int:
         k, x = 1, a
@@ -96,6 +107,11 @@ class CyclicGroup(FiniteGroup):
 
     def inv(self, a: int) -> int:
         return (-a) % self.n
+
+    def diff_array(self, a, b) -> np.ndarray:
+        d = np.subtract(a, b)
+        d %= self.n
+        return d
 
     @cached_property
     def abelian(self) -> bool:
@@ -129,6 +145,14 @@ class DirectProductGroup(FiniteGroup):
     def inv(self, x: int) -> int:
         a, b = self._decode(x)
         return self._encode(self.g.inv(a), self.h.inv(b))
+
+    def diff_array(self, x, y) -> np.ndarray:
+        xa, xb = np.divmod(x, self.h.order)
+        ya, yb = np.divmod(y, self.h.order)
+        d = self.g.diff_array(xa, ya)
+        d *= self.h.order
+        d += self.h.diff_array(xb, yb)
+        return d
 
     @cached_property
     def abelian(self) -> bool:
@@ -186,6 +210,21 @@ class ElementaryAbelianGroup(FiniteGroup):
             power *= p
         return out
 
+    def diff_array(self, a, b) -> np.ndarray:
+        if self.p == 2:
+            return np.bitwise_xor(a, b)  # digitwise subtraction mod 2
+        p = self.p
+        out = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=np.int64)
+        power = 1
+        for _ in range(self.e):
+            # digits are taken on the unbroadcast operands, combined on the full shape
+            d = np.subtract(np.asarray(a) // power % p, np.asarray(b) // power % p)
+            d %= p
+            d *= power
+            out += d
+            power *= p
+        return out
+
     @cached_property
     def abelian(self) -> bool:
         return True
@@ -226,6 +265,20 @@ class DihedralGroup(FiniteGroup):
         if s:
             return a
         return (-r) % n
+
+    def diff_array(self, a, b) -> np.ndarray:
+        # b^-1 is b for a reflection (t = 1) and x^-u for a rotation, so the
+        # rotation part is u - r after a reflection and r - u otherwise.
+        n = self.n
+        s, r = np.divmod(a, n)
+        t, u = np.divmod(b, n)
+        rot = r - u
+        rot *= 1 - 2 * t
+        rot %= n
+        d = np.bitwise_xor(s, t)
+        d *= n
+        d += rot
+        return d
 
     @cached_property
     def abelian(self) -> bool:
@@ -269,6 +322,24 @@ class HeisenbergGroup(FiniteGroup):
         a, b, c = self.to_triple(x)
         return self.from_triple(-a, a * c - b, -c)
 
+    def diff_array(self, x, y) -> np.ndarray:
+        # (a, b, c) * (d, e, f)^-1 = (a - d, b - e - (a - d) f, c - f)
+        p = self.p
+        x, c = np.divmod(x, p)
+        a, b = np.divmod(x, p)
+        y, f = np.divmod(y, p)
+        d, e = np.divmod(y, p)
+        top = np.subtract(a, d)
+        mid = top * f
+        np.subtract(b - e, mid, out=mid)
+        mid %= p
+        top %= p
+        top *= p
+        top += mid
+        top *= p
+        top += (c - f) % p
+        return top
+
     @cached_property
     def abelian(self) -> bool:
         return False
@@ -293,14 +364,14 @@ class CayleyTableGroup(FiniteGroup):
                 if not 0 <= v < n:
                     raise NotAGroup(f"entry {v} in row {i} out of range")
         self.table = rows
+        self._table_np = np.array(rows, dtype=np.int64)
         self._validate()
         self._inv = self._build_inverses()
+        self._inv_np = np.array(self._inv, dtype=np.int64)
 
     def _validate(self) -> None:
-        import numpy as np
-
         n = self.order
-        t = np.array(self.table, dtype=np.int64)
+        t = self._table_np
         # Latin square: each row and column a permutation.
         ref = np.arange(n)
         if not (np.all(np.sort(t, axis=1) == ref) and np.all(np.sort(t, axis=0) == ref[:, None])):
@@ -323,6 +394,9 @@ class CayleyTableGroup(FiniteGroup):
 
     def inv(self, a: int) -> int:
         return self._inv[a]
+
+    def diff_array(self, a, b) -> np.ndarray:
+        return self._table_np[a, self._inv_np[b]]
 
     def describe(self) -> dict:
         return {"kind": "cayley_table", "table": [list(r) for r in self.table]}
@@ -352,6 +426,46 @@ def group_from_descriptor(desc: dict) -> FiniteGroup:
     raise NotAGroup(f"unknown group kind {kind!r}")
 
 
+def difference_counts(
+    group: FiniteGroup, sets: Sequence[Sequence[int]], within: bool = False
+) -> np.ndarray:
+    """Ordered pairs counted by left difference, as an (len(sets), n) int64 matrix.
+
+    Cell (i, d) counts the pairs (a, b) with a in sets[i] and a * b^-1 = d,
+    where b ranges over the other sets, or with within=True over sets[i]
+    without a.  The sets must be pairwise disjoint.  The pairs are taken
+    PAIR_CHUNK at a time, over at most max(n, PAIR_CHUNK) bins; each step bins
+    owner(a) * n + diff_array(a, b) with one bincount over the rows its a's span.
+    """
+    n = group.order
+    m = len(sets)
+    elems = np.fromiter((x for s in sets for x in s), dtype=np.int64)
+    owner = np.repeat(np.arange(m, dtype=np.int64), [len(s) for s in sets])
+    counts = np.zeros(m * n, dtype=np.int64)
+    total = len(elems)
+    b_step = max(1, min(total, PAIR_CHUNK))
+    a_step = max(1, PAIR_CHUNK // max(b_step, n))
+    for lo in range(0, total, a_step):
+        a = elems[lo : lo + a_step, None]
+        rows = owner[lo : lo + a_step, None]
+        base = int(rows[0, 0]) * n  # owners ascend, so this chunk's bins start here
+        offset = rows * n - base
+        for blo in range(0, total, b_step):
+            b = elems[None, blo : blo + b_step]
+            cols = owner[None, blo : blo + b_step]
+            keep = (rows == cols) & (a != b) if within else rows != cols
+            keys = group.diff_array(a, b)
+            keys += offset
+            binned = np.bincount(keys[keep])
+            counts[base : base + len(binned)] += binned
+    return counts.reshape(m, n)
+
+
+def self_difference_counts(group: FiniteGroup, members: Iterable[int]) -> np.ndarray:
+    """How often each element arises as a * b^-1 over distinct members a, b."""
+    return difference_counts(group, [sorted(set(members))], within=True)[0]
+
+
 @dataclass(frozen=True)
 class Subgroup:
     """A subgroup as its sorted carrier plus the generators that produced it."""
@@ -363,13 +477,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.carrier)
-
-    @property
-    def mask(self) -> int:
-        m = 0
-        for x in self.carrier:
-            m |= 1 << x
-        return m
 
     def star(self) -> Tuple[int, ...]:
         """The carrier with the identity removed."""
@@ -397,17 +504,24 @@ def closure(group: FiniteGroup, generators: Iterable[int]) -> Subgroup:
     return Subgroup(group, tuple(sorted(seen)), tuple(gens))
 
 
+def is_subgroup(group: FiniteGroup, carrier: Iterable[int]) -> bool:
+    """Whether the elements form a subgroup: they hold 0 and every a * b^-1 among them."""
+    members = sorted(set(carrier))
+    if not members or members[0] != 0:
+        return False
+    inside = np.zeros(group.order, dtype=bool)
+    inside[members] = True
+    return not self_difference_counts(group, members)[~inside].any()
+
+
 def _carrier_of(group: FiniteGroup, subgroup) -> Tuple[int, ...]:
     if isinstance(subgroup, Subgroup):
         return subgroup.carrier
     members = tuple(sorted(set(subgroup)))
     if 0 not in members:
         raise ValueError("subgroup carrier must contain the identity 0")
-    mset = set(members)
-    for a in members:
-        for b in members:
-            if group.mul(a, b) not in mset:
-                raise ValueError("carrier is not closed under composition")
+    if not is_subgroup(group, members):
+        raise ValueError("carrier is not closed under composition")
     return members
 
 

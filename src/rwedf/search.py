@@ -18,8 +18,14 @@ from typing import List, Optional, Tuple
 
 from .classify import check_wedf, classify
 from .errors import BudgetExceeded, GroupTooLarge, InfeasibleParameters
-from .family import DisjointFamily, check_weights, difference_profile, scaled_weights
-from .groups import FiniteGroup, Subgroup, closure, enumerate_subgroups
+from .family import (
+    DisjointFamily,
+    check_weights,
+    difference_profile,
+    scaled_fractions,
+    scaled_weights,
+)
+from .groups import FiniteGroup, Subgroup, closure, enumerate_subgroups, is_subgroup
 
 KNOWN_FLAGS = frozenset(
     {"rwedf", "bimodal", "edf", "sedf", "gsedf", "wedf", "star_partition"}
@@ -131,9 +137,7 @@ def _build_caps(spec: SearchSpec, sizes: Tuple[int, ...]) -> _Caps:
         scaled = (coef, int(target))
     wscaled = None
     if "wedf" in spec.require and spec.weights is not None:
-        ws = [Fraction(w) for w in spec.weights]
-        denom = lcm(*(w.denominator for w in ws)) if ws else 1
-        coef_w = tuple(int(w * denom) for w in ws)
+        _, coef_w = scaled_fractions(spec.weights)
         target_w = Fraction(sum(c * k * (total - k) for c, k in zip(coef_w, sizes)), n - 1)
         if target_w.denominator != 1:
             return _Caps((), None, None, None, feasible=False)
@@ -172,16 +176,9 @@ def _passes_require(family: DisjointFamily, spec: SearchSpec, ell: Optional[Frac
 
 
 def _is_star_partition(family: DisjointFamily) -> bool:
-    if not family.is_partition_of_nonidentity():
-        return False
-    g = family.group
-    for members in family.sets:
-        carrier = set(members) | {0}
-        for a in carrier:
-            for b in carrier:
-                if g.mul(a, b) not in carrier:
-                    return False
-    return True
+    return family.is_partition_of_nonidentity() and all(
+        is_subgroup(family.group, (0, *members)) for members in family.sets
+    )
 
 
 class _Searcher:
@@ -293,13 +290,8 @@ class _Searcher:
         """Extra forbidden elements once set i is full, or None to cut the branch."""
         members = self.slots[i]
         extra = 0
-        if self.star_cut:
-            carrier = set(members) | {0}
-            g = self.group
-            for a in carrier:
-                for b in carrier:
-                    if g.mul(a, b) not in carrier:
-                        return None
+        if self.star_cut and not is_subgroup(self.group, (0, *members)):
+            return None
         if self.coset_cut and len(members) >= 2:
             g = self.group
             diffs = {g.diff(a, b) for a in members for b in members if a != b}

@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import IdentityDelta
-from .family import DisjointFamily, DifferenceProfile, difference_profile, e_delta, r_bound
+from .family import DisjointFamily, difference_profile, e_delta, r_bound, reciprocal_sums
 
 
 @dataclass(frozen=True)
@@ -47,17 +47,15 @@ def _zscore(successes: int, trials: int, p: Fraction) -> float:
 def _success_vectors(family: DisjointFamily, delta: int) -> List[np.ndarray]:
     """Per set, a 0/1 vector over its members: does the shifted element escape."""
     g = family.group
-    shift = g.inv(delta)
-    union = family.union_mask
-    out = []
-    for members in family.sets:
-        inside = set(members)
-        wins = [
-            1 if (y := g.mul(shift, x)) not in inside and union >> y & 1 else 0
-            for x in members
-        ]
-        out.append(np.array(wins, dtype=np.int64))
-    return out
+    sizes = family.sizes
+    members = np.fromiter((x for s in family.sets for x in s), dtype=np.int64)
+    source = np.repeat(np.arange(family.m), sizes)
+    owner = np.full(family.n, -1)
+    owner[members] = source
+    # the shifted element delta^-1 * x is the left difference of delta^-1 and x^-1 = 0 * x^-1
+    landed = owner[g.diff_array(g.inv(delta), g.diff_array(0, members))]
+    wins = ((landed >= 0) & (landed != source)).astype(np.int64)
+    return np.split(wins, np.cumsum(sizes[:-1]))
 
 
 def play(family: DisjointFamily, delta: int, trials: int, seed: int) -> GameResult:
@@ -102,16 +100,16 @@ def play_random_delta(family: DisjointFamily, trials: int, seed: int) -> GameRes
     rng = np.random.default_rng(seed)
     deltas = rng.integers(1, family.n, size=trials)
     sources = rng.integers(0, family.m, size=trials)
-    vectors = {d: _success_vectors(family, d) for d in range(1, family.n)}
     successes = 0
     for d in range(1, family.n):
+        wins = _success_vectors(family, d)
         hit_d = sources[deltas == d]
         for i, members in enumerate(family.sets):
             count = int(np.count_nonzero(hit_d == i))
             if count == 0:
                 continue
             picks = rng.integers(0, len(members), size=count)
-            successes += int(vectors[d][i][picks].sum())
+            successes += int(wins[i][picks].sum())
     analytic = r_bound(family.n, family.m, family.total)
     return GameResult(
         delta=None,
@@ -125,12 +123,7 @@ def play_random_delta(family: DisjointFamily, trials: int, seed: int) -> GameRes
 
 def play_best_response(family: DisjointFamily, trials: int, seed: int) -> GameResult:
     """Adversary plays a best shift: the least delta maximizing e_delta."""
-    profile = difference_profile(family)
-    best = None
-    for d in range(1, family.n):
-        rate = e_delta(family, profile, d)
-        if best is None or rate > best[1]:
-            best = (d, rate)
-    if best is None:
+    if family.n < 2:
         raise ValueError("no non-identity element to shift by")
-    return play(family, best[0], trials, seed)
+    _, sums = reciprocal_sums(difference_profile(family))
+    return play(family, sums.index(max(sums)) + 1, trials, seed)

@@ -157,7 +157,7 @@ def test_translate_preserves_profile():
 
 
 def test_profile_without_dense_rows():
-    # groups past the dense-row cutoff go through the per-pair path
+    # a sparse family in a large group: only its 3 elements are ever paired
     g = CyclicGroup(3000)
     fam = DisjointFamily.of(g, (0, 1), (5,))
     prof = difference_profile(fam)
