@@ -38,6 +38,7 @@ from .constructions import (
     two_prime_power_construction,
 )
 from .errors import (
+    BadDescriptor,
     BadResidueClass,
     BadWeight,
     BudgetExceeded,

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -221,7 +220,7 @@ def cmd_search(args) -> int:
             target_ell=target_ell, dedup=args.dedup, node_budget=args.budget,
             result_cap=args.cap,
         )
-        result = enumerate_families(spec, workers=args.threads)
+        result = enumerate_families(spec)
         code = 0
     except BudgetExceeded as exc:
         result = exc
@@ -308,12 +307,7 @@ def _report_row(path) -> dict:
 
 
 def cmd_report(args) -> int:
-    paths = args.paths
-    if args.threads > 1 and len(paths) > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(_report_row, paths))
-    else:
-        rows = [_report_row(p) for p in paths]
+    rows = [_report_row(p) for p in args.paths]
     if args.json:
         print(json.dumps(rows, indent=2))
         return 0
@@ -334,7 +328,8 @@ def cmd_report(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--threads", type=int, default=1, help="worker threads")
+    common.add_argument("--threads", type=int, default=1,
+                        help="accepted and ignored: every command runs on one thread")
     common.add_argument("--seed", type=int, default=0, help="random seed")
 
     parser = argparse.ArgumentParser(

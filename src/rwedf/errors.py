@@ -5,6 +5,10 @@ class NotAGroup(ValueError):
     """A composition table or constructor argument fails the group axioms."""
 
 
+class BadDescriptor(NotAGroup):
+    """A group descriptor is not an object of a known kind with integer parameters."""
+
+
 class IdentityNotZero(NotAGroup):
     """A composition table has an identity, but it is not at index 0."""
 

@@ -7,7 +7,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import GroupTooLarge, IdentityNotZero, NotAGroup
+from .errors import BadDescriptor, GroupTooLarge, IdentityNotZero, NotAGroup
 
 SUBGROUP_ORDER_LIMIT = 256
 # Pairs handled per step of the pair-counting kernel.  Small enough that every
@@ -402,13 +402,30 @@ class CayleyTableGroup(FiniteGroup):
         return {"kind": "cayley_table", "table": [list(r) for r in self.table]}
 
 
+def _int_param(desc: dict, key: str) -> int:
+    value = desc.get(key)
+    if type(value) is not int:  # bool is an int subclass, and no order
+        raise BadDescriptor(f"{desc.get('kind')} descriptor needs an integer {key!r}, "
+                            f"got {value!r}")
+    return value
+
+
+def _list_param(desc: dict, key: str) -> list:
+    value = desc.get(key)
+    if not isinstance(value, list):
+        raise BadDescriptor(f"{desc.get('kind')} descriptor needs a list {key!r}, got {value!r}")
+    return value
+
+
 def group_from_descriptor(desc: dict) -> FiniteGroup:
-    """Rebuild a group from its JSON descriptor."""
+    """Rebuild a group from its JSON descriptor; a malformed one raises BadDescriptor."""
+    if not isinstance(desc, dict):
+        raise BadDescriptor(f"a group descriptor is a JSON object, got {desc!r}")
     kind = desc.get("kind")
     if kind == "cyclic":
-        return CyclicGroup(desc["n"])
+        return CyclicGroup(_int_param(desc, "n"))
     if kind == "product":
-        factors = [group_from_descriptor(d) for d in desc["factors"]]
+        factors = [group_from_descriptor(d) for d in _list_param(desc, "factors")]
         if len(factors) < 2:
             raise NotAGroup("product descriptor needs at least two factors")
         g = factors[0]
@@ -416,14 +433,17 @@ def group_from_descriptor(desc: dict) -> FiniteGroup:
             g = DirectProductGroup(g, h)
         return g
     if kind == "elementary_abelian":
-        return ElementaryAbelianGroup(desc["p"], desc["e"])
+        return ElementaryAbelianGroup(_int_param(desc, "p"), _int_param(desc, "e"))
     if kind == "dihedral":
-        return DihedralGroup(desc["n"])
+        return DihedralGroup(_int_param(desc, "n"))
     if kind == "heisenberg":
-        return HeisenbergGroup(desc["p"])
+        return HeisenbergGroup(_int_param(desc, "p"))
     if kind == "cayley_table":
-        return CayleyTableGroup(desc["table"])
-    raise NotAGroup(f"unknown group kind {kind!r}")
+        table = _list_param(desc, "table")
+        if not all(isinstance(row, list) and all(type(v) is int for v in row) for row in table):
+            raise BadDescriptor("a cayley_table descriptor needs a list of integer rows")
+        return CayleyTableGroup(table)
+    raise BadDescriptor(f"unknown group kind {kind!r}")
 
 
 def difference_counts(

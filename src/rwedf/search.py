@@ -3,18 +3,29 @@
 Canonical generation: sets are filled in size order (largest first), each set's
 members ascend, and among runs of equal-sized sets the least members (anchors)
 increase.  Every unordered family of the requested sizes is therefore visited
-exactly once.  Pruning never drops a branch that could still complete into a
+at most once.  Pruning never drops a branch that could still complete into a
 family passing the final classification filter; the naive generate-and-test
 path below is the oracle for that claim.
+
+Translation symmetry: right translation F -> F*g keeps every left difference
+a * b^-1, so a family passes the filter exactly when each of its translates
+does.  The search walks only a part of the tree that holds at least one member
+of every translation orbit: set 0 is anchored at the identity 0, and when the
+largest set S0 is unique it must sort first among its translates S0 * a^-1,
+a in S0.  The hit list is then rebuilt from the orbits of the hits found, so
+it equals the full walk's; ``SearchStats.nodes`` counts the reduced tree.
+Two requirements are not translation invariant and take the full walk:
+star_partition (the identity must stay outside the union), and wedf with
+different weights on equal-sized sets (translation can reorder those sets,
+and the weights attach by position).
 """
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .classify import check_wedf, classify
 from .errors import BudgetExceeded, GroupTooLarge, InfeasibleParameters
@@ -31,6 +42,8 @@ KNOWN_FLAGS = frozenset(
     {"rwedf", "bimodal", "edf", "sedf", "gsedf", "wedf", "star_partition"}
 )
 STAR_PARTITION_ORDER_LIMIT = 128
+
+Key = Tuple[Tuple[int, ...], ...]  # a family's sets in canonical order
 
 
 @dataclass(frozen=True)
@@ -181,9 +194,19 @@ def _is_star_partition(family: DisjointFamily) -> bool:
     )
 
 
+def _translation_invariant(spec: SearchSpec, sizes: Tuple[int, ...]) -> bool:
+    """Whether every translate of a passing family passes too (see the module notes)."""
+    if "star_partition" in spec.require:
+        return False
+    if "wedf" in spec.require:
+        w = check_weights(len(sizes), spec.weights)
+        return all(w[i] == w[i + 1] for i in range(len(sizes) - 1) if sizes[i] == sizes[i + 1])
+    return True
+
+
 class _Searcher:
     def __init__(self, spec: SearchSpec, sizes: Tuple[int, ...], ell: Optional[Fraction],
-                 caps: _Caps, budget_cell: List[int]):
+                 caps: _Caps):
         g = spec.group
         self.spec = spec
         self.sizes = sizes
@@ -193,9 +216,14 @@ class _Searcher:
         self.n = g.order
         self.m = len(sizes)
         self.diff = g.diff_rows
-        self.budget = budget_cell  # [remaining]; shared across workers
+        self.budget = spec.node_budget
         self.stats = SearchStats()
-        self.results: List[DisjointFamily] = []
+        self.filtered = bool(spec.require) or ell is not None
+        # symmetric: walk one part of the tree per orbit and expand orbits at the hits
+        self.symmetric = _translation_invariant(spec, sizes)
+        self.lexmin = self.symmetric and (self.m == 1 or sizes[0] > sizes[1])
+        self.found: List[Key] = []  # hits, orbits expanded
+        self.seen: Set[Key] = set()  # every key of every expanded orbit
         # mutable search state
         self.slots: List[List[int]] = [[] for _ in sizes]
         self.owner = [-1] * self.n
@@ -206,13 +234,20 @@ class _Searcher:
         self.wsum = [0] * self.n
         self.banned = 0
         self.coset_cut = "bimodal" in spec.require and g.abelian
+        self.carriers: Dict[FrozenSet[int], Tuple[int, ...]] = {}  # closure per difference set
         self.star_cut = "star_partition" in spec.require
 
-    def run(self, anchor_filter=None) -> None:
+    def run(self) -> None:
         try:
-            self._fill_set(0, anchor_filter)
+            self._fill_set(0)
         except _StopSearch:
             self.stats.complete = False
+
+    def families(self) -> List[DisjointFamily]:
+        """The hits so far in canonical order, at most result_cap of them."""
+        # every key has the same sizes, so tuple order is the flat order
+        keys = sorted(self.found)[: self.spec.result_cap]
+        return [DisjointFamily(self.group, key) for key in keys]
 
     # -- incremental counting ------------------------------------------------
 
@@ -289,15 +324,24 @@ class _Searcher:
     def _set_completion_ban(self, i: int) -> Optional[int]:
         """Extra forbidden elements once set i is full, or None to cut the branch."""
         members = self.slots[i]
+        diff = self.diff
         extra = 0
         if self.star_cut and not is_subgroup(self.group, (0, *members)):
             return None
+        if i == 0 and self.lexmin:
+            # S0 * a^-1 for a in S0 are the first sets of the orbit members that
+            # hold 0 in set 0; the least of them stands for the whole orbit
+            key = tuple(members)
+            if any(tuple(sorted(diff[x][a] for x in members)) < key for a in members[1:]):
+                return None
         if self.coset_cut and len(members) >= 2:
             g = self.group
-            diffs = {g.diff(a, b) for a in members for b in members if a != b}
-            sub = closure(g, diffs)
+            diffs = frozenset(diff[a][b] for a in members for b in members if a != b)
+            carrier = self.carriers.get(diffs)
+            if carrier is None:
+                carrier = self.carriers[diffs] = closure(g, diffs).carrier
             a0 = members[0]
-            coset = {g.mul(h, a0) for h in sub.carrier}
+            coset = {g.mul(h, a0) for h in carrier}
             inside = set(members)
             for y in coset:
                 if y in inside:
@@ -309,7 +353,7 @@ class _Searcher:
 
     # -- recursion -----------------------------------------------------------
 
-    def _fill_set(self, i: int, anchor_filter=None) -> None:
+    def _fill_set(self, i: int) -> None:
         if i == self.m:
             self._emit()
             return
@@ -317,9 +361,9 @@ class _Searcher:
         lo = 0
         if i > 0 and self.sizes[i - 1] == size:
             lo = self.slots[i - 1][0] + 1
-        self._extend_set(i, size, lo, anchor_filter)
+        self._extend_set(i, size, lo)
 
-    def _extend_set(self, i: int, remaining: int, lo: int, anchor_filter=None) -> None:
+    def _extend_set(self, i: int, remaining: int, lo: int) -> None:
         if remaining == 0:
             extra = self._set_completion_ban(i)
             if extra is None:
@@ -331,25 +375,25 @@ class _Searcher:
             self.banned = saved
             return
         slot = self.slots[i]
-        is_anchor = not slot
-        for x in range(lo, self.n - remaining + 1):
+        stop = self.n - remaining + 1
+        if i == 0 and not slot and self.symmetric:
+            stop = 1  # every orbit has a member with 0 in set 0
+        for x in range(lo, stop):
             if self.owner[x] >= 0 or self.banned >> x & 1:
                 continue
-            if is_anchor and anchor_filter is not None and not anchor_filter(x):
-                continue
-            if self.budget[0] <= 0:
+            if self.budget <= 0:
                 self.stats.complete = False
                 raise BudgetExceeded(
-                    "node budget exhausted", families=self.results, stats=self.stats
+                    "node budget exhausted", families=self.families(), stats=self.stats
                 )
-            self.budget[0] -= 1
+            self.budget -= 1
             self.stats.nodes += 1
             ok = self._apply(x, i, +1)
             if ok:
                 self.owner[x] = i
                 self.placed.append(x)
                 slot.append(x)
-                self._extend_set(i, remaining - 1, x + 1, None)
+                self._extend_set(i, remaining - 1, x + 1)
                 slot.pop()
                 self.placed.pop()
                 self.owner[x] = -1
@@ -358,69 +402,60 @@ class _Searcher:
             self._apply(x, i, -1)
 
     def _emit(self) -> None:
-        family = DisjointFamily(self.group, tuple(tuple(s) for s in self.slots))
-        if _passes_require(family, self.spec, self.ell):
-            self.results.append(family)
-            cap = self.spec.result_cap
-            if cap is not None and len(self.results) >= cap:
-                raise _StopSearch
+        key = tuple(tuple(s) for s in self.slots)
+        if key in self.seen:
+            return  # a translate of a hit whose orbit is already expanded
+        if self.filtered and not _passes_require(
+            DisjointFamily(self.group, key), self.spec, self.ell
+        ):
+            return
+        dedup = self.spec.dedup
+        if self.symmetric:
+            orbit = _translation_classes(self.diff, key)
+            self.seen |= orbit
+            self.found.extend(orbit if dedup == "none" else (min(orbit),))
+        elif dedup == "none" or key == min(_translation_classes(self.diff, key)):
+            self.found.append(key)
+        cap = self.spec.result_cap
+        if cap is not None and len(self.found) >= cap:
+            raise _StopSearch
 
 
 def _flat_key(family: DisjointFamily) -> Tuple[int, ...]:
     return tuple(x for s in family.sets for x in s)
 
 
-def _translation_classes(families: List[DisjointFamily]) -> List[DisjointFamily]:
-    """Keep one canonical representative (least canonical key) per orbit."""
-    out = []
-    for fam in families:
-        key = fam.canonical_key()
-        least = min(fam.translate(g).canonical_key() for g in fam.group.elements())
-        if key == least:
-            out.append(fam)
-    return out
+def _translation_classes(diff: List[List[int]], key: Key) -> Set[Key]:
+    """The translation class of one family: the canonical keys of all its right translates.
+
+    ``diff`` is the group's ``diff_rows``; x * h^-1 = diff[x][h], and h^-1 runs
+    over the group as h does.  The stable sort by length, largest first, after
+    the sort by members is the canonical set order.
+    """
+    return {
+        tuple(sorted(sorted([tuple(sorted([diff[x][h] for x in s])) for s in key]),
+                     key=len, reverse=True))
+        for h in range(len(diff))
+    }
 
 
 def enumerate_families(spec: SearchSpec, workers: int = 1) -> SearchResult:
-    """All families of the given sizes whose classification meets every flag."""
+    """All families of the given sizes whose classification meets every flag.
+
+    ``workers`` is accepted and ignored: the search runs on one thread.
+    """
     sizes, ell = _validate_spec(spec)
+    if spec.dedup not in ("none", "translation"):
+        raise InfeasibleParameters(f"unknown dedup mode {spec.dedup!r}")
     if ell is None and _require_rwedf(spec):
         m, total, n = len(sizes), sum(sizes), spec.group.order
         ell = Fraction((m - 1) * total, n - 1)
     caps = _build_caps(spec, sizes)
-    stats = SearchStats()
     if not caps.feasible:
-        stats.pruned = 1
-        return SearchResult([], stats)
-    budget = [spec.node_budget]
-    if workers <= 1:
-        searcher = _Searcher(spec, sizes, ell, caps, budget)
-        searcher.run()
-        families, stats = searcher.results, searcher.stats
-    else:
-        anchors = list(range(spec.group.order))
-        shards = [anchors[w::workers] for w in range(workers)]
-
-        def _work(shard: List[int]):
-            s = _Searcher(spec, sizes, ell, caps, budget)
-            member = set(shard)
-            s.run(anchor_filter=member.__contains__)
-            return s.results, s.stats
-
-        families = []
-        stats = SearchStats()
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            for part, pstats in pool.map(_work, shards):
-                families.extend(part)
-                stats.nodes += pstats.nodes
-                stats.pruned += pstats.pruned
-                stats.complete = stats.complete and pstats.complete
-    if spec.dedup == "translation":
-        families = _translation_classes(families)
-    elif spec.dedup != "none":
-        raise InfeasibleParameters(f"unknown dedup mode {spec.dedup!r}")
-    families.sort(key=_flat_key)
-    return SearchResult(families, stats)
+        return SearchResult([], SearchStats(pruned=1))
+    searcher = _Searcher(spec, sizes, ell, caps)
+    searcher.run()
+    return SearchResult(searcher.families(), searcher.stats)
 
 
 def naive_enumerate(spec: SearchSpec) -> SearchResult:
@@ -456,7 +491,10 @@ def naive_enumerate(spec: SearchSpec) -> SearchResult:
 
     rec(0, 0)
     if spec.dedup == "translation":
-        results = _translation_classes(results)
+        results = [
+            f for f in results
+            if f.canonical_key() == min(f.translate(h).canonical_key() for h in g.elements())
+        ]
     results.sort(key=_flat_key)
     return SearchResult(results, stats)
 

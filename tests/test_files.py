@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rwedf import (
+    BadDescriptor,
     CyclicGroup,
     DisjointFamily,
     difference_profile,
@@ -11,6 +12,7 @@ from rwedf import (
     family_to_dict,
     family_to_jsonl_line,
     frac_str,
+    group_from_descriptor,
     parse_frac,
     profile_to_csv,
     read_families_jsonl,
@@ -201,6 +203,34 @@ def test_cli_search(tmp_path, capsys):
     summary = json.loads(text)
     assert summary["families"] == 4 and summary["complete"] is True
     assert len(read_families_jsonl(out)) == 4
+
+
+@pytest.mark.parametrize(
+    "desc",
+    ['[1, 2]', '{"kind": "cyclic", "n": 7.5}', '{"kind": "cyclic", "n": true}'],
+    ids=["list", "float-order", "bool-order"],
+)
+def test_cli_bad_descriptor_exits_2(tmp_path, capsys, desc):
+    with pytest.raises(BadDescriptor):
+        group_from_descriptor(json.loads(desc))
+    code, _, err = run(capsys, "search", "--group", desc, "--sizes", "1",
+                       "--out", str(tmp_path / "hits.jsonl"))
+    assert code == 2 and "bad group descriptor" in err
+    path = tmp_path / "fam.json"
+    path.write_text('{"group": %s, "sets": [[0]]}' % desc)
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2 and "error:" in err
+
+
+def test_cli_search_cap_ignores_threads(tmp_path, capsys):
+    out = tmp_path / "capped.jsonl"
+    code, text, _ = run(
+        capsys, "search", "--group", '{"kind": "cyclic", "n": 8}', "--sizes", "3,3,2",
+        "--cap", "3", "--threads", "4", "--out", str(out), "--json")
+    assert code == 0
+    summary = json.loads(text)
+    assert summary["families"] == 3 and summary["complete"] is False
+    assert len(read_families_jsonl(out)) == 3
 
 
 def test_cli_search_budget_partial(tmp_path, capsys):

@@ -6,6 +6,7 @@ from rwedf import (
     BudgetExceeded,
     CyclicGroup,
     DihedralGroup,
+    DirectProductGroup,
     ElementaryAbelianGroup,
     InfeasibleParameters,
     SearchSpec,
@@ -16,7 +17,7 @@ from rwedf import (
     rwedf_census,
 )
 
-from helpers import coset_z33, mixed_z10, weighted_z8
+from helpers import HALF, coset_z33, mixed_z10, weighted_z8
 
 
 def both(spec):
@@ -111,6 +112,112 @@ def test_parallel_matches_serial():
     assert len(serial.families) == 40
     assert [f.sets for f in serial.families] == [f.sets for f in parallel.families]
     assert serial.stats.nodes == parallel.stats.nodes > 0
+
+
+# (group, sizes, requirement keywords, hits without dedup, translation classes);
+# a unique largest set takes the lex-min first-set cut, a tied one only the anchor
+SYMMETRIC_CASES = [
+    (CyclicGroup(9), (4, 2), dict(require=frozenset({"rwedf"})), 27, 3),
+    (CyclicGroup(7), (2, 2, 2), dict(target_ell=Fraction(2)), 21, 3),
+    (DihedralGroup(4), (4, 2, 1, 1), dict(require=frozenset({"bimodal"})), 28, 7),
+    (DihedralGroup(5), (2, 2, 2), dict(require=frozenset({"bimodal"})), 50, 10),
+    (
+        DirectProductGroup(CyclicGroup(2), CyclicGroup(4)),
+        (4, 2, 1, 1),
+        dict(require=frozenset({"wedf"}), weights=(1, 1, HALF, HALF)),
+        32,
+        4,
+    ),
+    (ElementaryAbelianGroup(3, 2), (2, 2, 2), dict(require=frozenset({"rwedf"})), 144, 16),
+    (ElementaryAbelianGroup(2, 3), (4, 2, 1, 1), dict(require=frozenset({"bimodal"})), 84, 21),
+    (ElementaryAbelianGroup(3, 2), (3,), dict(require=frozenset({"rwedf"})), 84, 12),
+]
+
+
+@pytest.mark.parametrize("group, sizes, kwargs, hits, classes", SYMMETRIC_CASES)
+def test_symmetric_search_matches_naive(group, sizes, kwargs, hits, classes):
+    for dedup, expected in (("none", hits), ("translation", classes)):
+        res = both(SearchSpec(group=group, sizes=sizes, dedup=dedup, **kwargs))
+        assert len(res.families) == expected
+        assert res.stats.complete
+
+
+def test_symmetric_search_walks_a_smaller_tree():
+    spec = SearchSpec(group=CyclicGroup(9), sizes=(4, 2), require=frozenset({"rwedf"}))
+    res = enumerate_families(spec)
+    # the full walk takes 2,029 nodes; anchoring set 0 at the identity and the
+    # lex-min first-set cut leave well under a quarter of them
+    assert res.stats.nodes < 2029 // 4
+    assert res.stats.pruned > 0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # star partitions must keep the identity outside the union
+        SearchSpec(group=DihedralGroup(3), sizes=(2, 1, 1, 1), require=frozenset({"star_partition"})),
+        SearchSpec(
+            group=ElementaryAbelianGroup(3, 2),
+            sizes=(2, 2, 2, 2),
+            require=frozenset({"star_partition"}),
+            dedup="translation",
+        ),
+        # translation can swap the equal-sized sets that carry different weights
+        SearchSpec(
+            group=DihedralGroup(3),
+            sizes=(1, 1, 1, 1),
+            require=frozenset({"wedf"}),
+            weights=(1, HALF, HALF, HALF),
+        ),
+        SearchSpec(
+            group=CyclicGroup(5),
+            sizes=(2, 2),
+            require=frozenset({"wedf"}),
+            weights=(1, HALF),
+            dedup="translation",
+        ),
+    ],
+)
+def test_translation_variant_requirements_walk_the_whole_tree(spec):
+    res = both(spec)
+    assert res.stats.complete
+
+
+def test_cap_counts_expanded_families():
+    spec = SearchSpec(group=CyclicGroup(8), sizes=(3, 3, 2), result_cap=3)
+    res = enumerate_families(spec, workers=4)
+    assert len(res.families) == 3
+    assert not res.stats.complete
+    every = {f.sets for f in naive_enumerate(SearchSpec(group=CyclicGroup(8), sizes=(3, 3, 2))).families}
+    assert {f.sets for f in res.families} <= every
+    # with translation dedup the cap counts classes, not orbit members found
+    spec = SearchSpec(group=CyclicGroup(9), sizes=(4, 2), require=frozenset({"rwedf"}),
+                      dedup="translation", result_cap=3)
+    res = enumerate_families(spec)
+    assert len(res.families) == 3 and not res.stats.complete
+    # a cap above the number of hits returns them all and completes
+    spec = SearchSpec(group=CyclicGroup(9), sizes=(4, 2), require=frozenset({"rwedf"}),
+                      dedup="translation", result_cap=4)
+    res = enumerate_families(spec)
+    assert len(res.families) == 3 and res.stats.complete
+
+
+def test_budget_exhaustion_keeps_genuine_hits():
+    spec = SearchSpec(group=CyclicGroup(10), sizes=(2, 2, 1, 1), require=frozenset({"rwedf"}))
+    every = {f.sets for f in naive_enumerate(spec).families}
+    partial = []
+    for budget in (30, 300, 3000):
+        with pytest.raises(BudgetExceeded) as info:
+            enumerate_families(
+                SearchSpec(group=spec.group, sizes=spec.sizes, require=spec.require,
+                           node_budget=budget)
+            )
+        err = info.value
+        assert err.stats.nodes <= budget and not err.stats.complete
+        found = [f.sets for f in err.families]
+        assert found == sorted(found) and set(found) <= every
+        partial.append(len(found))
+    assert partial == sorted(partial) and partial[-1] > 0
 
 
 def test_infeasible_specs():
