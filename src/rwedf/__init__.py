@@ -86,6 +86,7 @@ from .groups import (
     ElementaryAbelianGroup,
     FiniteGroup,
     HeisenbergGroup,
+    MAX_ORDER,
     Subgroup,
     closure,
     enumerate_subgroups,

@@ -28,7 +28,7 @@ from .constructions import (
     trivial_families,
     two_prime_power_construction,
 )
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, GroupTooLarge
 from .family import DisjointFamily, difference_profile
 from .files import (
     family_to_dict,
@@ -57,6 +57,8 @@ def _parse_group(text: str) -> FiniteGroup:
         raise CliError(f"bad group descriptor: {exc}", 2)
     try:
         return group_from_descriptor(desc)
+    except GroupTooLarge as exc:
+        raise CliError(str(exc), 2)
     except (ValueError, KeyError, TypeError) as exc:
         raise CliError(f"bad group descriptor: {exc}", 2)
 

@@ -10,10 +10,25 @@ import numpy as np
 from .errors import BadDescriptor, GroupTooLarge, IdentityNotZero, NotAGroup
 
 SUBGROUP_ORDER_LIMIT = 256
+# Largest group order any constructor accepts.  Dense per-group data (diff_rows,
+# profiles) grow with n or n^2, so larger groups are refused before any of it,
+# or any big power of a prime, is built.
+MAX_ORDER = 1 << 20
 # Pairs handled per step of the pair-counting kernel.  Small enough that every
 # temporary stays a few hundred KB, so heap growth and allocator thresholds
 # track the data the caller keeps, not the kernel's scratch.
 PAIR_CHUNK = 1 << 15
+
+
+def _prime_power_order(p: int, e: int) -> int:
+    """p**e for a prime p and e >= 1; an order past MAX_ORDER is refused before p**e."""
+    if e < 1:
+        raise NotAGroup(f"exponent must be positive, got {e}")
+    if p > MAX_ORDER or (p > 1 and e >= MAX_ORDER.bit_length()):
+        raise GroupTooLarge(f"group too large: order {p}^{e} exceeds MAX_ORDER {MAX_ORDER}")
+    if not is_prime(p):
+        raise NotAGroup(f"{p} is not prime")
+    return p**e
 
 
 def is_prime(p: int) -> bool:
@@ -41,6 +56,8 @@ class FiniteGroup:
     def __init__(self, order: int):
         if order < 1:
             raise NotAGroup(f"order must be positive, got {order}")
+        if order > MAX_ORDER:
+            raise GroupTooLarge(f"group too large: order {order} exceeds MAX_ORDER {MAX_ORDER}")
         self.order = order
 
     def mul(self, a: int, b: int) -> int:
@@ -168,11 +185,7 @@ class ElementaryAbelianGroup(FiniteGroup):
     kind = "elementary_abelian"
 
     def __init__(self, p: int, e: int):
-        if not is_prime(p):
-            raise NotAGroup(f"{p} is not prime")
-        if e < 1:
-            raise NotAGroup(f"exponent must be positive, got {e}")
-        super().__init__(p**e)
+        super().__init__(_prime_power_order(p, e))
         self.p = p
         self.e = e
 
@@ -298,9 +311,7 @@ class HeisenbergGroup(FiniteGroup):
     kind = "heisenberg"
 
     def __init__(self, p: int):
-        if not is_prime(p):
-            raise NotAGroup(f"{p} is not prime")
-        super().__init__(p**3)
+        super().__init__(_prime_power_order(p, 3))
         self.p = p
 
     def to_triple(self, x: int) -> Tuple[int, int, int]:

@@ -17,7 +17,14 @@ it equals the full walk's; ``SearchStats.nodes`` counts the reduced tree.
 Two requirements are not translation invariant and take the full walk:
 star_partition (the identity must stay outside the union), and wedf with
 different weights on equal-sized sets (translation can reorder those sets,
-and the weights attach by position).
+and the weights attach by position).  There ``dedup="translation"`` keeps the
+least hit of each translation class, which need not be the least translate.
+
+The census (``rwedf_census``) uses the same symmetry: it sweeps one support per
+translation orbit and counts each set partition of it once per distinct
+translate of the support, n / |Stab(U)| times.  ``cross_check_every = s``
+still classifies floor(families / s) genuine, distinct families: the
+translates that stand at the crossed positions.
 """
 from __future__ import annotations
 
@@ -25,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from .classify import check_wedf, classify
 from .errors import BudgetExceeded, GroupTooLarge, InfeasibleParameters
@@ -410,12 +417,14 @@ class _Searcher:
         ):
             return
         dedup = self.spec.dedup
-        if self.symmetric:
+        if self.symmetric or dedup == "translation":
             orbit = _translation_classes(self.diff, key)
             self.seen |= orbit
-            self.found.extend(orbit if dedup == "none" else (min(orbit),))
-        elif dedup == "none" or key == min(_translation_classes(self.diff, key)):
+        if not self.symmetric:
+            # the full walk meets keys in ascending order: key is the least hit of its orbit
             self.found.append(key)
+        else:
+            self.found.extend(orbit if dedup == "none" else (min(orbit),))
         cap = self.spec.result_cap
         if cap is not None and len(self.found) >= cap:
             raise _StopSearch
@@ -490,12 +499,16 @@ def naive_enumerate(spec: SearchSpec) -> SearchResult:
             slots.pop()
 
     rec(0, 0)
-    if spec.dedup == "translation":
-        results = [
-            f for f in results
-            if f.canonical_key() == min(f.translate(h).canonical_key() for h in g.elements())
-        ]
     results.sort(key=_flat_key)
+    if spec.dedup == "translation":
+        # keep the least hit of each translation class
+        kept: List[DisjointFamily] = []
+        seen: Set[Tuple] = set()
+        for f in results:
+            if f.canonical_key() not in seen:
+                kept.append(f)
+                seen.update(f.translate(h).canonical_key() for h in g.elements())
+        results = kept
     return SearchResult(results, stats)
 
 
@@ -544,6 +557,32 @@ class CensusStats:
     violations: int = 0
     cross_checked: int = 0
     cross_failures: int = 0
+    leaves: int = 0  # representative families evaluated
+    supports: int = 0  # support orbits swept
+
+
+def _support_orbits(diff: List[List[int]]) -> Iterator[Tuple[List[int], List[int]]]:
+    """One support per right-translation orbit of the non-empty subsets.
+
+    Yields (members, shifts) for each subset U that is the least, as a bit
+    mask, of its translates U * h^-1 = {diff[x][h]}.  ``shifts`` holds one h
+    per distinct translate, in order of h, so it starts at h = 0 and has
+    n / |Stab(U)| entries.
+    """
+    n = len(diff)
+    bits = [[1 << diff[x][h] for x in range(n)] for h in range(n)]
+    for mask in range(1, 1 << n):
+        members = [x for x in range(n) if mask >> x & 1]
+        translates: Dict[int, int] = {}
+        for h, row in enumerate(bits):
+            t = 0
+            for x in members:
+                t |= row[x]
+            if t < mask:
+                break
+            translates.setdefault(t, h)
+        else:
+            yield members, list(translates.values())
 
 
 def rwedf_census(group: FiniteGroup, cross_check_every: int = 0) -> CensusStats:
@@ -552,21 +591,29 @@ def rwedf_census(group: FiniteGroup, cross_check_every: int = 0) -> CensusStats:
     For each family it evaluates, in exact integer arithmetic, whether the
     reciprocally weighted column sums are constant and whether the worst-case
     rate meets the averaging bound, counting any family where the two verdicts
-    disagree.  With cross_check_every = s > 0, every s-th family is re-checked
-    through the classify pipeline.
+    disagree.  Both verdicts depend only on the left differences, which right
+    translation keeps, so the sweep visits one support per translation orbit,
+    partitions it every way, and counts each partition once per distinct
+    translate of the support (n / |Stab(U)| times).  With cross_check_every =
+    s > 0, the census family at every s-th position, floor(families / s) of
+    them, is re-checked through the classify pipeline: a partition weighted w
+    stands at w consecutive positions, one per translate, and the translate at
+    the crossed position is the family checked.
     """
     n = group.order
     diff = group.diff_rows
+    every = cross_check_every if n > 1 else 0
     stats = CensusStats()
     blocks: List[List[int]] = []
-    counts = [0] * (n * n)  # row b at offset b*n
+    rows = [[0] * n for _ in range(n)]  # rows[b][d]: pairs of block b at difference d
     owner = [-1] * n
     placed: List[int] = []
+    shifts: List[int] = []  # one h per translate of the current support
+    members: List[int] = []
 
     def leaf() -> None:
-        if not blocks:
-            return
-        stats.families += 1
+        w = len(shifts)
+        stats.leaves += 1
         sizes = [len(b) for b in blocks]
         m = len(sizes)
         total = sum(sizes)
@@ -578,7 +625,7 @@ def rwedf_census(group: FiniteGroup, cross_check_every: int = 0) -> CensusStats:
         for d in range(1, n):
             s = 0
             for b in range(m):
-                c = counts[b * n + d]
+                c = rows[b][d]
                 if c:
                     s += coef[b] * c
             if first is None:
@@ -589,12 +636,19 @@ def rwedf_census(group: FiniteGroup, cross_check_every: int = 0) -> CensusStats:
                 best = s
         meets_bound = best * (n - 1) == k_lcm * (m - 1) * total
         if constant != meets_bound:
-            stats.violations += 1
+            stats.violations += w
         if constant:
-            stats.rwedf += 1
-        if cross_check_every and n > 1 and stats.families % cross_check_every == 0:
+            stats.rwedf += w
+        start = stats.families
+        stats.families += w
+        if not every:
+            return
+        for pos in range(start - start % every + every, start + w + 1, every):
+            h = shifts[pos - start - 1]
             stats.cross_checked += 1
-            fam = DisjointFamily(group, tuple(tuple(sorted(b)) for b in blocks))
+            fam = DisjointFamily(
+                group, tuple(tuple(sorted(diff[x][h] for x in b)) for b in blocks)
+            )
             report = classify(fam)
             lib_rwedf = report.rwedf is not None
             lib_bound = report.e_hat == report.r_bound
@@ -609,18 +663,18 @@ def rwedf_census(group: FiniteGroup, cross_check_every: int = 0) -> CensusStats:
 
     def place(x: int, b: int, sign: int) -> None:
         dx = diff[x]
+        row_b = rows[b]
         for y in placed:
             j = owner[y]
             if j != b:
-                counts[b * n + dx[y]] += sign
-                counts[j * n + diff[y][x]] += sign
+                row_b[dx[y]] += sign
+                rows[j][diff[y][x]] += sign
 
-    def rec(x: int) -> None:
-        if x == n:
+    def rec(i: int) -> None:
+        if i == len(members):
             leaf()
             return
-        # skip x entirely
-        rec(x + 1)
+        x = members[i]
         # put x into an existing block, or open a new one
         open_blocks = len(blocks)
         for b in range(open_blocks + 1):
@@ -630,7 +684,7 @@ def rwedf_census(group: FiniteGroup, cross_check_every: int = 0) -> CensusStats:
             owner[x] = b
             placed.append(x)
             blocks[b].append(x)
-            rec(x + 1)
+            rec(i + 1)
             blocks[b].pop()
             placed.pop()
             owner[x] = -1
@@ -638,5 +692,7 @@ def rwedf_census(group: FiniteGroup, cross_check_every: int = 0) -> CensusStats:
             if b == open_blocks:
                 blocks.pop()
 
-    rec(0)
+    for members, shifts in _support_orbits(diff):
+        stats.supports += 1
+        rec(0)
     return stats

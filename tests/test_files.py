@@ -222,6 +222,18 @@ def test_cli_bad_descriptor_exits_2(tmp_path, capsys, desc):
     assert code == 2 and "error:" in err
 
 
+def test_cli_group_too_large_exits_2(tmp_path, capsys):
+    # 2^30 elements: refused before any per-element data is built
+    desc = '{"kind": "elementary_abelian", "p": 2, "e": 30}'
+    path = tmp_path / "fam.json"
+    path.write_text('{"group": %s, "sets": [[1], [2]]}' % desc)
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2 and "group too large" in err
+    code, _, err = run(capsys, "search", "--group", desc, "--sizes", "1,1",
+                       "--out", str(tmp_path / "hits.jsonl"))
+    assert code == 2 and "group too large" in err
+
+
 def test_cli_search_cap_ignores_threads(tmp_path, capsys):
     out = tmp_path / "capped.jsonl"
     code, text, _ = run(

@@ -10,6 +10,7 @@ from rwedf import (
     ElementaryAbelianGroup,
     GroupTooLarge,
     HeisenbergGroup,
+    MAX_ORDER,
     IdentityNotZero,
     NotAGroup,
     closure,
@@ -202,6 +203,34 @@ def test_enumerate_subgroups_limit():
 def test_unknown_descriptor():
     with pytest.raises(NotAGroup):
         group_from_descriptor({"kind": "free"})
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        {"kind": "cyclic", "n": MAX_ORDER + 1},
+        {"kind": "dihedral", "n": MAX_ORDER // 2 + 1},
+        {"kind": "elementary_abelian", "p": 2, "e": 30},
+        # refused before the power is formed
+        {"kind": "elementary_abelian", "p": 2, "e": 10**12},
+        {"kind": "heisenberg", "p": 103},
+        {"kind": "heisenberg", "p": 10**40 + 1},
+        # each factor fits; the product does not
+        {"kind": "product", "factors": [{"kind": "cyclic", "n": 1 << 10},
+                                        {"kind": "elementary_abelian", "p": 2, "e": 11}]},
+    ],
+)
+def test_max_order_guard(desc):
+    with pytest.raises(GroupTooLarge, match="group too large"):
+        group_from_descriptor(desc)
+
+
+def test_max_order_is_inclusive():
+    assert group_from_descriptor({"kind": "cyclic", "n": MAX_ORDER}).order == MAX_ORDER
+    assert ElementaryAbelianGroup(2, 20).order == MAX_ORDER
+    assert HeisenbergGroup(101).order == 101**3
+    with pytest.raises(NotAGroup):
+        ElementaryAbelianGroup(-3, 10**12)
 
 
 @settings(max_examples=60, deadline=None)

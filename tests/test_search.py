@@ -1,12 +1,15 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from rwedf import (
     BudgetExceeded,
+    CensusStats,
     CyclicGroup,
     DihedralGroup,
     DirectProductGroup,
+    DisjointFamily,
     ElementaryAbelianGroup,
     InfeasibleParameters,
     SearchSpec,
@@ -16,6 +19,7 @@ from rwedf import (
     naive_enumerate,
     rwedf_census,
 )
+from rwedf import search
 
 from helpers import HALF, coset_z33, mixed_z10, weighted_z8
 
@@ -183,6 +187,19 @@ def test_translation_variant_requirements_walk_the_whole_tree(spec):
     assert res.stats.complete
 
 
+@pytest.mark.parametrize(
+    "group, sizes",
+    [(DihedralGroup(3), (2, 1, 1, 1)), (ElementaryAbelianGroup(3, 2), (2, 2, 2, 2))],
+)
+def test_star_partition_dedup_keeps_least_hit(group, sizes):
+    # no translate of a star partition is one (it would hold the identity), so
+    # the dedup keeps the least hit of each class, not the least translate
+    spec = SearchSpec(group=group, sizes=sizes, require=frozenset({"star_partition"}))
+    assert len(both(spec).families) == 1
+    deduped = SearchSpec(group=group, sizes=sizes, require=spec.require, dedup="translation")
+    assert len(both(deduped).families) == 1
+
+
 def test_cap_counts_expanded_families():
     spec = SearchSpec(group=CyclicGroup(8), sizes=(3, 3, 2), result_cap=3)
     res = enumerate_families(spec, workers=4)
@@ -305,4 +322,114 @@ def test_census_nonabelian():
     stats = rwedf_census(DihedralGroup(3), cross_check_every=11)
     assert stats.families == 876
     assert stats.violations == 0
+    assert stats.cross_failures == 0
+
+
+def reference_census(group, record=None):
+    """The unweighted census sweep: every support, every set partition, one at a time.
+
+    Appends each family's canonical key to ``record`` when one is given.
+    """
+    n = group.order
+    diff = group.diff_rows
+    stats = CensusStats()
+    blocks = []
+    counts = [0] * (n * n)  # row b at offset b*n
+    owner = [-1] * n
+    placed = []
+
+    def leaf():
+        if not blocks:
+            return
+        stats.families += 1
+        if record is not None:
+            record.append(DisjointFamily.of(group, *blocks).canonical_key())
+        sizes = [len(b) for b in blocks]
+        m = len(sizes)
+        k_lcm = lcm(*sizes)
+        sums = [sum(k_lcm // len(b) * counts[i * n + d] for i, b in enumerate(blocks))
+                for d in range(1, n)]
+        constant = len(set(sums)) <= 1
+        meets_bound = max(sums, default=0) * (n - 1) == k_lcm * (m - 1) * sum(sizes)
+        stats.violations += constant != meets_bound
+        stats.rwedf += constant
+
+    def place(x, b, sign):
+        for y in placed:
+            j = owner[y]
+            if j != b:
+                counts[b * n + diff[x][y]] += sign
+                counts[j * n + diff[y][x]] += sign
+
+    def rec(x):
+        if x == n:
+            leaf()
+            return
+        rec(x + 1)  # skip x
+        open_blocks = len(blocks)
+        for b in range(open_blocks + 1):
+            if b == open_blocks:
+                blocks.append([])
+            place(x, b, +1)
+            owner[x] = b
+            placed.append(x)
+            blocks[b].append(x)
+            rec(x + 1)
+            blocks[b].pop()
+            placed.pop()
+            owner[x] = -1
+            place(x, b, -1)
+            if b == open_blocks:
+                blocks.pop()
+
+    rec(0)
+    return stats
+
+
+CENSUS_GROUPS = [CyclicGroup(n) for n in range(1, 9)] + [
+    DihedralGroup(3),
+    DihedralGroup(4),
+    DirectProductGroup(CyclicGroup(2), CyclicGroup(4)),
+    ElementaryAbelianGroup(2, 3),
+    ElementaryAbelianGroup(3, 2),
+]
+
+
+@pytest.mark.parametrize("group", CENSUS_GROUPS, ids=repr)
+def test_census_orbits_match_full_sweep(group):
+    stats = rwedf_census(group)
+    ref = reference_census(group)
+    assert (stats.families, stats.rwedf, stats.violations) == (
+        ref.families, ref.rwedf, ref.violations)
+    assert stats.violations == 0
+    # one representative per support orbit: fewer leaves than families once n > 2
+    assert stats.supports <= stats.leaves <= stats.families
+    if group.order > 2:
+        assert stats.leaves < stats.families
+
+
+@pytest.mark.parametrize("group, families", [(CyclicGroup(5), 202), (DihedralGroup(3), 876)])
+def test_census_cross_checks_every_genuine_family(monkeypatch, group, families):
+    checked = []
+
+    def recording_classify(family, *args, **kwargs):
+        checked.append(family.canonical_key())
+        return classify(family, *args, **kwargs)
+
+    monkeypatch.setattr(search, "classify", recording_classify)
+    stats = rwedf_census(group, cross_check_every=1)
+    every = []
+    reference_census(group, record=every)
+    assert stats.families == stats.cross_checked == len(checked) == families
+    assert stats.cross_failures == 0
+    assert len(set(checked)) == len(set(every)) == families
+    assert set(checked) == set(every)
+
+
+@pytest.mark.parametrize("group", [CyclicGroup(6), DihedralGroup(3)], ids=repr)
+@pytest.mark.parametrize("every", [3, 7, 11])
+def test_census_cross_check_count(group, every):
+    stats = rwedf_census(group, cross_check_every=every)
+    assert stats.families == 876
+    assert stats.cross_checked == stats.families // every
     assert stats.cross_failures == 0
