@@ -185,6 +185,8 @@ def cmd_construct(args) -> int:
         outputs = _built(args)
     except CliError:
         raise
+    except GroupTooLarge as exc:
+        raise CliError(str(exc), 2)
     except (ValueError, ArithmeticError) as exc:
         raise CliError(f"{args.name}: {exc}", 1)
     out = args.out

@@ -25,6 +25,8 @@ from .groups import (
     FiniteGroup,
     HeisenbergGroup,
     Subgroup,
+    bounded_power,
+    check_order,
     closure,
     is_prime,
 )
@@ -64,6 +66,7 @@ def complement_pair(group: FiniteGroup, members: Sequence[int]) -> DisjointFamil
 
 def cyclotomic_squares(q: int) -> DisjointFamily:
     """Non-zero squares versus non-squares in GF(q), q a prime power = 1 mod 4."""
+    check_order(q)  # before the factoring, whose trial division grows with sqrt(q)
     pa = prime_power_factor(q)
     if pa is None:
         raise NotPrimePower(f"{q} is not a prime power")
@@ -129,12 +132,15 @@ def subgroup_star_family(group: FiniteGroup, subgroups: Sequence[Subgroup]) -> D
 
 def two_prime_power_construction(p: int, alpha: int, q: int, beta: int) -> DisjointFamily:
     """Stars of the Z_{p^alpha} and Z_{q^beta} subgroups of Z_{p^alpha q^beta}."""
-    if not (is_prime(p) and is_prime(q)) or p == q:
-        raise ValueError("need two distinct primes")
     if alpha < 1 or beta < 1:
         raise ValueError("exponents must be positive")
-    pa, qb = p**alpha, q**beta
+    if min(p, q) < 2:
+        raise ValueError("need two distinct primes")
+    # the order is refused past MAX_ORDER before the powers and the primality tests
+    pa, qb = bounded_power(p, alpha), bounded_power(q, beta)
     g = CyclicGroup(pa * qb)
+    if not (is_prime(p) and is_prime(q)) or p == q:
+        raise ValueError("need two distinct primes")
     sub_p = closure(g, [qb])  # order p^alpha
     sub_q = closure(g, [pa])  # order q^beta
     return subgroup_star_family(g, [sub_p, sub_q])
@@ -149,8 +155,8 @@ def desarguesian_star_partition(p: int, a: int, b: int) -> DisjointFamily:
     """
     if a * b < 2:
         raise ValueError("need a vector space of group order p^2 or more")
+    group = ElementaryAbelianGroup(p, a * b)  # refuses a large order before the field
     field = FieldGF(p, a)
-    group = ElementaryAbelianGroup(p, a * b)
     q = field.q
 
     def flatten(vec: Sequence[int]) -> int:

@@ -2,7 +2,8 @@
 
 An element with polynomial coordinates c_0 + c_1 x + ... + c_{a-1} x^{a-1}
 gets the index sum c_i * p^i, so the additive structure coincides with the
-elementary abelian group on the same indices.  The reducing modulus is the
+elementary abelian group on the same indices: field addition and negation are
+``ElementaryAbelianGroup(p, a).mul`` and ``.inv``.  The reducing modulus is the
 lexicographically least irreducible monic of degree a (compared high
 coefficient first, which is plain integer order on the packed index).
 """
@@ -104,27 +105,6 @@ class FieldGF:
             if self._is_irreducible(candidate):
                 return candidate
         raise NotPrimePower(f"no irreducible monic of degree {self.a} over GF({self.p})")
-
-    def add(self, x: int, y: int) -> int:
-        p = self.p
-        out = 0
-        power = 1
-        for _ in range(self.a):
-            out += ((x + y) % p) * power
-            x //= p
-            y //= p
-            power *= p
-        return out
-
-    def neg(self, x: int) -> int:
-        p = self.p
-        out = 0
-        power = 1
-        for _ in range(self.a):
-            out += (-x % p) * power
-            x //= p
-            power *= p
-        return out
 
     def mul(self, x: int, y: int) -> int:
         u, v = self._decode_any(x, self.a), self._decode_any(y, self.a)

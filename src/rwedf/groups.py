@@ -20,15 +20,30 @@ MAX_ORDER = 1 << 20
 PAIR_CHUNK = 1 << 15
 
 
+def check_order(order: int) -> int:
+    """The order itself; GroupTooLarge when it exceeds MAX_ORDER."""
+    if order > MAX_ORDER:
+        raise GroupTooLarge(f"group too large: order {order} exceeds MAX_ORDER {MAX_ORDER}")
+    return order
+
+
+def bounded_power(p: int, e: int) -> int:
+    """p**e for p >= 2 and e >= 1; past MAX_ORDER it is refused before p**e is formed."""
+    if p > MAX_ORDER or e >= MAX_ORDER.bit_length():
+        raise GroupTooLarge(f"group too large: order {p}^{e} exceeds MAX_ORDER {MAX_ORDER}")
+    return check_order(p**e)
+
+
 def _prime_power_order(p: int, e: int) -> int:
-    """p**e for a prime p and e >= 1; an order past MAX_ORDER is refused before p**e."""
+    """p**e for a prime p and e >= 1; past MAX_ORDER it is refused before the primality test."""
     if e < 1:
         raise NotAGroup(f"exponent must be positive, got {e}")
-    if p > MAX_ORDER or (p > 1 and e >= MAX_ORDER.bit_length()):
-        raise GroupTooLarge(f"group too large: order {p}^{e} exceeds MAX_ORDER {MAX_ORDER}")
+    if p < 2:
+        raise NotAGroup(f"{p} is not prime")
+    order = bounded_power(p, e)
     if not is_prime(p):
         raise NotAGroup(f"{p} is not prime")
-    return p**e
+    return order
 
 
 def is_prime(p: int) -> bool:
@@ -56,9 +71,7 @@ class FiniteGroup:
     def __init__(self, order: int):
         if order < 1:
             raise NotAGroup(f"order must be positive, got {order}")
-        if order > MAX_ORDER:
-            raise GroupTooLarge(f"group too large: order {order} exceeds MAX_ORDER {MAX_ORDER}")
-        self.order = order
+        self.order = check_order(order)
 
     def mul(self, a: int, b: int) -> int:
         raise NotImplementedError

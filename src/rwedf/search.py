@@ -3,9 +3,18 @@
 Canonical generation: sets are filled in size order (largest first), each set's
 members ascend, and among runs of equal-sized sets the least members (anchors)
 increase.  Every unordered family of the requested sizes is therefore visited
-at most once.  Pruning never drops a branch that could still complete into a
-family passing the final classification filter; the naive generate-and-test
-path below is the oracle for that claim.
+at most once.
+
+Caps decide the leaves: the searcher keeps the live count N_i(d) of every set
+and, per column cap, the sums sum_i c_i N_i(d) (edf: c_i = 1, rwedf: K / k_i,
+wedf: the scaled weights), and cuts a placement that lifts a count or a sum
+above its cap.  In a complete family the counts and sums add up to exactly
+(n-1) times each cap (see ``_build_caps``), so a leaf under every cap already
+passes edf, sedf, gsedf, rwedf (and ``target_ell``) and wedf.  bimodal is read
+off the live counts, and star_partition holds by construction: the identity is
+never placed, the sizes add up to n-1, and each completed set is cut unless it
+closes to a subgroup with the identity.  No leaf runs the classifier; the
+naive generate-and-test path below does, and is the oracle for the search.
 
 Translation symmetry: right translation F -> F*g keeps every left difference
 a * b^-1, so a family passes the filter exactly when each of its translates
@@ -95,6 +104,10 @@ def _validate_spec(spec: SearchSpec) -> Tuple[Tuple[int, ...], Optional[Fraction
     unknown = set(spec.require) - KNOWN_FLAGS
     if unknown:
         raise InfeasibleParameters(f"unknown requirement flags {sorted(unknown)}")
+    if n < 2 and (set(spec.require) - {"star_partition"} or spec.target_ell is not None):
+        raise InfeasibleParameters(
+            "a group of order 1 has no non-identity differences to classify"
+        )
     if "wedf" in spec.require:
         if spec.weights is None:
             raise InfeasibleParameters("the wedf flag needs a weight vector")
@@ -102,7 +115,7 @@ def _validate_spec(spec: SearchSpec) -> Tuple[Tuple[int, ...], Optional[Fraction
     ell = spec.target_ell
     if ell is not None:
         ell = Fraction(ell)
-        if n < 2 or (n - 1) * ell != (len(sizes) - 1) * total:
+        if (n - 1) * ell != (len(sizes) - 1) * total:
             raise InfeasibleParameters(
                 f"(n-1)*ell = {(n - 1) * ell} but (m-1)*T = {(len(sizes) - 1) * total}"
             )
@@ -116,56 +129,54 @@ def _require_rwedf(spec: SearchSpec) -> bool:
 @dataclass
 class _Caps:
     cell: Tuple[int, ...]  # per-set upper bound on one count
-    col: Optional[int]  # bound on plain column sums (edf)
-    scaled: Optional[Tuple[Tuple[int, ...], int]]  # (coefficients, bound) reciprocal
-    wscaled: Optional[Tuple[Tuple[int, ...], int]]  # same for explicit weights
-    feasible: bool = True
+    cols: Tuple[Tuple[Tuple[int, ...], int], ...]  # (per-set coefficients, limit) per column cap
 
 
-def _build_caps(spec: SearchSpec, sizes: Tuple[int, ...]) -> _Caps:
+def _build_caps(spec: SearchSpec, sizes: Tuple[int, ...]) -> Optional[_Caps]:
+    """The caps a family passing every flag but bimodal meets, or None if none can.
+
+    At a complete family row i sums to k_i*(T-k_i) over the n-1 non-identity
+    columns, so a column cap's sums add up to (n-1)*limit, and a row whose
+    cells are capped at k_i*(T-k_i)/(n-1) is constant.  Staying under every
+    cap therefore makes each capped row and column sum constant: the caps
+    alone decide edf, sedf, gsedf, rwedf (with its only possible ell) and wedf.
+    """
     n = spec.group.order
     m = len(sizes)
     total = sum(sizes)
-    cell = []
-    for k in sizes:
-        bound = min(k, total - k)
-        if "sedf" in spec.require or "gsedf" in spec.require:
-            # each row must be constant: k*(T-k) spread over n-1 columns
-            num = k * (total - k)
-            if num % (n - 1):
-                return _Caps((), None, None, None, feasible=False)
-            bound = min(bound, num // (n - 1))
-        cell.append(bound)
-    col = None
-    if "edf" in spec.require:
-        if len(set(sizes)) != 1 or m < 2:
-            return _Caps((), None, None, None, feasible=False)
-        num = sum(k * (total - k) for k in sizes)
-        if num % (n - 1):
-            return _Caps((), None, None, None, feasible=False)
-        col = num // (n - 1)
-    if "sedf" in spec.require and (len(set(sizes)) != 1 or m < 2):
-        return _Caps((), None, None, None, feasible=False)
-    if "gsedf" in spec.require and m < 2:
-        return _Caps((), None, None, None, feasible=False)
-    scaled = None
+    req = spec.require
+    if "star_partition" in req and total != n - 1:
+        return None
+    if req & {"edf", "sedf", "gsedf"} and m < 2:
+        return None
+    if req & {"edf", "sedf"} and len(set(sizes)) != 1:
+        return None
+    rows = [k * (total - k) for k in sizes]
+    cell = [min(k, total - k) for k in sizes]
+    if req & {"sedf", "gsedf"}:
+        # each row must be constant: k*(T-k) spread over n-1 columns
+        if any(r % (n - 1) for r in rows):
+            return None
+        cell = [min(c, r // (n - 1)) for c, r in zip(cell, rows)]
+    coefs = []
+    if "edf" in req:
+        coefs.append((1,) * m)
     if _require_rwedf(spec):
-        k_lcm, coef = scaled_weights(sizes)
-        target = Fraction((m - 1) * total * k_lcm, n - 1)
-        if target.denominator != 1:
-            return _Caps((), None, None, None, feasible=False)
-        scaled = (coef, int(target))
-    wscaled = None
-    if "wedf" in spec.require and spec.weights is not None:
-        _, coef_w = scaled_fractions(spec.weights)
-        target_w = Fraction(sum(c * k * (total - k) for c, k in zip(coef_w, sizes)), n - 1)
-        if target_w.denominator != 1:
-            return _Caps((), None, None, None, feasible=False)
-        wscaled = (coef_w, int(target_w))
-    return _Caps(tuple(cell), col, scaled, wscaled)
+        coefs.append(scaled_weights(sizes)[1])
+    if "wedf" in req:
+        coefs.append(scaled_fractions(spec.weights)[1])
+    cols: List[Tuple[Tuple[int, ...], int]] = []
+    for coef in coefs:
+        limit, rest = divmod(sum(c * r for c, r in zip(coef, rows)), n - 1)
+        if rest:
+            return None
+        if (coef, limit) not in cols:  # equal sizes: edf and rwedf are one cap
+            cols.append((coef, limit))
+    return _Caps(tuple(cell), tuple(cols))
 
 
 def _passes_require(family: DisjointFamily, spec: SearchSpec, ell: Optional[Fraction]) -> bool:
+    """The oracle's leaf filter: classify the family and test every flag."""
     req = spec.require
     if not req and ell is None:
         return True
@@ -212,12 +223,10 @@ def _translation_invariant(spec: SearchSpec, sizes: Tuple[int, ...]) -> bool:
 
 
 class _Searcher:
-    def __init__(self, spec: SearchSpec, sizes: Tuple[int, ...], ell: Optional[Fraction],
-                 caps: _Caps):
+    def __init__(self, spec: SearchSpec, sizes: Tuple[int, ...], caps: _Caps):
         g = spec.group
         self.spec = spec
         self.sizes = sizes
-        self.ell = ell
         self.caps = caps
         self.group = g
         self.n = g.order
@@ -225,7 +234,6 @@ class _Searcher:
         self.diff = g.diff_rows
         self.budget = spec.node_budget
         self.stats = SearchStats()
-        self.filtered = bool(spec.require) or ell is not None
         # symmetric: walk one part of the tree per orbit and expand orbits at the hits
         self.symmetric = _translation_invariant(spec, sizes)
         self.lexmin = self.symmetric and (self.m == 1 or sizes[0] > sizes[1])
@@ -236,13 +244,13 @@ class _Searcher:
         self.owner = [-1] * self.n
         self.placed: List[int] = []
         self.counts = [0] * (self.m * self.n)
-        self.colsum = [0] * self.n
-        self.ssum = [0] * self.n
-        self.wsum = [0] * self.n
-        self.banned = 0
-        self.coset_cut = "bimodal" in spec.require and g.abelian
+        # one sums array per column cap, with the cap's coefficients and limit
+        self.cols = [(coef, limit, [0] * self.n) for coef, limit in caps.cols]
+        self.bimodal = "bimodal" in spec.require
+        self.coset_cut = self.bimodal and g.abelian
         self.carriers: Dict[FrozenSet[int], Tuple[int, ...]] = {}  # closure per difference set
         self.star_cut = "star_partition" in spec.require
+        self.banned = 1 if self.star_cut else 0  # a star partition leaves out the identity
 
     def run(self) -> None:
         try:
@@ -259,70 +267,36 @@ class _Searcher:
     # -- incremental counting ------------------------------------------------
 
     def _apply(self, x: int, i: int, sign: int) -> bool:
-        """Add (sign=+1) or remove (sign=-1) element x of set i; check caps on add."""
+        """Add (sign=+1) or remove (sign=-1) element x of set i.
+
+        Returns, on add, whether every cell and column cap still holds.
+        """
         diff = self.diff
         diff_x = diff[x]
         counts = self.counts
-        colsum = self.colsum
         owner = self.owner
-        caps = self.caps
+        cell = self.caps.cell
+        cols = self.cols
         n = self.n
         base_i = i * n
-        cell = caps.cell
         cell_i = cell[i]
-        col = caps.col
-        adding = sign > 0
-        ok = True
-        if caps.scaled is None and caps.wscaled is None:
-            # hot path: free and bimodal searches carry no scaled caps
-            for y in self.placed:
-                j = owner[y]
-                if j == i:
-                    continue
-                d1 = diff_x[y]
-                d2 = diff[y][x]
-                counts[base_i + d1] += sign
-                counts[j * n + d2] += sign
-                colsum[d1] += sign
-                colsum[d2] += sign
-                if adding and ok:
-                    if counts[base_i + d1] > cell_i or counts[j * n + d2] > cell[j]:
-                        ok = False
-                    elif col is not None and (colsum[d1] > col or colsum[d2] > col):
-                        ok = False
-            return ok
-        ssum = self.ssum
-        wsum = self.wsum
-        coef = caps.scaled[0] if caps.scaled else None
-        slim = caps.scaled[1] if caps.scaled else None
-        wcoef = caps.wscaled[0] if caps.wscaled else None
-        wlim = caps.wscaled[1] if caps.wscaled else None
-        coef_i = coef[i] if coef is not None else 0
-        wcoef_i = wcoef[i] if wcoef is not None else 0
+        ok = sign > 0  # a removal checks nothing
         for y in self.placed:
             j = owner[y]
             if j == i:
                 continue
             d1 = diff_x[y]
             d2 = diff[y][x]
-            counts[base_i + d1] += sign
-            counts[j * n + d2] += sign
-            colsum[d1] += sign
-            colsum[d2] += sign
-            if coef is not None:
-                ssum[d1] += sign * coef_i
-                ssum[d2] += sign * coef[j]
-            if wcoef is not None:
-                wsum[d1] += sign * wcoef_i
-                wsum[d2] += sign * wcoef[j]
-            if adding and ok:
-                if counts[base_i + d1] > cell_i or counts[j * n + d2] > cell[j]:
-                    ok = False
-                elif col is not None and (colsum[d1] > col or colsum[d2] > col):
-                    ok = False
-                elif coef is not None and (ssum[d1] > slim or ssum[d2] > slim):
-                    ok = False
-                elif wcoef is not None and (wsum[d1] > wlim or wsum[d2] > wlim):
+            c1 = base_i + d1
+            c2 = j * n + d2
+            counts[c1] += sign
+            counts[c2] += sign
+            if ok and (counts[c1] > cell_i or counts[c2] > cell[j]):
+                ok = False
+            for coef, limit, sums in cols:
+                sums[d1] += sign * coef[i]
+                sums[d2] += sign * coef[j]
+                if ok and (sums[d1] > limit or sums[d2] > limit):
                     ok = False
         return ok
 
@@ -412,10 +386,12 @@ class _Searcher:
         key = tuple(tuple(s) for s in self.slots)
         if key in self.seen:
             return  # a translate of a hit whose orbit is already expanded
-        if self.filtered and not _passes_require(
-            DisjointFamily(self.group, key), self.spec, self.ell
-        ):
-            return
+        if self.bimodal:
+            # the one flag the caps leave open: every count is 0 or its set's size
+            n, counts = self.n, self.counts
+            for i, k in enumerate(self.sizes):
+                if any(c and c != k for c in counts[i * n : (i + 1) * n]):
+                    return
         dedup = self.spec.dedup
         if self.symmetric or dedup == "translation":
             orbit = _translation_classes(self.diff, key)
@@ -453,16 +429,13 @@ def enumerate_families(spec: SearchSpec, workers: int = 1) -> SearchResult:
 
     ``workers`` is accepted and ignored: the search runs on one thread.
     """
-    sizes, ell = _validate_spec(spec)
+    sizes, _ = _validate_spec(spec)
     if spec.dedup not in ("none", "translation"):
         raise InfeasibleParameters(f"unknown dedup mode {spec.dedup!r}")
-    if ell is None and _require_rwedf(spec):
-        m, total, n = len(sizes), sum(sizes), spec.group.order
-        ell = Fraction((m - 1) * total, n - 1)
     caps = _build_caps(spec, sizes)
-    if not caps.feasible:
+    if caps is None:
         return SearchResult([], SearchStats(pruned=1))
-    searcher = _Searcher(spec, sizes, ell, caps)
+    searcher = _Searcher(spec, sizes, caps)
     searcher.run()
     return SearchResult(searcher.families(), searcher.stats)
 

@@ -8,6 +8,7 @@ from rwedf import (
     DihedralGroup,
     ElementaryAbelianGroup,
     FieldGF,
+    GroupTooLarge,
     NotADifferenceSet,
     NotPrimePower,
     OverlappingSubgroups,
@@ -54,8 +55,9 @@ def test_field_moduli_are_the_least_packed():
 def test_field_axioms(p, a):
     f = FieldGF(p, a)
     q = f.q
+    additive = ElementaryAbelianGroup(p, a)  # the field's addition on the same packing
     for x in range(q):
-        assert f.add(x, f.neg(x)) == 0
+        assert additive.mul(x, additive.inv(x)) == 0
         if x:
             assert f.mul(x, f.inv(x)) == 1
     # multiplicative group is cyclic of order q - 1
@@ -164,6 +166,21 @@ def test_two_prime_power_construction():
         two_prime_power_construction(2, 1, 2, 1)
     with pytest.raises(ValueError):
         two_prime_power_construction(4, 1, 3, 1)
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (cyclotomic_squares, (1048589,)),  # prime, 1 mod 4, just past MAX_ORDER
+        (cyclotomic_squares, (2**89 - 1,)),  # trial division would never finish
+        (two_prime_power_construction, (2, 21, 3, 1)),
+        (two_prime_power_construction, (2**89 - 1, 1, 3, 1)),
+        (desarguesian_star_partition, (2, 7, 3)),
+    ],
+)
+def test_constructions_refuse_large_orders_first(build, args):
+    with pytest.raises(GroupTooLarge, match="group too large"):
+        build(*args)
 
 
 @pytest.mark.parametrize(

@@ -234,6 +234,28 @@ def test_cli_group_too_large_exits_2(tmp_path, capsys):
     assert code == 2 and "group too large" in err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [("--require", "rwedf"), ("--require", "sedf"), ("--ell", "0")],
+    ids=["rwedf", "sedf", "ell"],
+)
+def test_cli_search_order_one_group_exits_2(tmp_path, capsys, flags):
+    code, _, err = run(capsys, "search", "--group", '{"kind": "cyclic", "n": 1}',
+                       "--sizes", "1", *flags, "--out", str(tmp_path / "hits.jsonl"))
+    assert code == 2 and "order 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("cyclotomic_squares", "1048589"), ("two_prime_power_construction", "2", "21", "3", "1")],
+    ids=["cyclotomic", "two-prime-power"],
+)
+def test_cli_construct_group_too_large_exits_2(tmp_path, capsys, argv):
+    # refused from the order alone, before any factoring, power or field
+    code, _, err = run(capsys, "construct", *argv, "--out", str(tmp_path / "x.json"))
+    assert code == 2 and "group too large" in err
+
+
 def test_cli_search_cap_ignores_threads(tmp_path, capsys):
     out = tmp_path / "capped.jsonl"
     code, text, _ = run(

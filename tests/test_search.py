@@ -200,6 +200,76 @@ def test_star_partition_dedup_keeps_least_hit(group, sizes):
     assert len(both(deduped).families) == 1
 
 
+@pytest.mark.parametrize(
+    "spec, hits",
+    [
+        (SearchSpec(group=CyclicGroup(5), sizes=(2, 2), require=frozenset({"edf", "sedf"})), 5),
+        (SearchSpec(group=CyclicGroup(7), sizes=(3, 2), require=frozenset({"gsedf", "rwedf"})), 21),
+        # two column caps with different coefficients: weights (2, 1)/2, sizes (2, 3)/6
+        (
+            SearchSpec(
+                group=CyclicGroup(7),
+                sizes=(3, 2),
+                require=frozenset({"wedf", "rwedf"}),
+                weights=(1, HALF),
+            ),
+            21,
+        ),
+    ],
+)
+def test_combined_requirements_match_naive(spec, hits):
+    assert len(both(spec).families) == hits
+
+
+def test_star_partition_needs_total_n_minus_1():
+    # sizes adding up to 4 cannot partition the 5 non-identity elements of D_3
+    spec = SearchSpec(group=DihedralGroup(3), sizes=(2, 1, 1), require=frozenset({"star_partition"}))
+    res = both(spec)
+    assert res.families == [] and res.stats.nodes == 0
+
+
+def test_leaves_run_no_classifier(monkeypatch):
+    specs = [
+        SearchSpec(group=CyclicGroup(10), sizes=(2, 2, 1, 1), require=frozenset({"rwedf"})),
+        SearchSpec(group=CyclicGroup(9), sizes=(2, 2), require=frozenset({"edf"})),
+        SearchSpec(group=CyclicGroup(5), sizes=(2, 2), require=frozenset({"sedf"})),
+        SearchSpec(group=CyclicGroup(7), sizes=(3, 2), require=frozenset({"gsedf"})),
+        SearchSpec(group=CyclicGroup(8), sizes=(3, 3, 2), require=frozenset({"wedf"}),
+                   weights=(HALF, HALF, HALF)),
+        SearchSpec(group=CyclicGroup(8), sizes=(4, 2, 1, 1), require=frozenset({"bimodal"})),
+        SearchSpec(group=DihedralGroup(3), sizes=(2, 1, 1, 1),
+                   require=frozenset({"star_partition"})),
+    ]
+    expected = [[f.sets for f in naive_enumerate(spec).families] for spec in specs]
+    assert all(expected)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a search leaf went through the classifier")
+
+    monkeypatch.setattr(search, "classify", refuse)
+    monkeypatch.setattr(search, "difference_profile", refuse)
+    for spec, sets in zip(specs, expected):
+        assert [f.sets for f in enumerate_families(spec).families] == sets
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(require=frozenset({flag})) for flag in ("rwedf", "bimodal", "edf", "sedf", "gsedf")]
+    + [dict(require=frozenset({"wedf"}), weights=(1,)), dict(target_ell=Fraction(0))],
+)
+def test_order_one_group_refuses_classifying_flags(kwargs):
+    spec = SearchSpec(group=CyclicGroup(1), sizes=(1,), **kwargs)
+    for run in (enumerate_families, naive_enumerate):
+        with pytest.raises(InfeasibleParameters, match="order 1"):
+            run(spec)
+
+
+def test_order_one_group_searches_without_classifying():
+    assert len(both(SearchSpec(group=CyclicGroup(1), sizes=(1,))).families) == 1
+    star = SearchSpec(group=CyclicGroup(1), sizes=(1,), require=frozenset({"star_partition"}))
+    assert both(star).families == []
+
+
 def test_cap_counts_expanded_families():
     spec = SearchSpec(group=CyclicGroup(8), sizes=(3, 3, 2), result_cap=3)
     res = enumerate_families(spec, workers=4)
