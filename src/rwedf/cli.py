@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 1 semantic failure (verify expectation mismatch,
 construction error, search stopped by budget); 2 unusable input (bad flags,
-unparseable file or descriptor).
+unparseable file or descriptor, a value out of range), a file that cannot be
+read or written, or memory that runs out.
 """
 from __future__ import annotations
 
@@ -229,8 +230,6 @@ def cmd_search(args) -> int:
     except BudgetExceeded as exc:
         result = exc
         code = 1
-    except ValueError as exc:
-        raise CliError(str(exc), 2)
     write_families_jsonl(args.out, result.families)
     stats = result.stats
     summary = {
@@ -253,15 +252,12 @@ def cmd_search(args) -> int:
 
 def cmd_simulate(args) -> int:
     family, _, _ = _load_family(args.family)
-    try:
-        if args.delta is not None:
-            result = play(family, args.delta, args.trials, args.seed)
-        elif args.best:
-            result = play_best_response(family, args.trials, args.seed)
-        else:
-            result = play_random_delta(family, args.trials, args.seed)
-    except ValueError as exc:
-        raise CliError(str(exc), 2)
+    if args.delta is not None:
+        result = play(family, args.delta, args.trials, args.seed)
+    elif args.best:
+        result = play_best_response(family, args.trials, args.seed)
+    else:
+        result = play_random_delta(family, args.trials, args.seed)
     print(json.dumps({
         "delta": result.delta,
         "trials": result.trials,
@@ -394,9 +390,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -86,36 +86,37 @@ class DisjointFamily:
         return tuple(sorted(self.sets, key=lambda s: (-len(s), s)))
 
 
+def delta_column(n: int, delta: int) -> int:
+    """Profile column delta - 1 of a shift in 1..n-1; no other delta wraps round to a column."""
+    if delta == 0:
+        raise IdentityDelta("delta must be a non-identity element")
+    if not 1 <= delta < n:
+        raise ValueError(f"delta {delta} is outside the non-identity range 1..{n - 1}")
+    return delta - 1
+
+
 @dataclass(frozen=True)
 class DifferenceProfile:
-    """Dense count matrix: rows are family sets, columns are delta = 1..n-1.
-
-    ``counts`` holds the cells as Python ints; ``matrix`` is the same table as
-    an int64 array, which the checkers reduce over.
-    """
+    """Read-only int64 count matrix: rows are family sets, columns are delta = 1..n-1."""
 
     family: DisjointFamily
-    counts: Tuple[Tuple[int, ...], ...]
     matrix: np.ndarray = field(compare=False, repr=False)
 
     def row(self, i: int) -> Tuple[int, ...]:
-        return self.counts[i]
+        return tuple(self.matrix[i].tolist())
 
     def cell(self, i: int, delta: int) -> int:
-        if delta == 0:
-            raise IdentityDelta("delta must be a non-identity element")
-        return self.counts[i][delta - 1]
+        return int(self.matrix[i, delta_column(self.family.n, delta)])
 
     def column_sum(self, delta: int) -> int:
-        if delta == 0:
-            raise IdentityDelta("delta must be a non-identity element")
-        return sum(row[delta - 1] for row in self.counts)
+        return int(self.matrix[:, delta_column(self.family.n, delta)].sum())
 
 
 def difference_profile(family: DisjointFamily) -> DifferenceProfile:
     """Count external differences a * b^-1 out of each set into the rest."""
     matrix = difference_counts(family.group, family.sets)[:, 1:]
-    return DifferenceProfile(family, tuple(map(tuple, matrix.tolist())), matrix)
+    matrix.setflags(write=False)
+    return DifferenceProfile(family, matrix)
 
 
 def scaled_weights(sizes: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:
@@ -151,10 +152,9 @@ def reciprocal_sums(profile: DifferenceProfile) -> Tuple[int, List[int]]:
 
 def e_delta(family: DisjointFamily, profile: DifferenceProfile, delta: int) -> Fraction:
     """Exact adversary success probability at shift delta."""
-    if delta == 0:
-        raise IdentityDelta("delta must be a non-identity element")
+    col = delta_column(family.n, delta)
     k, coef = scaled_weights(family.sizes)
-    (total,) = column_sums(profile.matrix[:, delta - 1 : delta], coef)
+    (total,) = column_sums(profile.matrix[:, col : col + 1], coef)
     return Fraction(total, k * family.m)
 
 
@@ -227,8 +227,7 @@ def weighted_sum(
     delta: int,
 ) -> Fraction:
     """sum_i w_i * N_i(delta) for positive weights w_i <= 1."""
-    if delta == 0:
-        raise IdentityDelta("delta must be a non-identity element")
+    col = delta_column(family.n, delta)
     d, coef = scaled_fractions(check_weights(family.m, weights))
-    (total,) = column_sums(profile.matrix[:, delta - 1 : delta], coef)
+    (total,) = column_sums(profile.matrix[:, col : col + 1], coef)
     return Fraction(total, d)

@@ -16,7 +16,7 @@ import json
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .family import DisjointFamily, DifferenceProfile
+from .family import DisjointFamily, DifferenceProfile, check_weights
 from .groups import group_from_descriptor
 
 
@@ -60,10 +60,16 @@ def family_from_dict(data) -> Tuple[DisjointFamily, Optional[Tuple[Fraction, ...
             raise ValueError(f"family file is missing {key!r}")
     group = group_from_descriptor(data["group"])
     sets = data["sets"]
-    if not isinstance(sets, list) or not sets:
-        raise ValueError("sets must be a non-empty list of element lists")
+    if not isinstance(sets, list) or not sets or not all(
+        isinstance(s, list) and all(type(x) is int for x in s) for s in sets  # no bools
+    ):
+        raise ValueError("sets must be a non-empty list of integer element lists")
     family = DisjointFamily.of(group, *sets)
-    weights = parse_weights(data["weights"]) if "weights" in data else None
+    weights = None
+    if "weights" in data:
+        if not isinstance(data["weights"], list):
+            raise ValueError("weights must be a list of rationals")
+        weights = check_weights(family.m, parse_weights(data["weights"]))
     metadata = data.get("metadata")
     if metadata is not None and not isinstance(metadata, dict):
         raise ValueError("metadata must be an object")
@@ -110,8 +116,7 @@ def read_families_jsonl(path) -> List[DisjointFamily]:
 
 def profile_to_csv(profile: DifferenceProfile) -> str:
     """Rows are family sets (1-based), columns are delta = 1..n-1."""
-    cols = len(profile.counts[0]) if profile.counts else 0
-    lines = ["set," + ",".join(str(d) for d in range(1, cols + 1))]
-    for i, row in enumerate(profile.counts, start=1):
+    lines = ["set," + ",".join(str(d) for d in range(1, profile.matrix.shape[1] + 1))]
+    for i, row in enumerate(profile.matrix.tolist(), start=1):
         lines.append(str(i) + "," + ",".join(str(c) for c in row))
     return "\n".join(lines) + "\n"

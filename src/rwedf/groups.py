@@ -274,9 +274,6 @@ class DihedralGroup(FiniteGroup):
         super().__init__(2 * n)
         self.n = n
 
-    def _decode(self, x: int) -> Tuple[int, int]:
-        return divmod(x, self.n)
-
     def mul(self, a: int, b: int) -> int:
         n = self.n
         s, r = divmod(a, n)
@@ -442,7 +439,20 @@ def _list_param(desc: dict, key: str) -> list:
 
 
 def group_from_descriptor(desc: dict) -> FiniteGroup:
-    """Rebuild a group from its JSON descriptor; a malformed one raises BadDescriptor."""
+    """Rebuild a group from its JSON descriptor; a malformed one raises BadDescriptor.
+
+    A descriptor holds exactly the keys its kind's ``describe()`` writes; any
+    other key is refused, in nested product factors too.
+    """
+    group = _group_of(desc)
+    written = group.describe()
+    unknown = [key for key in desc if key not in written]
+    if unknown:
+        raise BadDescriptor(f"{desc['kind']} descriptor has unknown keys {unknown!r}")
+    return group
+
+
+def _group_of(desc: dict) -> FiniteGroup:
     if not isinstance(desc, dict):
         raise BadDescriptor(f"a group descriptor is a JSON object, got {desc!r}")
     kind = desc.get("kind")

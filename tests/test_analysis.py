@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from rwedf import (
     internal_differences,
     is_bimodal,
     left_cosets,
+    play,
     r_bound,
     weighted_sum,
 )
@@ -73,6 +75,59 @@ def test_mixed_z10_profile():
     assert prof.cell(0, 5) == 1 and prof.cell(1, 5) == 1
     assert prof.cell(2, 5) == 0 and prof.cell(3, 5) == 0
     assert (prof.cell(0, 2), prof.cell(1, 2), prof.cell(2, 2), prof.cell(3, 2)) == (0, 1, 0, 2)
+
+
+def test_profile_matrix_is_read_only():
+    fam, _ = weighted_z8()
+    prof = difference_profile(fam)
+    assert prof.matrix.dtype == np.int64
+    with pytest.raises(ValueError, match="read-only"):
+        prof.matrix[0, 0] = 9
+    with pytest.raises(ValueError, match="read-only"):
+        np.add(prof.matrix, 1, out=prof.matrix)
+    assert prof.row(0) == (2, 2, 2, 3, 2, 2, 2)
+
+
+@pytest.mark.parametrize("label, fam, weights", all_fixtures(), ids=lambda v: str(v)[:12])
+def test_profile_reads_are_python_ints(label, fam, weights):
+    prof = difference_profile(fam)
+    rows = [prof.row(i) for i in range(fam.m)]
+    assert rows == [tuple(r) for r in prof.matrix.tolist()]
+    assert all(type(r) is tuple and all(type(c) is int for c in r) for r in rows)
+    for d in range(1, fam.n):
+        cells = [prof.cell(i, d) for i in range(fam.m)]
+        assert all(type(c) is int for c in cells)
+        assert cells == [r[d - 1] for r in rows]
+        total = prof.column_sum(d)
+        assert type(total) is int and total == sum(cells)
+
+
+def _dihedral_4():
+    return DisjointFamily.of(DihedralGroup(4), (0, 1, 5), (2, 6), (3,))
+
+
+@pytest.mark.parametrize(
+    "fam", [_dihedral_4()] + [f for _, f, _ in all_fixtures()], ids=lambda f: repr(f.group)
+)
+def test_delta_outside_the_group_is_refused(fam):
+    # no delta outside 1..n-1 may wrap round to another column
+    n = fam.n
+    prof = difference_profile(fam)
+    reads = {
+        "cell": lambda d: prof.cell(0, d),
+        "column_sum": prof.column_sum,
+        "e_delta": lambda d: e_delta(fam, prof, d),
+        "weighted_sum": lambda d: weighted_sum(fam, prof, (1,) * fam.m, d),
+        "play": lambda d: play(fam, d, trials=10, seed=0),
+    }
+    for name, read in reads.items():
+        with pytest.raises(IdentityDelta):
+            read(0)
+        for d in (-1, -(n - 1), n, n + 1):
+            with pytest.raises(ValueError, match=rf"delta {d} is outside .* 1\.\.{n - 1}$"):
+                read(d)
+        read(1)
+        read(n - 1)
 
 
 def test_scaled_weights_and_sums():
@@ -153,7 +208,7 @@ def test_translate_preserves_profile():
     prof = difference_profile(fam)
     for g in range(fam.n):
         moved = fam.translate(g)
-        assert difference_profile(moved).counts == prof.counts
+        assert difference_profile(moved).matrix.tolist() == prof.matrix.tolist()
 
 
 def test_profile_without_dense_rows():
@@ -195,7 +250,7 @@ def families(draw, pool=GROUP_POOL, max_m=4):
 @given(families())
 def test_row_sums_count_all_pairs(fam):
     prof = difference_profile(fam)
-    for k, row in zip(fam.sizes, prof.counts):
+    for k, row in zip(fam.sizes, prof.matrix.tolist()):
         assert sum(row) == k * (fam.total - k)
 
 
@@ -204,7 +259,7 @@ def test_row_sums_count_all_pairs(fam):
 def test_cell_and_support_bounds(fam):
     prof = difference_profile(fam)
     total = fam.total
-    for k, row in zip(fam.sizes, prof.counts):
+    for k, row in zip(fam.sizes, prof.matrix.tolist()):
         assert all(c <= min(k, total - k) for c in row)
         if fam.m >= 2:
             assert sum(1 for c in row if c) >= max(k, total - k)
@@ -227,7 +282,8 @@ def test_mean_rate_is_the_averaging_bound(fam):
 @given(families(), st.data())
 def test_right_translation_invariance(fam, data):
     g = data.draw(st.integers(0, fam.n - 1))
-    assert difference_profile(fam.translate(g)).counts == difference_profile(fam).counts
+    assert (difference_profile(fam.translate(g)).matrix.tolist()
+            == difference_profile(fam).matrix.tolist())
 
 
 @settings(max_examples=80, deadline=None)
@@ -250,7 +306,7 @@ def test_bimodal_witness_is_exact(fam):
     prof = difference_profile(fam)
     verdict = is_bimodal(fam, prof)
     if verdict.holds:
-        for k, row in zip(fam.sizes, prof.counts):
+        for k, row in zip(fam.sizes, prof.matrix.tolist()):
             assert set(row) <= {0, k}
     else:
         i, d, c = verdict.witness

@@ -2,9 +2,13 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rwedf import family as family_module
 from rwedf import (
     BadDescriptor,
+    BadWeight,
     CyclicGroup,
     DisjointFamily,
     difference_profile,
@@ -22,7 +26,7 @@ from rwedf import (
 )
 from rwedf.cli import main
 
-from helpers import HALF, mixed_z10, star_d10, weighted_z8
+from helpers import HALF, mixed_z10, pair_z7, star_d10, weighted_z8
 
 
 def test_frac_strings():
@@ -73,6 +77,100 @@ def test_family_dict_errors():
         family_from_dict(dict(good, weights=["1/2", "nope", "1/2", "1/2"]))
     with pytest.raises(ValueError):
         family_from_dict([1, 2])
+
+
+Z7 = {"kind": "cyclic", "n": 7}
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [[[0, True]], [[False], [1]], [[0, 1.0]], [[0, "1"]], [[0], 3], ["01"], [{"0": 1}], [[0, None]]],
+    ids=["bool", "bool-alone", "float", "string", "int-set", "string-set", "dict-set", "null"],
+)
+def test_family_dict_sets_hold_integer_lists(sets):
+    with pytest.raises(ValueError, match="integer element lists"):
+        family_from_dict({"group": Z7, "sets": sets})
+
+
+@pytest.mark.parametrize(
+    "weights, error, match",
+    [
+        ("1/2", ValueError, "list of rationals"),
+        (None, ValueError, "list of rationals"),
+        (["1/2"], BadWeight, "need 2 weights"),
+        (["1/2", "1/2", "1/2"], BadWeight, "need 2 weights"),
+        (["2", "1"], BadWeight, "outside"),
+        (["0", "1"], BadWeight, "outside"),
+        (["-1/2", "1"], BadWeight, "outside"),
+        ([True, "1"], ValueError, "rational"),
+    ],
+)
+def test_family_dict_weights_are_checked_at_load(weights, error, match):
+    with pytest.raises(error, match=match):
+        family_from_dict({"group": Z7, "sets": [[0, 1], [3]], "weights": weights})
+
+
+def test_family_dict_good_weights_load_as_fractions():
+    fam, weights, _ = family_from_dict({"group": Z7, "sets": [[0, 1], [3]],
+                                        "weights": ["1/2", 1]})
+    assert weights == (Fraction(1, 2), Fraction(1))
+    assert fam.sets == ((0, 1), (3,))
+
+
+def test_family_dict_refuses_unknown_descriptor_keys():
+    with pytest.raises(BadDescriptor, match="unknown keys"):
+        family_from_dict({"group": dict(Z7, zz=1), "sets": [[0, 1, 3]]})
+
+
+_leaves = (st.none() | st.booleans() | st.integers(-2, 40) | st.integers()
+           | st.floats() | st.text(max_size=6))
+_json = st.recursive(
+    _leaves,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=6), kids,
+                                                              max_size=4),
+    max_leaves=10,
+)
+_small = st.integers(-2, 12) | _json
+_descriptors = st.deferred(lambda: st.fixed_dictionaries(
+    {"kind": st.sampled_from(["cyclic", "dihedral", "elementary_abelian", "heisenberg",
+                              "cayley_table", "product", "free"])},
+    optional={
+        "n": _small, "p": _small, "e": _small,
+        "table": st.lists(st.lists(_small, max_size=4), max_size=4) | _json,
+        "factors": st.lists(_descriptors, max_size=3) | _json,
+        "zz": _json,
+    },
+))
+_groups = st.sampled_from([
+    Z7,
+    {"kind": "dihedral", "n": 3},
+    {"kind": "elementary_abelian", "p": 2, "e": 3},
+    {"kind": "product", "factors": [{"kind": "cyclic", "n": 2}, {"kind": "heisenberg", "p": 2}]},
+    {"kind": "cayley_table", "table": [[0, 1], [1, 0]]},
+]) | _descriptors | _json
+_documents = st.one_of(
+    _json,
+    st.fixed_dictionaries({}, optional={
+        "group": _groups,
+        "sets": st.lists(st.lists(_small, max_size=4), max_size=4) | _json,
+        "weights": st.lists(st.sampled_from(["1/2", "1", "0", "3/2", "x"]) | _json,
+                            max_size=4) | _json,
+        "metadata": _json,
+    }),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents)
+def test_family_from_dict_fuzz(data):
+    # any JSON document loads as a family or raises ValueError, nothing else
+    try:
+        family, weights, metadata = family_from_dict(data)
+    except ValueError:
+        return
+    assert isinstance(family, DisjointFamily)
+    assert weights is None or len(weights) == family.m
+    assert metadata is None or isinstance(metadata, dict)
 
 
 def test_jsonl_round_trip(tmp_path):
@@ -310,6 +408,71 @@ def test_cli_simulate_modes(tmp_path, capsys):
     assert code == 0 and data["delta"] is None and data["analytic_rate"] == "16/21"
     code, _, err = run(capsys, "simulate", "--family", str(path), "--delta", "0")
     assert code == 2 and "non-identity" in err
+
+
+def _pair_z7_file(tmp_path):
+    path = tmp_path / "pair.json"
+    write_family(path, pair_z7())
+    return path
+
+
+def _one_line_error(err):
+    return err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("weights, match", [("1/2", "need 2 weights"), ("2,1", "outside")])
+def test_cli_verify_bad_weight_override_exits_2(tmp_path, capsys, weights, match):
+    code, _, err = run(capsys, "verify", str(_pair_z7_file(tmp_path)), "--weights", weights)
+    assert code == 2 and _one_line_error(err) and match in err
+
+
+def test_cli_verify_order_one_exits_2(tmp_path, capsys):
+    path = tmp_path / "z1.json"
+    write_family(path, DisjointFamily.of(CyclicGroup(1), (0,)))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2 and _one_line_error(err) and "order" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "construct", "search"])
+def test_cli_unwritable_output_exits_2(tmp_path, capsys, command):
+    target = str(tmp_path / "missing" / "out")
+    argv = {
+        "verify": ["verify", str(_pair_z7_file(tmp_path)), "--profile-csv", target],
+        "construct": ["construct", "m2_sedf", "2", "--out", target],
+        "search": ["search", "--group", '{"kind": "cyclic", "n": 5}', "--sizes", "2,1",
+                   "--out", target],
+    }[command]
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and _one_line_error(err) and "No such file or directory" in err
+
+
+def test_cli_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # a profile too large for the machine: numpy raises a MemoryError subclass
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.00 GiB for an array")
+
+    monkeypatch.setattr(family_module, "difference_counts", refuse)
+    code, _, err = run(capsys, "verify", str(_pair_z7_file(tmp_path)))
+    assert code == 2 and _one_line_error(err) and "out of memory" in err
+
+
+@pytest.mark.parametrize("delta", ["-1", "7", "99"])
+def test_cli_simulate_delta_outside_the_group_exits_2(tmp_path, capsys, delta):
+    code, out, err = run(capsys, "simulate", "--family", str(_pair_z7_file(tmp_path)),
+                         "--delta", delta, "--trials", "10")
+    assert code == 2 and out == "" and _one_line_error(err) and "1..6" in err
+
+
+def test_cli_unknown_descriptor_key_exits_2(tmp_path, capsys):
+    path = tmp_path / "zz.json"
+    path.write_text('{"group": {"kind": "cyclic", "n": 7, "zz": 1}, "sets": [[0, 1, 3]]}')
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2 and _one_line_error(err) and "unknown keys" in err
+    code, _, err = run(capsys, "search", "--group", '{"kind": "cyclic", "n": 7, "zz": 1}',
+                       "--sizes", "1", "--out", str(tmp_path / "hits.jsonl"))
+    assert code == 2 and "bad group descriptor" in err
+    code, out, _ = run(capsys, "report", str(path))
+    assert code == 0 and "error: cyclic descriptor has unknown keys" in out
 
 
 def test_cli_report(tmp_path, capsys):

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwedf import (
+    BadDescriptor,
     CayleyTableGroup,
     CyclicGroup,
     DihedralGroup,
@@ -203,6 +204,28 @@ def test_enumerate_subgroups_limit():
 def test_unknown_descriptor():
     with pytest.raises(NotAGroup):
         group_from_descriptor({"kind": "free"})
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        {"kind": "cyclic", "n": 7, "zz": 1},
+        {"kind": "dihedral", "n": 4, "p": 2},
+        {"kind": "elementary_abelian", "p": 3, "e": 2, "order": 9},
+        {"kind": "heisenberg", "p": 3, "n": 27},
+        {"kind": "cayley_table", "table": [[0]], "n": 1},
+        {"kind": "product", "factors": [{"kind": "cyclic", "n": 2}, {"kind": "cyclic", "n": 3}],
+         "order": 6},
+        # a nested factor
+        {"kind": "product", "factors": [{"kind": "cyclic", "n": 2},
+                                        {"kind": "product", "factors": [
+                                            {"kind": "cyclic", "n": 3},
+                                            {"kind": "dihedral", "n": 3, "zz": None}]}]},
+    ],
+)
+def test_descriptor_keys_are_only_those_describe_writes(desc):
+    with pytest.raises(BadDescriptor, match="unknown keys"):
+        group_from_descriptor(desc)
 
 
 @pytest.mark.parametrize(

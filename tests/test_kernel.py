@@ -28,6 +28,7 @@ from rwedf import (
     e_delta,
     e_hat,
     internal_differences,
+    play,
     weighted_sum,
 )
 from rwedf.classify import rwedf_failure_witness
@@ -140,7 +141,7 @@ def test_profile_matches_pair_loop(fam, chunk):
         mp.setattr(groups, "PAIR_CHUNK", chunk)
         prof = difference_profile(fam)
     expected = [tuple(row[1:]) for row in ref_counts(fam)]
-    assert prof.counts == tuple(expected)
+    assert tuple(prof.row(i) for i in range(fam.m)) == tuple(expected)
     assert prof.matrix.dtype == np.int64
     assert prof.matrix.tolist() == [list(row) for row in expected]
 
@@ -191,13 +192,21 @@ def test_success_vectors_match_scalar_shift(fam, data):
         assert vectors[i].tolist() == expected
 
 
+@settings(max_examples=100, deadline=None)
+@given(families())
+def test_play_rate_matches_e_delta(fam):
+    prof = difference_profile(fam)
+    for d in range(1, fam.n):
+        assert play(fam, d, trials=1, seed=d).analytic_rate == e_delta(fam, prof, d)
+
+
 def test_sparse_family_in_a_large_group():
     # n > 2048 used to go through a separate per-pair branch
     g = CyclicGroup(4099)
     fam = DisjointFamily.of(g, (0, 7, 4000), (3, 2048), (4098,))
     prof = difference_profile(fam)
-    assert prof.counts == tuple(tuple(row[1:]) for row in ref_counts(fam))
-    assert sum(map(sum, prof.counts)) == 3 * 3 + 2 * 4 + 1 * 5
+    assert prof.matrix.tolist() == [list(row[1:]) for row in ref_counts(fam)]
+    assert sum(map(sum, prof.matrix.tolist())) == 3 * 3 + 2 * 4 + 1 * 5
 
 
 def test_scaled_sums_past_int64():

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from rwedf import family as family_module
+from rwedf import simulate
 from rwedf import (
     CyclicGroup,
     DisjointFamily,
@@ -100,3 +102,25 @@ def test_guards():
     lone = DisjointFamily.of(CyclicGroup(1), (0,))
     with pytest.raises(ValueError):
         play_random_delta(lone, trials=10, seed=0)
+
+
+def test_play_rate_is_e_delta_on_fixtures():
+    for label, fam, _ in all_fixtures():
+        profile = difference_profile(fam)
+        for delta in range(1, fam.n):
+            res = play(fam, delta, trials=1, seed=0)
+            assert res.analytic_rate == e_delta(fam, profile, delta), (label, delta)
+
+
+def test_fixed_shift_builds_no_profile(monkeypatch):
+    # --delta takes its exact rate from the win vectors; --best builds one profile
+    calls = []
+    for module in (family_module, simulate):
+        real = module.difference_profile
+        monkeypatch.setattr(module, "difference_profile",
+                            lambda f, real=real: calls.append(f) or real(f))
+    fam, _ = weighted_z8()
+    play(fam, 4, trials=10, seed=0)
+    assert calls == []
+    play_best_response(fam, trials=10, seed=0)
+    assert calls == [fam]
