@@ -26,8 +26,13 @@ def frac_str(x: Fraction) -> str:
 
 
 def parse_frac(s) -> Fraction:
+    """An integer, "p/q" or decimal as a rational.  Exponents are refused: "1e999999999"
+    would have Fraction build a billion-digit integer."""
+    text = str(s)
+    if "e" in text or "E" in text:
+        raise ValueError(f"not a rational (no exponent form): {s!r}")
     try:
-        return Fraction(str(s))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {s!r}") from exc
 
@@ -52,9 +57,16 @@ def family_to_dict(
     return out
 
 
+FAMILY_KEYS = ("group", "sets", "weights", "metadata")
+
+
 def family_from_dict(data) -> Tuple[DisjointFamily, Optional[Tuple[Fraction, ...]], Optional[dict]]:
     if not isinstance(data, dict):
         raise ValueError("family file must hold a JSON object")
+    unknown = [key for key in data if key not in FAMILY_KEYS]
+    if unknown:
+        raise ValueError(f"family file has unknown keys {unknown!r}; "
+                         f"it holds only {', '.join(FAMILY_KEYS)}")
     for key in ("group", "sets"):
         if key not in data:
             raise ValueError(f"family file is missing {key!r}")

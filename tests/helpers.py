@@ -1,5 +1,8 @@
-"""Standing fixture families shared across the test modules."""
+"""Standing fixture families shared across the test modules, and the scalar
+reference loops of the two Monte Carlo games that `rwedf.simulate` must match."""
 from fractions import Fraction
+
+import numpy as np
 
 from rwedf import (
     CyclicGroup,
@@ -61,3 +64,44 @@ def all_fixtures():
         ("star_d10", star_d10(), None),
         ("heisenberg_27", heisenberg_partition(3), None),
     ]
+
+
+def reference_wins(family, delta):
+    """Per set, 0/1 per member: does delta^-1 * x land in another set (scalar mul/inv)."""
+    g = family.group
+    owner = {x: i for i, s in enumerate(family.sets) for x in s}
+    return [np.array([int(owner.get(g.mul(g.inv(delta), x), i) != i) for x in members])
+            for i, members in enumerate(family.sets)]
+
+
+def reference_play_successes(family, delta, trials, seed):
+    """The fixed-shift game as a scan per set: all sources, then each set's picks in set order."""
+    wins = reference_wins(family, delta)
+    rng = np.random.default_rng(seed)
+    sources = rng.integers(0, family.m, size=trials)
+    successes = 0
+    for i, members in enumerate(family.sets):
+        count = int(np.count_nonzero(sources == i))
+        if count == 0:
+            continue
+        picks = rng.integers(0, len(members), size=count)
+        successes += int(wins[i][picks].sum())
+    return successes
+
+
+def reference_random_delta_successes(family, trials, seed):
+    """The random-shift game as a loop per (delta, set): all deltas, all sources, then picks."""
+    rng = np.random.default_rng(seed)
+    deltas = rng.integers(1, family.n, size=trials)
+    sources = rng.integers(0, family.m, size=trials)
+    successes = 0
+    for d in range(1, family.n):
+        wins = reference_wins(family, d)
+        hit_d = sources[deltas == d]
+        for i, members in enumerate(family.sets):
+            count = int(np.count_nonzero(hit_d == i))
+            if count == 0:
+                continue
+            picks = rng.integers(0, len(members), size=count)
+            successes += int(wins[i][picks].sum())
+    return successes

@@ -34,7 +34,9 @@ def test_frac_strings():
     assert frac_str(Fraction(4, 2)) == "2"
     assert parse_frac("7/6") == Fraction(7, 6)
     assert parse_frac("3") == 3
-    for bad in ("x", "1/0", ""):
+    assert parse_frac("0.25") == Fraction(1, 4)
+    assert parse_frac(-2) == -2
+    for bad in ("x", "1/0", "", "1e3", "2E-1", "1e999999999", 1e-05):
         with pytest.raises(ValueError):
             parse_frac(bad)
 
@@ -77,6 +79,8 @@ def test_family_dict_errors():
         family_from_dict(dict(good, weights=["1/2", "nope", "1/2", "1/2"]))
     with pytest.raises(ValueError):
         family_from_dict([1, 2])
+    with pytest.raises(ValueError, match="unknown keys \\['weigths'\\]"):
+        family_from_dict(dict(good, weigths=["1/2"] * 4))
 
 
 Z7 = {"kind": "cyclic", "n": 7}
@@ -473,6 +477,39 @@ def test_cli_unknown_descriptor_key_exits_2(tmp_path, capsys):
     assert code == 2 and "bad group descriptor" in err
     code, out, _ = run(capsys, "report", str(path))
     assert code == 0 and "error: cyclic descriptor has unknown keys" in out
+
+
+def test_cli_misspelt_weights_key_exits_2(tmp_path, capsys):
+    # "weigths" used to be ignored, so the file verified with no weights at exit 0
+    fam, weights = weighted_z8()
+    data = family_to_dict(fam)
+    data["weigths"] = [frac_str(w) for w in weights]
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == "" and _one_line_error(err) and "'weigths'" in err
+
+
+HUGE_EXPONENT = "1e999999999"
+
+
+@pytest.mark.parametrize("where", ["verify --weights", "search --ell", "family file"])
+def test_cli_exponent_literal_exits_2(tmp_path, capsys, where):
+    # Fraction would build a billion-digit integer for it; refused before any arithmetic
+    path = _pair_z7_file(tmp_path)
+    argv = {
+        "verify --weights": ["verify", str(path), "--weights", f"1/2,{HUGE_EXPONENT}"],
+        "search --ell": ["search", "--group", '{"kind": "cyclic", "n": 7}', "--sizes", "2,1",
+                         "--require", "wedf", "--ell", HUGE_EXPONENT,
+                         "--out", str(tmp_path / "hits.jsonl")],
+        "family file": ["verify", str(path)],
+    }[where]
+    if where == "family file":
+        data = json.loads(path.read_text())
+        data["weights"] = ["1/2", HUGE_EXPONENT]
+        path.write_text(json.dumps(data))
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and _one_line_error(err) and "exponent" in err
 
 
 def test_cli_report(tmp_path, capsys):

@@ -35,7 +35,7 @@ from rwedf.classify import rwedf_failure_witness
 from rwedf import groups
 from rwedf.constructions import f21_group
 from rwedf.groups import is_subgroup
-from rwedf.simulate import _success_vectors
+from rwedf.simulate import _Board
 
 KERNEL_POOL = [
     CyclicGroup(1),
@@ -185,11 +185,19 @@ def test_success_vectors_match_scalar_shift(fam, data):
     delta = data.draw(st.integers(1, fam.n - 1))
     g = fam.group
     owner = {x: i for i, s in enumerate(fam.sets) for x in s}
-    vectors = _success_vectors(fam, delta)
+    board = _Board(fam)
+    pos = np.arange(fam.total)
+    wins = board.wins(np.full(fam.total, delta), pos).tolist()
     for i, members in enumerate(fam.sets):
         shifted = [g.mul(g.inv(delta), x) for x in members]
-        expected = [int(owner.get(y, i) != i) for y in shifted]
-        assert vectors[i].tolist() == expected
+        expected = [owner.get(y, i) != i for y in shifted]
+        assert wins[board.start[i] : board.start[i] + len(members)] == expected
+    # a shift per trial, as the random-shift game scores its picks
+    deltas = data.draw(st.lists(st.integers(1, fam.n - 1), min_size=fam.total,
+                                max_size=fam.total))
+    flat = [(x, i) for i, s in enumerate(fam.sets) for x in s]
+    expected = [owner.get(g.mul(g.inv(d), x), i) != i for d, (x, i) in zip(deltas, flat)]
+    assert board.wins(np.array(deltas, dtype=np.int64), pos).tolist() == expected
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,7 @@
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rwedf import family as family_module
@@ -9,15 +11,20 @@ from rwedf import (
     DisjointFamily,
     IdentityDelta,
     classify,
+    desarguesian_star_partition,
     difference_profile,
     e_delta,
+    f21_fixture,
+    heisenberg_partition,
+    nonzero_singletons,
     play,
     play_best_response,
     play_random_delta,
     r_bound,
 )
 
-from helpers import all_fixtures, mixed_z10, star_d10, weighted_z8
+from helpers import (all_fixtures, mixed_z10, reference_play_successes,
+                     reference_random_delta_successes, star_d10, weighted_z8)
 
 
 def test_seed_determinism():
@@ -124,3 +131,65 @@ def test_fixed_shift_builds_no_profile(monkeypatch):
     assert calls == []
     play_best_response(fam, trials=10, seed=0)
     assert calls == [fam]
+
+
+# 1 and 5 trials leave most (delta, set) cells empty; a chunk of 29 trials splits
+# cells and mixes set sizes within one draw
+@pytest.mark.parametrize("chunk", [29, simulate.TRIAL_CHUNK])
+def test_games_match_scalar_reference(monkeypatch, chunk):
+    monkeypatch.setattr(simulate, "TRIAL_CHUNK", chunk)
+    for label, fam, _ in all_fixtures():
+        for seed in (0, 1, 2):
+            for trials in (1, 5, 60, 3000):
+                assert (play_random_delta(fam, trials, seed).successes
+                        == reference_random_delta_successes(fam, trials, seed)), (label, seed, trials)
+                for delta in range(1, fam.n):
+                    assert (play(fam, delta, trials, seed).successes
+                            == reference_play_successes(fam, delta, trials, seed)), (label, delta)
+        best = play_best_response(fam, 500, seed=9)
+        assert best.successes == reference_play_successes(fam, best.delta, 500, 9), label
+
+
+# Seeded successes pinned when both games were a loop over (delta, set) cells,
+# on the three benchmark families and a spread with 31-member sets: a change to
+# the batch order fails here.
+FROZEN_DRAWS = [
+    ("spread (2,1,9)", lambda: desarguesian_star_partition(2, 1, 9), None, 20_000,
+     (19957, 19975, 19970)),
+    ("heisenberg(7)", lambda: heisenberg_partition(7), "best", 200_000, (196470, 196582, 196489)),
+    ("f21", f21_fixture, 5, 200_000, (105014, 104979, 104959)),
+    ("spread (2,5,2)", lambda: desarguesian_star_partition(2, 5, 2), None, 20_000,
+     (19431, 19397, 19371)),
+]
+
+
+@pytest.mark.parametrize("label,build,mode,trials,pinned", FROZEN_DRAWS,
+                         ids=[row[0] for row in FROZEN_DRAWS])
+def test_frozen_draws(label, build, mode, trials, pinned):
+    fam = build()
+    for seed, expected in zip((1, 2, 3), pinned):
+        if mode is None:
+            res = play_random_delta(fam, trials, seed)
+        elif mode == "best":
+            res = play_best_response(fam, trials, seed)
+        else:
+            res = play(fam, mode, trials, seed)
+        assert res.successes == expected, (label, seed)
+
+
+def test_random_shift_memory_is_linear_in_trials():
+    # (n-1)*m is 2^32 cells here; the game may only hold arrays of about trials + n
+    fam = nonzero_singletons(CyclicGroup(65536))
+    trials, seed = 10_000, 5
+    tracemalloc.start()
+    try:
+        res = play_random_delta(fam, trials, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    # set i is {i + 1}, so a trial loses only when its shift is that member (x - delta = 0)
+    rng = np.random.default_rng(seed)
+    deltas = rng.integers(1, fam.n, size=trials)
+    lost = np.count_nonzero(rng.integers(0, fam.m, size=trials) + 1 == deltas)
+    assert res.successes == trials - lost == 10_000
