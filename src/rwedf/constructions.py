@@ -110,23 +110,19 @@ def subgroup_star_family(group: FiniteGroup, subgroups: Sequence[Subgroup]) -> D
     The stars keep the caller's subgroup order; uncovered non-identity elements
     follow in ascending order, one singleton each.
     """
-    covered = 0
+    covered = bytearray(group.order)
     sets: List[Tuple[int, ...]] = []
     for sub in subgroups:
         star = sub.star()
         if not star:
             raise ValueError("the trivial subgroup contributes an empty star")
-        mask = 0
-        for x in star:
-            mask |= 1 << x
-        if covered & mask:
-            clash = next(x for x in star if covered >> x & 1)
+        clash = next((x for x in star if covered[x]), None)
+        if clash is not None:
             raise OverlappingSubgroups(f"element {clash} lies in two of the subgroups")
-        covered |= mask
+        for x in star:
+            covered[x] = 1
         sets.append(star)
-    for x in range(1, group.order):
-        if not covered >> x & 1:
-            sets.append((x,))
+    sets.extend((x,) for x in range(1, group.order) if not covered[x])
     return DisjointFamily(group, tuple(sets))
 
 
@@ -204,16 +200,14 @@ def heisenberg_partition(p: int) -> DisjointFamily:
     for g in range(1, group.order):
         sub = closure(group, [g])
         seen.setdefault(sub.carrier, sub)
-    covered = 0
+    covered = bytearray(group.order)
     sets = []
     for sub in seen.values():
         star = sub.star()
-        mask = 0
-        for x in star:
-            mask |= 1 << x
-        if covered & mask:
+        if any(covered[x] for x in star):
             raise PartitionFailure("subgroup stars overlap")
-        covered |= mask
+        for x in star:
+            covered[x] = 1
         sets.append(star)
     sets.sort(key=lambda s: (-len(s), s))
     return DisjointFamily(group, tuple(sets))

@@ -27,23 +27,22 @@ class DisjointFamily:
 
     def __post_init__(self):
         n = self.group.order
-        union = 0
+        used = bytearray(n)  # used[x]: x lies in a set already checked
         for i, members in enumerate(self.sets):
             if not members:
                 raise ValueError(f"set {i} is empty")
-            mask = 0
             prev = -1
+            clash = 0
             for x in members:
                 if not 0 <= x < n:
                     raise ValueError(f"element {x} out of range in set {i}")
                 if x <= prev:
                     raise ValueError(f"set {i} must be strictly increasing")
                 prev = x
-                mask |= 1 << x
-            if union & mask:
+                clash |= used[x]
+                used[x] = 1
+            if clash:
                 raise ValueError(f"set {i} overlaps an earlier set")
-            union |= mask
-        object.__setattr__(self, "_union_mask", union)
 
     @classmethod
     def of(cls, group: FiniteGroup, *sets: Sequence[int]) -> "DisjointFamily":
@@ -72,7 +71,8 @@ class DisjointFamily:
         return self.total == self.n
 
     def is_partition_of_nonidentity(self) -> bool:
-        return self.total == self.n - 1 and not (self._union_mask & 1)
+        # members ascend, so a set holding the identity 0 starts with it
+        return self.total == self.n - 1 and all(s[0] != 0 for s in self.sets)
 
     def translate(self, g: int) -> "DisjointFamily":
         """Right-translate every member by g; left differences are unchanged."""

@@ -31,9 +31,12 @@ least hit of each translation class, which need not be the least translate.
 
 The census (``rwedf_census``) uses the same symmetry: it sweeps one support per
 translation orbit and counts each set partition of it once per distinct
-translate of the support, n / |Stab(U)| times.  ``cross_check_every = s``
-still classifies floor(families / s) genuine, distinct families: the
-translates that stand at the crossed positions.
+translate of the support, n / |Stab(U)| times.  The set partitions of a support
+come as restricted growth strings in bounded int8 blocks, and each block is
+scored in one numpy pass over the support's ordered pairs, with every column
+sum scaled by lcm(1..n); memory stays flat whatever the support size.
+``cross_check_every = s`` still classifies floor(families / s) genuine,
+distinct families: the translates that stand at the crossed positions.
 """
 from __future__ import annotations
 
@@ -42,6 +45,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+
+import numpy as np
 
 from .classify import check_wedf, classify
 from .errors import BudgetExceeded, GroupTooLarge, InfeasibleParameters
@@ -58,6 +63,7 @@ KNOWN_FLAGS = frozenset(
     {"rwedf", "bimodal", "edf", "sedf", "gsedf", "wedf", "star_partition"}
 )
 STAR_PARTITION_ORDER_LIMIT = 128
+CENSUS_BLOCK = 64  # rows for s - 1 points grown into one census block
 
 Key = Tuple[Tuple[int, ...], ...]  # a family's sets in canonical order
 
@@ -101,6 +107,10 @@ def _validate_spec(spec: SearchSpec) -> Tuple[Tuple[int, ...], Optional[Fraction
     total = sum(sizes)
     if total > n:
         raise InfeasibleParameters(f"total size {total} exceeds group order {n}")
+    if spec.result_cap is not None and spec.result_cap < 1:
+        raise InfeasibleParameters(f"result cap must be at least 1, got {spec.result_cap}")
+    if spec.node_budget < 0:
+        raise InfeasibleParameters(f"node budget must be non-negative, got {spec.node_budget}")
     unknown = set(spec.require) - KNOWN_FLAGS
     if unknown:
         raise InfeasibleParameters(f"unknown requirement flags {sorted(unknown)}")
@@ -558,6 +568,40 @@ def _support_orbits(diff: List[List[int]]) -> Iterator[Tuple[List[int], List[int
             yield members, list(translates.values())
 
 
+def _census_scale(n: int) -> int:
+    """lcm(1..n), the scale of every census column sum; GroupTooLarge for n >= 41.
+
+    A support of s <= n points meets each difference at most s times, so both
+    sides of the bound test stay below lcm(1..n) * n * (n-1), which must fit int64.
+    """
+    scale = 1
+    for k in range(2, n + 1):
+        scale = lcm(scale, k)
+        if scale * n * (n - 1) >= 1 << 63:
+            raise GroupTooLarge(f"order {n} is too large for an int64 census (n <= 40)")
+    return scale
+
+
+def _set_partitions(s: int) -> Iterator[np.ndarray]:
+    """Every set partition of s >= 1 points as restricted growth strings, in lex order.
+
+    Row a_0..a_{s-1} puts point i in block a_i, with a_0 = 0 and a_i <= 1 +
+    max(a_0..a_{i-1}) (Knuth, TAOCP 4A, 7.2.1.5), so blocks are numbered in
+    order of their least point.  The rows come in int8 blocks, each grown from
+    at most CENSUS_BLOCK rows for s - 1 points.
+    """
+    if s == 1:
+        yield np.zeros((1, 1), dtype=np.int8)
+        return
+    last = np.arange(s, dtype=np.int8)
+    for prefixes in _set_partitions(s - 1):
+        for lo in range(0, len(prefixes), CENSUS_BLOCK):
+            head = prefixes[lo : lo + CENSUS_BLOCK]
+            grow = last <= head.max(axis=1, keepdims=True) + 1
+            tails = np.broadcast_to(last, grow.shape)[grow]
+            yield np.column_stack((np.repeat(head, grow.sum(axis=1), axis=0), tails))
+
+
 def rwedf_census(group: FiniteGroup, cross_check_every: int = 0) -> CensusStats:
     """Sweep every family over the group (every support, every set partition).
 
@@ -571,101 +615,55 @@ def rwedf_census(group: FiniteGroup, cross_check_every: int = 0) -> CensusStats:
     s > 0, the census family at every s-th position, floor(families / s) of
     them, is re-checked through the classify pipeline: a partition weighted w
     stands at w consecutive positions, one per translate, and the translate at
-    the crossed position is the family checked.
+    the crossed position is the family checked.  Orders past 40 are refused.
     """
     n = group.order
+    scale = _census_scale(n)
     diff = group.diff_rows
     every = cross_check_every if n > 1 else 0
     stats = CensusStats()
-    blocks: List[List[int]] = []
-    rows = [[0] * n for _ in range(n)]  # rows[b][d]: pairs of block b at difference d
-    owner = [-1] * n
-    placed: List[int] = []
-    shifts: List[int] = []  # one h per translate of the current support
-    members: List[int] = []
-
-    def leaf() -> None:
-        w = len(shifts)
-        stats.leaves += 1
-        sizes = [len(b) for b in blocks]
-        m = len(sizes)
-        total = sum(sizes)
-        k_lcm = sizes[0] if m == 1 else lcm(*sizes)
-        coef = [k_lcm // k for k in sizes]
-        constant = True
-        best = 0
-        first = None
-        for d in range(1, n):
-            s = 0
-            for b in range(m):
-                c = rows[b][d]
-                if c:
-                    s += coef[b] * c
-            if first is None:
-                first = s
-            elif s != first:
-                constant = False
-            if s > best:
-                best = s
-        meets_bound = best * (n - 1) == k_lcm * (m - 1) * total
-        if constant != meets_bound:
-            stats.violations += w
-        if constant:
-            stats.rwedf += w
-        start = stats.families
-        stats.families += w
-        if not every:
-            return
-        for pos in range(start - start % every + every, start + w + 1, every):
-            h = shifts[pos - start - 1]
-            stats.cross_checked += 1
-            fam = DisjointFamily(
-                group, tuple(tuple(sorted(diff[x][h] for x in b)) for b in blocks)
-            )
-            report = classify(fam)
-            lib_rwedf = report.rwedf is not None
-            lib_bound = report.e_hat == report.r_bound
-            expected = Fraction(first, k_lcm) if constant else None
-            if (
-                lib_rwedf != constant
-                or lib_bound != meets_bound
-                or (constant and report.rwedf != expected)
-                or report.e_hat != Fraction(best, k_lcm * m)
-            ):
-                stats.cross_failures += 1
-
-    def place(x: int, b: int, sign: int) -> None:
-        dx = diff[x]
-        row_b = rows[b]
-        for y in placed:
-            j = owner[y]
-            if j != b:
-                row_b[dx[y]] += sign
-                rows[j][diff[y][x]] += sign
-
-    def rec(i: int) -> None:
-        if i == len(members):
-            leaf()
-            return
-        x = members[i]
-        # put x into an existing block, or open a new one
-        open_blocks = len(blocks)
-        for b in range(open_blocks + 1):
-            if b == open_blocks:
-                blocks.append([])
-            place(x, b, +1)
-            owner[x] = b
-            placed.append(x)
-            blocks[b].append(x)
-            rec(i + 1)
-            blocks[b].pop()
-            placed.pop()
-            owner[x] = -1
-            place(x, b, -1)
-            if b == open_blocks:
-                blocks.pop()
-
     for members, shifts in _support_orbits(diff):
         stats.supports += 1
-        rec(0)
+        s, w = len(members), len(shifts)
+        # every ordered pair (i, j) of support points, grouped by difference
+        pi, pj = np.nonzero(~np.eye(s, dtype=bool))
+        points = np.array(members, dtype=np.int64)
+        pair_diff = group.diff_array(points[pi], points[pj])
+        order = np.argsort(pair_diff)
+        pi, pj = pi[order], pj[order]
+        cols, starts = np.unique(pair_diff[order], return_index=True)
+        for rgs in _set_partitions(s):
+            rows = len(rgs)
+            m = rgs.max(axis=1).astype(np.int64) + 1
+            same = rgs[:, :, None] == rgs[:, None, :]  # points i and j share a block
+            coef = scale // same.sum(axis=2)  # scale / the size of point i's block
+            cross = np.where(same[:, pi, pj], 0, coef[:, pi])
+            sums = np.zeros((rows, n), dtype=np.int64)
+            sums[:, cols] = np.add.reduceat(cross, starts, axis=1)
+            sums = sums[:, 1:]
+            constant = (sums == sums[:, :1]).all(axis=1)
+            best = sums.max(axis=1, initial=0)
+            meets_bound = best * (n - 1) == scale * (m - 1) * s
+            stats.leaves += rows
+            stats.rwedf += w * int(constant.sum())
+            stats.violations += w * int((constant != meets_bound).sum())
+            start = stats.families
+            stats.families += w * rows
+            if not every:
+                continue
+            for pos in range(start - start % every + every, stats.families + 1, every):
+                r, t = divmod(pos - start - 1, w)
+                h = shifts[t]
+                blocks = [[] for _ in range(m[r])]
+                for x, b in zip(members, rgs[r].tolist()):
+                    blocks[b].append(diff[x][h])
+                stats.cross_checked += 1
+                report = classify(DisjointFamily(group, tuple(tuple(sorted(b)) for b in blocks)))
+                expected = Fraction(int(sums[r, 0]), scale) if constant[r] else None
+                if (
+                    report.rwedf != expected
+                    or (report.e_hat == report.r_bound) != meets_bound[r]
+                    or report.e_hat != Fraction(int(best[r]), scale * int(m[r]))
+                ):
+                    stats.cross_failures += 1
     return stats

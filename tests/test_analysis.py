@@ -39,6 +39,11 @@ def test_family_validation():
         DisjointFamily(g, ((1, 0),))
     with pytest.raises(ValueError, match="overlaps"):
         DisjointFamily(g, ((0, 1), (1, 2)))
+    # a set is checked whole for range and order before it is checked for overlap
+    with pytest.raises(ValueError, match="set 1 must be strictly increasing"):
+        DisjointFamily(g, ((1, 2), (3, 2)))
+    with pytest.raises(ValueError, match="element 6 out of range in set 1"):
+        DisjointFamily(g, ((1, 2), (2, 6)))
     fam = DisjointFamily.of(g, [5, 0], [3])
     assert fam.sets == ((0, 5), (3,))
     assert fam.sizes == (2, 1)

@@ -146,7 +146,7 @@ def test_subgroup_star_family():
     z6 = CyclicGroup(6)
     fam = subgroup_star_family(z6, [closure(z6, [3]), closure(z6, [2])])
     assert fam.sets == ((3,), (2, 4), (1,), (5,))
-    with pytest.raises(OverlappingSubgroups):
+    with pytest.raises(OverlappingSubgroups, match="element 2 lies in two of the subgroups"):
         subgroup_star_family(z6, [closure(z6, [2]), closure(z6, [4])])
     with pytest.raises(ValueError):
         subgroup_star_family(z6, [closure(z6, [])])

@@ -307,6 +307,16 @@ def test_cli_search(tmp_path, capsys):
     assert len(read_families_jsonl(out)) == 4
 
 
+@pytest.mark.parametrize("flag, value", [("--cap", "-1"), ("--cap", "0"), ("--budget", "-3")])
+def test_cli_search_bad_cap_or_budget_exits_2(tmp_path, capsys, flag, value):
+    out = tmp_path / "hits.jsonl"
+    code, _, err = run(
+        capsys, "search", "--group", '{"kind": "cyclic", "n": 10}',
+        "--sizes", "2,2,1,1", "--require", "rwedf", "--out", str(out), flag, value)
+    assert code == 2 and "error:" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "desc",
     ['[1, 2]', '{"kind": "cyclic", "n": 7.5}', '{"kind": "cyclic", "n": true}'],

@@ -1,6 +1,9 @@
+import hashlib
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
+import numpy as np
 import pytest
 
 from rwedf import (
@@ -11,6 +14,7 @@ from rwedf import (
     DirectProductGroup,
     DisjointFamily,
     ElementaryAbelianGroup,
+    GroupTooLarge,
     InfeasibleParameters,
     SearchSpec,
     classify,
@@ -342,6 +346,16 @@ def test_budget_exhaustion():
     assert 0 < len(err.families) < 280
 
 
+@pytest.mark.parametrize("field, value", [("result_cap", 0), ("result_cap", -1),
+                                          ("node_budget", -3)])
+def test_bad_cap_or_budget_refused(field, value):
+    spec = SearchSpec(group=CyclicGroup(8), sizes=(3, 3, 2), **{field: value})
+    with pytest.raises(InfeasibleParameters):
+        enumerate_families(spec)
+    with pytest.raises(InfeasibleParameters):
+        naive_enumerate(spec)
+
+
 def test_result_cap():
     spec = SearchSpec(group=CyclicGroup(8), sizes=(3, 3, 2), result_cap=5)
     res = enumerate_families(spec)
@@ -480,6 +494,10 @@ def test_census_orbits_match_full_sweep(group):
 
 @pytest.mark.parametrize("group, families", [(CyclicGroup(5), 202), (DihedralGroup(3), 876)])
 def test_census_cross_checks_every_genuine_family(monkeypatch, group, families):
+    check_every_genuine_family(monkeypatch, group, families)
+
+
+def check_every_genuine_family(monkeypatch, group, families):
     checked = []
 
     def recording_classify(family, *args, **kwargs):
@@ -503,3 +521,90 @@ def test_census_cross_check_count(group, every):
     assert stats.families == 876
     assert stats.cross_checked == stats.families // every
     assert stats.cross_failures == 0
+
+
+def rgs_reference(s):
+    """Restricted growth strings of s points in lex order, filtered from itertools.product."""
+    rows = []
+    for row in product(*(range(i + 1) for i in range(s))):
+        if all(row[i] <= 1 + max(row[:i]) for i in range(1, s)):
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("s", range(1, 9))
+@pytest.mark.parametrize("block", [1, 3, search.CENSUS_BLOCK])
+def test_set_partitions_lex_order(monkeypatch, s, block):
+    monkeypatch.setattr(search, "CENSUS_BLOCK", block)
+    chunks = list(search._set_partitions(s))
+    assert all(c.dtype == np.int8 and len(c) <= s * block for c in chunks)
+    rows = [tuple(r) for c in chunks for r in c.tolist()]
+    bell = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
+    assert len(rows) == len(set(rows)) == bell[s]
+    assert rows == rgs_reference(s)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+@pytest.mark.parametrize("group", [CyclicGroup(6), DihedralGroup(3),
+                                   ElementaryAbelianGroup(2, 3)], ids=repr)
+def test_census_block_size_free(monkeypatch, group, block):
+    monkeypatch.setattr(search, "CENSUS_BLOCK", block)
+    stats = rwedf_census(group)
+    ref = reference_census(group)
+    assert (stats.families, stats.rwedf, stats.violations) == (
+        ref.families, ref.rwedf, ref.violations)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_census_cross_checks_block_size_free(monkeypatch, block):
+    monkeypatch.setattr(search, "CENSUS_BLOCK", block)
+    check_every_genuine_family(monkeypatch, DihedralGroup(3), 876)
+
+
+# sha256 of repr([family.sets, ...]) in the order classify saw them, from the
+# recursive census that came before the block sweep
+CROSS_CHECK_DIGESTS = [
+    (CyclicGroup(6), 7, 125, "1c0b9b434972e14c8f2c52b0d3e5392efd3d45a4b1a43ed2d2de1a5fd5decfbd"),
+    (DihedralGroup(3), 11, 79, "b7705565705050bdd8cdedbcf58e1ebc5e5836af04aa62398cdfb8b2bdb32765"),
+    (DihedralGroup(4), 7, 3020, "0027ff8f9b7a507bcce6d2d016934ccbd38026b767ea891c43f4fb0983809c76"),
+]
+
+
+@pytest.mark.parametrize("block", [1, search.CENSUS_BLOCK])
+@pytest.mark.parametrize("group, every, count, digest", CROSS_CHECK_DIGESTS)
+def test_census_cross_check_positions_frozen(monkeypatch, block, group, every, count, digest):
+    monkeypatch.setattr(search, "CENSUS_BLOCK", block)
+    checked = []
+
+    def recording_classify(family, *args, **kwargs):
+        checked.append(family.sets)
+        return classify(family, *args, **kwargs)
+
+    monkeypatch.setattr(search, "classify", recording_classify)
+    stats = rwedf_census(group, cross_check_every=every)
+    assert stats.cross_checked == len(checked) == count
+    assert hashlib.sha256(repr(checked).encode()).hexdigest() == digest
+
+
+def test_census_z11_frozen():
+    stats = rwedf_census(CyclicGroup(11))
+    assert (stats.families, stats.rwedf, stats.violations) == (4213596, 3082, 0)
+    assert (stats.leaves, stats.supports) == (999936, 187)
+
+
+def test_census_counters_frozen():
+    z10 = rwedf_census(CyclicGroup(10))
+    assert (z10.families, z10.rwedf, z10.leaves, z10.supports) == (678569, 1374, 174565, 107)
+    d4 = rwedf_census(DihedralGroup(4), cross_check_every=7)
+    assert (d4.families, d4.rwedf, d4.cross_checked) == (21146, 296, 3020)
+    assert (d4.leaves, d4.supports, d4.cross_failures) == (6842, 42, 0)
+
+
+def test_census_order_guard():
+    assert search._census_scale(40) == lcm(*range(1, 41))
+    with pytest.raises(GroupTooLarge):
+        search._census_scale(41)
+    big = CyclicGroup(2**20)
+    with pytest.raises(GroupTooLarge):
+        rwedf_census(big)
+    assert "diff_rows" not in vars(big)  # refused before the table is built
