@@ -236,14 +236,18 @@ def cmd_search(args) -> int:
         "families": len(result.families),
         "nodes": stats.nodes,
         "pruned": stats.pruned,
+        "pruned_by": stats.pruned_by,
         "complete": stats.complete,
         "out": args.out,
     }
     if args.json:
         print(json.dumps(summary, indent=2))
     else:
-        print("families {families}  nodes {nodes}  pruned {pruned}  complete {complete}"
-              .format(**summary))
+        line = "families {families}  nodes {nodes}  pruned {pruned}".format(**summary)
+        reasons = " ".join(f"{k}={v}" for k, v in stats.pruned_by.items() if v)
+        if reasons:
+            line += f" ({reasons})"
+        print(f"{line}  complete {stats.complete}")
         print(f"wrote {args.out}")
     return code
 

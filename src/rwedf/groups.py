@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import gcd
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -109,6 +110,16 @@ class FiniteGroup:
             rows += self.diff_array(idx[lo : lo + step, None], idx).tolist()
         return rows
 
+    def automorphism_subgroup(self) -> List[List[int]]:
+        """A cheap subgroup A of Aut(G) as permutation lists, the identity first.
+
+        Each sigma in A fixes 0 and keeps every difference: sigma(a * b^-1) =
+        sigma(a) * sigma(b)^-1, and A is closed under composition.  The lists
+        hold |A| * n entries, with |A| < n for every kind that overrides this.
+        The base class gives the identity alone, which is correct for every group.
+        """
+        return [list(range(self.order))]
+
     def order_of(self, a: int) -> int:
         k, x = 1, a
         while x != 0:
@@ -142,6 +153,12 @@ class CyclicGroup(FiniteGroup):
         d = np.subtract(a, b)
         d %= self.n
         return d
+
+    def automorphism_subgroup(self) -> List[List[int]]:
+        """x -> u*x for each unit u mod n, u = 1 first."""
+        n = self.n
+        units = np.array([u for u in range(1, max(n, 2)) if gcd(u, n) == 1], dtype=np.int64)
+        return (units[:, None] * np.arange(n, dtype=np.int64) % n).tolist()
 
     @cached_property
     def abelian(self) -> bool:
@@ -183,6 +200,13 @@ class DirectProductGroup(FiniteGroup):
         d *= self.h.order
         d += self.h.diff_array(xb, yb)
         return d
+
+    def automorphism_subgroup(self) -> List[List[int]]:
+        """The factors' subgroups acting componentwise, (identity, identity) first."""
+        k = self.h.order
+        return [[a * k + b for a in sg for b in sh]
+                for sg in self.g.automorphism_subgroup()
+                for sh in self.h.automorphism_subgroup()]
 
     @cached_property
     def abelian(self) -> bool:
@@ -250,6 +274,30 @@ class ElementaryAbelianGroup(FiniteGroup):
             out += d
             power *= p
         return out
+
+    def automorphism_subgroup(self) -> List[List[int]]:
+        """x -> u*x for each u in GF(p^e)^*: the powers of a Singer cycle, the identity first.
+
+        ``FieldGF`` packs its elements as base-p digits too, and both add digit
+        by digit, so field multiplication by u is additive on these indices.
+        """
+        from .gf import FieldGF  # gf imports this module
+
+        field = FieldGF(self.p, self.e)
+        q = self.order
+        for g in range(2, q):  # the least primitive element; GF(2)^* is {1}
+            cycle = [field.mul(g, x) for x in range(q)]
+            k, y = 1, cycle[1]
+            while y != 1:
+                y, k = cycle[y], k + 1
+            if k == q - 1:
+                break
+        else:
+            return [list(range(q))]
+        perms = [list(range(q))]
+        for _ in range(q - 2):
+            perms.append([cycle[y] for y in perms[-1]])
+        return perms
 
     @cached_property
     def abelian(self) -> bool:

@@ -16,21 +16,30 @@ never placed, the sizes add up to n-1, and each completed set is cut unless it
 closes to a subgroup with the identity.  No leaf runs the classifier; the
 naive generate-and-test path below does, and is the oracle for the search.
 
-Translation symmetry: right translation F -> F*g keeps every left difference
-a * b^-1, so a family passes the filter exactly when each of its translates
-does.  The search walks only a part of the tree that holds at least one member
-of every translation orbit: set 0 is anchored at the identity 0, and when the
-largest set S0 is unique it must sort first among its translates S0 * a^-1,
-a in S0.  The hit list is then rebuilt from the orbits of the hits found, so
-it equals the full walk's; ``SearchStats.nodes`` counts the reduced tree.
-Two requirements are not translation invariant and take the full walk:
-star_partition (the identity must stay outside the union), and wedf with
-different weights on equal-sized sets (translation can reorder those sets,
-and the weights attach by position).  There ``dedup="translation"`` keeps the
-least hit of each translation class, which need not be the least translate.
+Symmetry: right translation F -> F*g keeps every left difference a * b^-1,
+and a group automorphism sigma maps a * b^-1 to sigma(a) * sigma(b)^-1, so it
+permutes the difference columns and keeps each set in its position.  A family
+therefore passes the filter exactly when each member of its orbit under T x| A
+does, where T is the right translations and A is the cheap automorphism
+subgroup of ``FiniteGroup.automorphism_subgroup`` (units on Z_n, GF(p^e)^* on
+elementary abelian groups, products of those, the identity elsewhere).  The
+search walks only a part of the tree that holds at least one member of every
+orbit: set 0 is anchored at the identity 0, and when a set B of the block of
+largest sets is full, the branch is cut if some sigma(B * a^-1), sigma in A and
+a in B, sorts before set 0.  Those images are the same for every member of an
+orbit, and the member whose set 0 is the least of them passes.  Each hit's
+orbit is then expanded: every sigma(F), then the translation class of each
+new image, so the hit list equals the full walk's; ``SearchStats.nodes``
+counts the reduced tree.  Two requirements are not translation invariant and
+take the full walk with no symmetry: star_partition (the identity must stay
+outside the union), and wedf with different weights on equal-sized sets
+(translation can reorder those sets, and the weights attach by position).
+There ``dedup="translation"`` keeps the least hit of each translation class,
+which need not be the least translate.  Everywhere else it keeps the least
+key of each translation class in the orbit.
 
-The census (``rwedf_census``) uses the same symmetry: it sweeps one support per
-translation orbit and counts each set partition of it once per distinct
+The census (``rwedf_census``) uses translation symmetry: it sweeps one support
+per translation orbit and counts each set partition of it once per distinct
 translate of the support, n / |Stab(U)| times.  The set partitions of a support
 come as restricted growth strings in bounded int8 blocks, and each block is
 scored in one numpy pass over the support's ordered pairs, with every column
@@ -40,7 +49,7 @@ distinct families: the translates that stand at the crossed positions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -63,6 +72,11 @@ KNOWN_FLAGS = frozenset(
     {"rwedf", "bimodal", "edf", "sedf", "gsedf", "wedf", "star_partition"}
 )
 STAR_PARTITION_ORDER_LIMIT = 128
+# Largest group order the search accepts.  The searcher keeps the n x n
+# diff_rows table and |A| < n automorphism lists as Python ints, up to 32
+# bytes a cell, so at order 1024 each takes at most about 32 MB.
+SEARCH_ORDER_LIMIT = 1024
+PRUNE_REASONS = ("cell", "column", "coset", "star", "symmetry", "infeasible")
 CENSUS_BLOCK = 64  # rows for s - 1 points grown into one census block
 
 Key = Tuple[Tuple[int, ...], ...]  # a family's sets in canonical order
@@ -83,8 +97,14 @@ class SearchSpec:
 @dataclass
 class SearchStats:
     nodes: int = 0
-    pruned: int = 0
     complete: bool = True
+    # cuts by reason: a broken cell or column cap on a placement, a completed
+    # set failing the coset, star or symmetry test, or caps no family can meet
+    pruned_by: Dict[str, int] = field(default_factory=lambda: dict.fromkeys(PRUNE_REASONS, 0))
+
+    @property
+    def pruned(self) -> int:
+        return sum(self.pruned_by.values())
 
 
 @dataclass
@@ -98,12 +118,16 @@ class _StopSearch(Exception):
 
 
 def _validate_spec(spec: SearchSpec) -> Tuple[Tuple[int, ...], Optional[Fraction]]:
+    n = spec.group.order
+    if n > SEARCH_ORDER_LIMIT:
+        raise GroupTooLarge(
+            f"group too large: order {n} exceeds SEARCH_ORDER_LIMIT {SEARCH_ORDER_LIMIT}"
+        )
     sizes = tuple(spec.sizes)
     if not sizes or any(k < 1 for k in sizes):
         raise InfeasibleParameters(f"sizes must be positive, got {sizes}")
     if any(sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)):
         raise InfeasibleParameters("sizes must be non-increasing (canonical order)")
-    n = spec.group.order
     total = sum(sizes)
     if total > n:
         raise InfeasibleParameters(f"total size {total} exceeds group order {n}")
@@ -122,6 +146,8 @@ def _validate_spec(spec: SearchSpec) -> Tuple[Tuple[int, ...], Optional[Fraction
         if spec.weights is None:
             raise InfeasibleParameters("the wedf flag needs a weight vector")
         check_weights(len(sizes), spec.weights)
+    elif spec.weights is not None:
+        raise InfeasibleParameters("weights are only read by the wedf flag")
     ell = spec.target_ell
     if ell is not None:
         ell = Fraction(ell)
@@ -244,18 +270,21 @@ class _Searcher:
         self.diff = g.diff_rows
         self.budget = spec.node_budget
         self.stats = SearchStats()
-        # symmetric: walk one part of the tree per orbit and expand orbits at the hits
+        # symmetric: walk one part of the tree per T x| A orbit and expand orbits at the hits
         self.symmetric = _translation_invariant(spec, sizes)
-        self.lexmin = self.symmetric and (self.m == 1 or sizes[0] > sizes[1])
+        self.autos = g.automorphism_subgroup() if self.symmetric else []
+        # the sets tied with set 0 for largest, each held to the symmetry test once full
+        self.tied = sizes.count(sizes[0]) if self.symmetric else 0
         self.found: List[Key] = []  # hits, orbits expanded
-        self.seen: Set[Key] = set()  # every key of every expanded orbit
+        self.seen: Set[Key] = set()  # every key of every expanded translation class
         # mutable search state
         self.slots: List[List[int]] = [[] for _ in sizes]
         self.owner = [-1] * self.n
         self.placed: List[int] = []
-        self.counts = [0] * (self.m * self.n)
-        # one sums array per column cap, with the cap's coefficients and limit
-        self.cols = [(coef, limit, [0] * self.n) for coef, limit in caps.cols]
+        # the live counts N_i(d) at i*n + d, then one block of n sums per column cap
+        self.live = [0] * ((self.m + len(caps.cols)) * self.n)
+        self.cols = [(coef, limit, (self.m + c) * self.n)
+                     for c, (coef, limit) in enumerate(caps.cols)]
         self.bimodal = "bimodal" in spec.require
         self.coset_cut = self.bimodal and g.abelian
         self.carriers: Dict[FrozenSet[int], Tuple[int, ...]] = {}  # closure per difference set
@@ -274,23 +303,26 @@ class _Searcher:
         keys = sorted(self.found)[: self.spec.result_cap]
         return [DisjointFamily(self.group, key) for key in keys]
 
+    def _cut(self, reason: str) -> None:
+        self.stats.pruned_by[reason] += 1
+
     # -- incremental counting ------------------------------------------------
 
-    def _apply(self, x: int, i: int, sign: int) -> bool:
-        """Add (sign=+1) or remove (sign=-1) element x of set i.
+    def _apply(self, x: int, i: int) -> Optional[str]:
+        """Add element x of set i to ``self.live``: the first cap it breaks, or None.
 
-        Returns, on add, whether every cell and column cap still holds.
+        It returns at the first broken cell or column cap, leaving ``live``
+        part-updated; the caller restores it from a copy taken before the add.
         """
         diff = self.diff
         diff_x = diff[x]
-        counts = self.counts
+        live = self.live
         owner = self.owner
         cell = self.caps.cell
         cols = self.cols
         n = self.n
         base_i = i * n
         cell_i = cell[i]
-        ok = sign > 0  # a removal checks nothing
         for y in self.placed:
             j = owner[y]
             if j == i:
@@ -299,16 +331,18 @@ class _Searcher:
             d2 = diff[y][x]
             c1 = base_i + d1
             c2 = j * n + d2
-            counts[c1] += sign
-            counts[c2] += sign
-            if ok and (counts[c1] > cell_i or counts[c2] > cell[j]):
-                ok = False
-            for coef, limit, sums in cols:
-                sums[d1] += sign * coef[i]
-                sums[d2] += sign * coef[j]
-                if ok and (sums[d1] > limit or sums[d2] > limit):
-                    ok = False
-        return ok
+            live[c1] += 1
+            live[c2] += 1
+            if live[c1] > cell_i or live[c2] > cell[j]:
+                return "cell"
+            for coef, limit, base in cols:
+                s1 = base + d1
+                s2 = base + d2
+                live[s1] += coef[i]
+                live[s2] += coef[j]
+                if live[s1] > limit or live[s2] > limit:
+                    return "column"
+        return None
 
     # -- completed-set cuts --------------------------------------------------
 
@@ -318,13 +352,11 @@ class _Searcher:
         diff = self.diff
         extra = 0
         if self.star_cut and not is_subgroup(self.group, (0, *members)):
+            self._cut("star")
             return None
-        if i == 0 and self.lexmin:
-            # S0 * a^-1 for a in S0 are the first sets of the orbit members that
-            # hold 0 in set 0; the least of them stands for the whole orbit
-            key = tuple(members)
-            if any(tuple(sorted(diff[x][a] for x in members)) < key for a in members[1:]):
-                return None
+        if i < self.tied and self._image_sorts_first(members):
+            self._cut("symmetry")
+            return None
         if self.coset_cut and len(members) >= 2:
             g = self.group
             diffs = frozenset(diff[a][b] for a in members for b in members if a != b)
@@ -338,9 +370,27 @@ class _Searcher:
                 if y in inside:
                     continue
                 if self.owner[y] >= 0:
-                    return None  # an earlier set intrudes on this coset
+                    self._cut("coset")  # an earlier set intrudes on this coset
+                    return None
                 extra |= 1 << y
         return extra
+
+    def _image_sorts_first(self, members: List[int]) -> bool:
+        """Whether some sigma(B * a^-1), sigma in A and a in B = members, sorts before set 0.
+
+        Over every largest set B of a family, these images are the same for
+        every member of its T x| A orbit, and each holds 0.  The member whose
+        set 0 is the least image passes this test for each of its largest
+        sets, so cutting every other branch still visits each orbit.
+        """
+        first = tuple(self.slots[0])
+        diff = self.diff
+        for a in members:
+            shifted = [diff[x][a] for x in members]
+            for sigma in self.autos:
+                if tuple(sorted([sigma[y] for y in shifted])) < first:
+                    return True
+        return False
 
     # -- recursion -----------------------------------------------------------
 
@@ -358,7 +408,6 @@ class _Searcher:
         if remaining == 0:
             extra = self._set_completion_ban(i)
             if extra is None:
-                self.stats.pruned += 1
                 return
             saved = self.banned
             self.banned |= extra
@@ -379,8 +428,10 @@ class _Searcher:
                 )
             self.budget -= 1
             self.stats.nodes += 1
-            ok = self._apply(x, i, +1)
-            if ok:
+            live = self.live
+            self.live = live[:]
+            broken = self._apply(x, i)
+            if broken is None:
                 self.owner[x] = i
                 self.placed.append(x)
                 slot.append(x)
@@ -389,28 +440,33 @@ class _Searcher:
                 self.placed.pop()
                 self.owner[x] = -1
             else:
-                self.stats.pruned += 1
-            self._apply(x, i, -1)
+                self._cut(broken)
+            self.live = live
 
     def _emit(self) -> None:
         key = tuple(tuple(s) for s in self.slots)
         if key in self.seen:
-            return  # a translate of a hit whose orbit is already expanded
+            return  # an image of a hit whose orbit is already expanded
         if self.bimodal:
             # the one flag the caps leave open: every count is 0 or its set's size
-            n, counts = self.n, self.counts
+            n, live = self.n, self.live
             for i, k in enumerate(self.sizes):
-                if any(c and c != k for c in counts[i * n : (i + 1) * n]):
+                if any(c and c != k for c in live[i * n : (i + 1) * n]):
                     return
         dedup = self.spec.dedup
-        if self.symmetric or dedup == "translation":
-            orbit = _translation_classes(self.diff, key)
-            self.seen |= orbit
         if not self.symmetric:
-            # the full walk meets keys in ascending order: key is the least hit of its orbit
+            if dedup == "translation":
+                self.seen |= _translation_classes(self.diff, key)
+            # the full walk meets keys in ascending order: key is the least hit of its class
             self.found.append(key)
         else:
-            self.found.extend(orbit if dedup == "none" else (min(orbit),))
+            for sigma in self.autos:  # the identity first, so key's own class first
+                image = _canonical([[sigma[x] for x in s] for s in key])
+                if image in self.seen:
+                    continue
+                translates = _translation_classes(self.diff, image)
+                self.seen |= translates
+                self.found.extend(translates if dedup == "none" else (min(translates),))
         cap = self.spec.result_cap
         if cap is not None and len(self.found) >= cap:
             raise _StopSearch
@@ -420,18 +476,22 @@ def _flat_key(family: DisjointFamily) -> Tuple[int, ...]:
     return tuple(x for s in family.sets for x in s)
 
 
+def _canonical(sets: List[List[int]]) -> Key:
+    """The canonical key of a family given as unsorted sets.
+
+    The stable sort by length, largest first, after the sort by members is the
+    canonical set order.
+    """
+    return tuple(sorted(sorted([tuple(sorted(s)) for s in sets]), key=len, reverse=True))
+
+
 def _translation_classes(diff: List[List[int]], key: Key) -> Set[Key]:
     """The translation class of one family: the canonical keys of all its right translates.
 
     ``diff`` is the group's ``diff_rows``; x * h^-1 = diff[x][h], and h^-1 runs
-    over the group as h does.  The stable sort by length, largest first, after
-    the sort by members is the canonical set order.
+    over the group as h does.
     """
-    return {
-        tuple(sorted(sorted([tuple(sorted([diff[x][h] for x in s])) for s in key]),
-                     key=len, reverse=True))
-        for h in range(len(diff))
-    }
+    return {_canonical([[diff[x][h] for x in s] for s in key]) for h in range(len(diff))}
 
 
 def enumerate_families(spec: SearchSpec, workers: int = 1) -> SearchResult:
@@ -444,7 +504,9 @@ def enumerate_families(spec: SearchSpec, workers: int = 1) -> SearchResult:
         raise InfeasibleParameters(f"unknown dedup mode {spec.dedup!r}")
     caps = _build_caps(spec, sizes)
     if caps is None:
-        return SearchResult([], SearchStats(pruned=1))
+        stats = SearchStats()
+        stats.pruned_by["infeasible"] = 1
+        return SearchResult([], stats)
     searcher = _Searcher(spec, sizes, caps)
     searcher.run()
     return SearchResult(searcher.families(), searcher.stats)

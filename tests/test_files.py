@@ -307,6 +307,37 @@ def test_cli_search(tmp_path, capsys):
     assert len(read_families_jsonl(out)) == 4
 
 
+def test_cli_search_prunes_by_reason(tmp_path, capsys):
+    argv = ["search", "--group", '{"kind": "cyclic", "n": 10}', "--sizes", "2,2,1,1",
+            "--require", "rwedf", "--out", str(tmp_path / "hits.jsonl")]
+    code, text, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    summary = json.loads(text)
+    assert summary["pruned_by"] == {"cell": 0, "column": 648, "coset": 0, "star": 0,
+                                    "symmetry": 42, "infeasible": 0}
+    assert summary["pruned"] == 690
+    code, text, _ = run(capsys, *argv)
+    assert code == 0 and "pruned 690 (column=648 symmetry=42)" in text
+
+
+@pytest.mark.parametrize("weights", ["1/2,1/2", "1/2", "1/2,1/2,1/2"])
+@pytest.mark.parametrize("require", [[], ["--require", "rwedf"]], ids=["free", "rwedf"])
+def test_cli_search_weights_without_wedf_exit_2(tmp_path, capsys, weights, require):
+    out = tmp_path / "hits.jsonl"
+    code, _, err = run(capsys, "search", "--group", '{"kind": "cyclic", "n": 5}',
+                       "--sizes", "2,2", *require, "--weights", weights, "--out", str(out))
+    assert code == 2 and "wedf" in err
+    assert not out.exists()
+
+
+def test_cli_search_order_limit_exits_2(tmp_path, capsys):
+    out = tmp_path / "hits.jsonl"
+    code, _, err = run(capsys, "search", "--group", '{"kind": "cyclic", "n": 65536}',
+                       "--sizes", "1", "--out", str(out))
+    assert code == 2 and "SEARCH_ORDER_LIMIT" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--cap", "-1"), ("--cap", "0"), ("--budget", "-3")])
 def test_cli_search_bad_cap_or_budget_exits_2(tmp_path, capsys, flag, value):
     out = tmp_path / "hits.jsonl"

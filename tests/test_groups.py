@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,6 +76,49 @@ def test_element_orders_divide_group_order(group):
 def test_descriptor_round_trip(group):
     rebuilt = group_from_descriptor(group.describe())
     assert full_table(rebuilt) == full_table(group)
+
+
+# (group, |A|): units mod n, GF(p^e)^*, products of the factors' subgroups,
+# and the identity alone for the other kinds
+AUTOMORPHISM_CASES = [
+    (CyclicGroup(1), 1),
+    (CyclicGroup(2), 1),
+    (CyclicGroup(12), 4),
+    (CyclicGroup(11), 10),
+    (ElementaryAbelianGroup(2, 1), 1),
+    (ElementaryAbelianGroup(3, 1), 2),
+    (ElementaryAbelianGroup(2, 3), 7),
+    (ElementaryAbelianGroup(2, 4), 15),
+    (ElementaryAbelianGroup(3, 2), 8),
+    (ElementaryAbelianGroup(5, 2), 24),
+    (DirectProductGroup(CyclicGroup(2), CyclicGroup(4)), 2),
+    (DirectProductGroup(CyclicGroup(3), CyclicGroup(3)), 4),
+    (DirectProductGroup(DirectProductGroup(CyclicGroup(3), ElementaryAbelianGroup(2, 2)),
+                        CyclicGroup(5)), 2 * 3 * 4),
+    (DirectProductGroup(DihedralGroup(3), CyclicGroup(5)), 4),
+    (DihedralGroup(1), 1),
+    (DihedralGroup(4), 1),
+    (HeisenbergGroup(3), 1),
+    (f21_group(), 1),
+]
+
+
+@pytest.mark.parametrize("group, size", AUTOMORPHISM_CASES, ids=lambda c: repr(c))
+def test_automorphism_subgroup(group, size):
+    autos = group.automorphism_subgroup()
+    n = group.order
+    assert len(autos) == size and autos[0] == list(range(n))
+    idx = np.arange(n)
+    table = group.diff_array(idx[:, None], idx)
+    perms = {tuple(sigma) for sigma in autos}
+    assert len(perms) == size
+    for sigma in autos:
+        s = np.array(sigma)
+        assert s[0] == 0 and sorted(sigma) == list(range(n))
+        # sigma(a * b^-1) == sigma(a) * sigma(b)^-1 for every pair
+        assert (s[table] == group.diff_array(s[:, None], s)).all()
+    # closed under composition: x -> sigma(tau(x)) is in A
+    assert all(tuple(np.array(sigma)[tau]) in perms for sigma in autos for tau in autos)
 
 
 def test_cyclic_arithmetic():

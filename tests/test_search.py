@@ -123,7 +123,7 @@ def test_parallel_matches_serial():
 
 
 # (group, sizes, requirement keywords, hits without dedup, translation classes);
-# a unique largest set takes the lex-min first-set cut, a tied one only the anchor
+# unique and tied largest sets alike take the symmetry cut on the largest block
 SYMMETRIC_CASES = [
     (CyclicGroup(9), (4, 2), dict(require=frozenset({"rwedf"})), 27, 3),
     (CyclicGroup(7), (2, 2, 2), dict(target_ell=Fraction(2)), 21, 3),
@@ -154,7 +154,7 @@ def test_symmetric_search_walks_a_smaller_tree():
     spec = SearchSpec(group=CyclicGroup(9), sizes=(4, 2), require=frozenset({"rwedf"}))
     res = enumerate_families(spec)
     # the full walk takes 2,029 nodes; anchoring set 0 at the identity and the
-    # lex-min first-set cut leave well under a quarter of them
+    # symmetry cut on the largest set leave well under a quarter of them
     assert res.stats.nodes < 2029 // 4
     assert res.stats.pruned > 0
 
@@ -296,8 +296,9 @@ def test_cap_counts_expanded_families():
 def test_budget_exhaustion_keeps_genuine_hits():
     spec = SearchSpec(group=CyclicGroup(10), sizes=(2, 2, 1, 1), require=frozenset({"rwedf"}))
     every = {f.sets for f in naive_enumerate(spec).families}
+    assert enumerate_families(spec).stats.nodes == 1004  # every budget below stops the walk
     partial = []
-    for budget in (30, 300, 3000):
+    for budget in (30, 300, 900):
         with pytest.raises(BudgetExceeded) as info:
             enumerate_families(
                 SearchSpec(group=spec.group, sizes=spec.sizes, require=spec.require,
@@ -309,6 +310,158 @@ def test_budget_exhaustion_keeps_genuine_hits():
         assert found == sorted(found) and set(found) <= every
         partial.append(len(found))
     assert partial == sorted(partial) and partial[-1] > 0
+
+
+# (group, sizes): a tied and a unique largest block per group, each small
+# enough for the generate-and-test oracle
+HOLOMORPH_CASES = [
+    (CyclicGroup(5), (2, 2)),
+    (CyclicGroup(5), (3, 1, 1)),
+    (CyclicGroup(6), (2, 2, 2)),
+    (CyclicGroup(6), (3, 2, 1)),
+    (CyclicGroup(7), (3, 3, 1)),
+    (CyclicGroup(7), (4, 2)),
+    (CyclicGroup(8), (2, 2, 2, 2)),
+    (CyclicGroup(8), (4, 2, 1, 1)),
+    (CyclicGroup(9), (2, 2, 2, 2)),
+    (CyclicGroup(9), (3, 1, 1)),
+    (CyclicGroup(10), (2, 2)),
+    (CyclicGroup(10), (3, 1)),
+    (CyclicGroup(11), (2, 2)),
+    (CyclicGroup(11), (2, 1)),
+    (CyclicGroup(12), (2, 2)),
+    (CyclicGroup(12), (2, 1)),
+    (CyclicGroup(13), (1, 1, 1)),
+    (CyclicGroup(13), (2, 1)),
+    (CyclicGroup(14), (1, 1, 1)),
+    (CyclicGroup(14), (2, 1)),
+    (CyclicGroup(15), (1, 1, 1)),
+    (CyclicGroup(15), (2, 1)),
+    (CyclicGroup(16), (1, 1, 1)),
+    (CyclicGroup(16), (2, 1)),
+    (DirectProductGroup(CyclicGroup(2), CyclicGroup(4)), (2, 2, 2, 2)),
+    (DirectProductGroup(CyclicGroup(2), CyclicGroup(4)), (4, 2, 1, 1)),
+    (DirectProductGroup(CyclicGroup(3), CyclicGroup(3)), (2, 2, 2, 2)),
+    (DirectProductGroup(CyclicGroup(3), CyclicGroup(3)), (3, 3)),
+    (ElementaryAbelianGroup(2, 3), (2, 2, 2, 2)),
+    (ElementaryAbelianGroup(2, 3), (4, 2, 1, 1)),
+    (ElementaryAbelianGroup(2, 4), (1, 1, 1)),
+    (ElementaryAbelianGroup(2, 4), (2, 1)),
+    (ElementaryAbelianGroup(3, 2), (2, 2, 2, 2)),
+    (ElementaryAbelianGroup(3, 2), (3, 3)),
+    (DihedralGroup(3), (2, 2, 1)),
+    (DihedralGroup(3), (3, 2, 1)),
+    (DihedralGroup(4), (2, 2, 2, 2)),
+    (DihedralGroup(4), (4, 2, 1, 1)),
+]
+
+
+def holomorph_flags(group, sizes):
+    m, total, n = len(sizes), sum(sizes), group.order
+    flags = [dict(), dict(target_ell=Fraction((m - 1) * total, n - 1)),
+             dict(require=frozenset({"wedf"}), weights=(HALF,) * m)]
+    return flags + [dict(require=frozenset({flag}))
+                    for flag in ("rwedf", "bimodal", "edf", "sedf", "gsedf")]
+
+
+@pytest.fixture
+def memo_oracle(monkeypatch):
+    """The oracle's classify and difference_profile, each run once per family."""
+    for name in ("classify", "difference_profile"):
+        cache = {}
+
+        def memo(family, run=getattr(search, name), cache=cache):
+            key = (id(family.group), family.sets)
+            if key not in cache:
+                cache[key] = run(family)
+            return cache[key]
+
+        monkeypatch.setattr(search, name, memo)
+
+
+@pytest.mark.parametrize("group, sizes", HOLOMORPH_CASES, ids=str)
+def test_holomorph_search_matches_naive(memo_oracle, group, sizes):
+    for kwargs in holomorph_flags(group, sizes):
+        for dedup in ("none", "translation"):
+            res = both(SearchSpec(group=group, sizes=sizes, dedup=dedup, **kwargs))
+            assert res.stats.complete
+
+
+# the search workload of perfbench/: (spec, hits, nodes with translations and
+# automorphisms); translations alone walked 87,086 / 26,450 / 8,395 nodes
+BENCH_SPECS = [
+    (SearchSpec(group=CyclicGroup(12), sizes=(3, 2, 1, 1, 1, 1, 1, 1),
+                require=frozenset({"rwedf"})), 12, 41286),
+    (SearchSpec(group=CyclicGroup(11), sizes=(2, 2, 2, 2), dedup="translation"), 1575, 2631),
+    (SearchSpec(group=CyclicGroup(16), sizes=(4, 4, 2, 2, 1, 1, 1, 1),
+                require=frozenset({"bimodal"})), 36, 2861),
+]
+
+
+@pytest.mark.parametrize("spec, hits, nodes", BENCH_SPECS, ids=["z12", "z11", "z16"])
+def test_bench_search_node_ceilings(spec, hits, nodes):
+    res = enumerate_families(spec)
+    assert len(res.families) == hits and res.stats.complete
+    assert res.stats.nodes <= nodes
+
+
+def test_symmetric_search_expands_through_translation_classes(monkeypatch):
+    # perfbench times the orbit expansion by wrapping this module-level name
+    calls = []
+    expand = search._translation_classes
+
+    def counting(*args):
+        calls.append(args)
+        return expand(*args)
+
+    monkeypatch.setattr(search, "_translation_classes", counting)
+    res = enumerate_families(BENCH_SPECS[1][0])
+    assert len(res.families) == 1575
+    assert len(calls) == 1575  # one call per translation class
+
+
+@pytest.mark.parametrize(
+    "spec, reasons",
+    [
+        (SearchSpec(group=CyclicGroup(10), sizes=(2, 2, 1, 1), require=frozenset({"rwedf"})),
+         {"column": 648, "symmetry": 42}),
+        (SearchSpec(group=CyclicGroup(5), sizes=(2, 2), require=frozenset({"sedf"})),
+         {"cell": 2, "symmetry": 3}),
+        (BENCH_SPECS[2][0], {"coset": 89, "symmetry": 1106}),
+        (SearchSpec(group=DihedralGroup(3), sizes=(2, 1, 1, 1),
+                    require=frozenset({"star_partition"})), {"star": 9}),
+        (SearchSpec(group=CyclicGroup(8), sizes=(2, 2, 1), require=frozenset({"rwedf"})),
+         {"infeasible": 1}),
+    ],
+)
+def test_prunes_by_reason(spec, reasons):
+    stats = enumerate_families(spec).stats
+    assert stats.pruned_by == dict.fromkeys(search.PRUNE_REASONS, 0) | reasons
+    assert list(stats.pruned_by) == list(search.PRUNE_REASONS)
+    assert stats.pruned == sum(reasons.values())
+
+
+def test_search_order_guard(monkeypatch):
+    big = CyclicGroup(2**16)
+    for run in (enumerate_families, naive_enumerate):
+        with pytest.raises(GroupTooLarge, match="SEARCH_ORDER_LIMIT"):
+            run(SearchSpec(group=big, sizes=(1,)))
+    assert "diff_rows" not in vars(big)  # refused before the table is built
+    with pytest.raises(GroupTooLarge):
+        enumerate_families(SearchSpec(group=CyclicGroup(search.SEARCH_ORDER_LIMIT + 1), sizes=(1,)))
+    monkeypatch.setattr(search, "SEARCH_ORDER_LIMIT", 12)  # the limit itself is allowed
+    assert len(enumerate_families(SearchSpec(group=CyclicGroup(12), sizes=(1,))).families) == 12
+    with pytest.raises(GroupTooLarge):
+        enumerate_families(SearchSpec(group=CyclicGroup(13), sizes=(1,)))
+
+
+@pytest.mark.parametrize("weights", [(HALF, HALF), (HALF,), (HALF, HALF, HALF)])
+@pytest.mark.parametrize("require", [frozenset(), frozenset({"rwedf"})])
+def test_weights_without_wedf_refused(weights, require):
+    spec = SearchSpec(group=CyclicGroup(5), sizes=(2, 2), require=require, weights=weights)
+    for run in (enumerate_families, naive_enumerate):
+        with pytest.raises(InfeasibleParameters, match="wedf"):
+            run(spec)
 
 
 def test_infeasible_specs():
