@@ -51,6 +51,7 @@ from .errors import (
     NotPrimePower,
     OverlappingSubgroups,
     PartitionFailure,
+    ProfileTooLarge,
 )
 from .family import (
     BimodalVerdict,

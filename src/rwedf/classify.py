@@ -11,12 +11,19 @@ k_1..k_m and T = sum k_i:
 
 The worst-case adversary rate e_hat equals the averaging bound exactly when
 the family is an RWEDF, which is what makes this weighting the optimal one.
+
+Every check reads the reductions of one streamed ``difference_profile``,
+never the m x (n-1) count matrix: the reciprocal column sums (the plain
+column sums when sizes are equal, and K times the non-zero rows per column
+when the family is bimodal), the rows' values when every row is constant, and
+the first bimodal witness.  ``check_wedf`` takes its weighted column sums from
+the same count blocks, recounted.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,10 +47,11 @@ def check_edf(profile: DifferenceProfile) -> Optional[int]:
     fam = profile.family
     if fam.m < 2 or len(set(fam.sizes)) != 1:
         return None
-    cols = profile.matrix.sum(axis=0)
-    if (cols != cols[0]).any():
+    # equal sizes k: K = k and every reciprocal weight K / k is 1
+    sums = profile.reciprocal
+    if sums.count(sums[0]) != len(sums):
         return None
-    return int(cols[0])
+    return sums[0]
 
 
 def check_sedf(profile: DifferenceProfile) -> Optional[int]:
@@ -51,31 +59,27 @@ def check_sedf(profile: DifferenceProfile) -> Optional[int]:
     fam = profile.family
     if fam.m < 2 or len(set(fam.sizes)) != 1:
         return None
-    matrix = profile.matrix
-    if (matrix != matrix[0, 0]).any():
+    values = profile.row_constants
+    if values is None or values.count(values[0]) != len(values):
         return None
-    return int(matrix[0, 0])
+    return values[0]
 
 
 def check_gsedf(profile: DifferenceProfile) -> Optional[Tuple[int, ...]]:
     """Per-row constants (lambda_1..lambda_m) if each row is constant."""
-    fam = profile.family
-    if fam.m < 2:
+    if profile.family.m < 2:
         return None
-    matrix = profile.matrix
-    if (matrix != matrix[:, :1]).any():
-        return None
-    return tuple(matrix[:, 0].tolist())
+    return profile.row_constants
 
 
-def _constant_value(sums: List[int], denominator: int) -> Optional[Fraction]:
+def _constant_value(sums: Sequence[int], denominator: int) -> Optional[Fraction]:
     """sums[0] / denominator when every entry of the scaled sums is equal."""
     if not sums or sums.count(sums[0]) != len(sums):
         return None
     return Fraction(sums[0], denominator)
 
 
-def _first_change(sums: List[int]) -> Optional[int]:
+def _first_change(sums: Sequence[int]) -> Optional[int]:
     """The least delta whose sum differs from delta = 1's."""
     return next((d for d, s in enumerate(sums, start=1) if s != sums[0]), None)
 
@@ -87,7 +91,8 @@ def check_wedf(
 ) -> Optional[Fraction]:
     """Constant weighted column sum under the given weights, if constant."""
     d, coef = scaled_fractions(check_weights(family.m, weights))
-    return _constant_value(column_sums(profile.matrix, coef), d)
+    sums = column_sums(profile.blocks(), coef, family.n - 1, max(family.sizes))
+    return _constant_value(sums, d)
 
 
 def check_rwedf(
@@ -251,12 +256,12 @@ def classify(
     else:
         m2 = "not-applicable"
 
+    # bimodal: N_i(delta) / k_i is 1 where N_i(delta) != 0 and 0 elsewhere, so
+    # the scaled reciprocal sum of a column is K times its count of non-zero rows
     key_prop: Optional[Tuple[int, int]] = None
-    if bimodal.holds and m >= 1 and family.n > 1:
-        nonzero = np.count_nonzero(profile.matrix, axis=0)
-        if (nonzero == nonzero[0]).all():
-            lam = int(nonzero[0])
-            key_prop = (lam, m - lam)
+    if bimodal.holds and sums.count(sums[0]) == len(sums):
+        lam = sums[0] // k
+        key_prop = (lam, m - lam)
 
     report = ClassificationReport(
         n=family.n,

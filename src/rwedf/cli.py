@@ -94,15 +94,17 @@ def cmd_verify(args) -> int:
     if args.weights:
         weights = _parse_frac_list(args.weights, "--weights")
     report = classify(family, weights)
+    # built before anything is printed or written: a matrix over its cell budget exits 2 here
+    csv = profile_to_csv(difference_profile(family)) if args.profile_csv else None
     data = report.to_json_dict()
     if args.json:
         print(json.dumps(data, indent=2))
     else:
         for key, value in data.items():
             print(f"{key} = {value}")
-    if args.profile_csv:
+    if csv is not None:
         with open(args.profile_csv, "w") as fh:
-            fh.write(profile_to_csv(difference_profile(family)))
+            fh.write(csv)
     expect = (metadata or {}).get("expect")
     if expect is not None:
         if not isinstance(expect, dict):

@@ -17,6 +17,10 @@ class GroupTooLarge(ValueError):
     """The group exceeds a size limit for an exhaustive lattice computation."""
 
 
+class ProfileTooLarge(ValueError):
+    """A dense count matrix would exceed its cell budget; nothing was allocated."""
+
+
 class IdentityDelta(ValueError):
     """delta = 0 was passed where a non-identity shift is required."""
 

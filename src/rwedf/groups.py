@@ -3,8 +3,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from math import gcd
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,6 +20,14 @@ MAX_ORDER = 1 << 20
 # temporary stays a few hundred KB, so heap growth and allocator thresholds
 # track the data the caller keeps, not the kernel's scratch.
 PAIR_CHUNK = 1 << 15
+# Cells per row block of the count matrix (at least one row a block).  The
+# profile reduces each block as it comes, so a pass holds O(BLOCK_CELLS + n),
+# never the m x n matrix.  At 2 MB the block buffer, one for every block of a
+# pass, outgrows the chunk temporaries, and glibc's malloc then keeps those in
+# the heap from chunk to chunk instead of returning their pages and faulting
+# them in again: a heisenberg_partition(11) profile took about 8,000 minor
+# faults with 2^15-cell blocks and none with 2^18.
+BLOCK_CELLS = 1 << 18
 
 
 def check_order(order: int) -> int:
@@ -528,39 +537,65 @@ def _group_of(desc: dict) -> FiniteGroup:
     raise BadDescriptor(f"unknown group kind {kind!r}")
 
 
-def difference_counts(
+def difference_count_blocks(
     group: FiniteGroup, sets: Sequence[Sequence[int]], within: bool = False
-) -> np.ndarray:
-    """Ordered pairs counted by left difference, as an (len(sets), n) int64 matrix.
+) -> Iterator[np.ndarray]:
+    """Ordered pairs counted by left difference, as int64 blocks of consecutive rows.
 
-    Cell (i, d) counts the pairs (a, b) with a in sets[i] and a * b^-1 = d,
-    where b ranges over the other sets, or with within=True over sets[i]
-    without a.  The sets must be pairwise disjoint.  The pairs are taken
-    PAIR_CHUNK at a time, over at most max(n, PAIR_CHUNK) bins; each step bins
-    owner(a) * n + diff_array(a, b) with one bincount over the rows its a's span.
+    Yields the rows of the (len(sets), n) count matrix in order, at most
+    max(1, BLOCK_CELLS // n) rows a block.  Cell (i, d) counts the pairs
+    (a, b) with a in sets[i] and a * b^-1 = d, where b ranges over the other
+    sets, or with within=True over sets[i] without a.  The sets must be
+    pairwise disjoint.  Every block is a view of one buffer that the next
+    block overwrites: copy what must outlive the step.
+
+    The pairs are taken PAIR_CHUNK at a time, over at most max(n, PAIR_CHUNK)
+    bins; each step bins owner(a) * n + diff_array(a, b) with one bincount
+    over the rows its a's span.
     """
     n = group.order
     m = len(sets)
+    sizes = [len(s) for s in sets]
+    starts = [0, *accumulate(sizes)]
     elems = np.fromiter((x for s in sets for x in s), dtype=np.int64)
-    owner = np.repeat(np.arange(m, dtype=np.int64), [len(s) for s in sets])
-    counts = np.zeros(m * n, dtype=np.int64)
+    owner = np.repeat(np.arange(m, dtype=np.int64), sizes)
     total = len(elems)
     b_step = max(1, min(total, PAIR_CHUNK))
     a_step = max(1, PAIR_CHUNK // max(b_step, n))
-    for lo in range(0, total, a_step):
-        a = elems[lo : lo + a_step, None]
-        rows = owner[lo : lo + a_step, None]
-        base = int(rows[0, 0]) * n  # owners ascend, so this chunk's bins start here
-        offset = rows * n - base
-        for blo in range(0, total, b_step):
-            b = elems[None, blo : blo + b_step]
-            cols = owner[None, blo : blo + b_step]
-            keep = (rows == cols) & (a != b) if within else rows != cols
-            keys = group.diff_array(a, b)
-            keys += offset
-            binned = np.bincount(keys[keep])
-            counts[base : base + len(binned)] += binned
-    return counts.reshape(m, n)
+    rows_per_block = max(1, BLOCK_CELLS // max(n, 1))
+    buffer = np.empty(min(m, rows_per_block) * n, dtype=np.int64)
+    for first in range(0, m, rows_per_block):
+        last = min(m, first + rows_per_block)
+        counts = buffer[: (last - first) * n]
+        counts.fill(0)
+        for lo in range(starts[first], starts[last], a_step):
+            hi = min(lo + a_step, starts[last])
+            a = elems[lo:hi, None]
+            rows = owner[lo:hi, None]
+            base = int(rows[0, 0]) * n  # owners ascend, so this chunk's bins start here
+            offset = rows * n - base
+            at = base - first * n
+            for blo in range(0, total, b_step):
+                b = elems[None, blo : blo + b_step]
+                cols = owner[None, blo : blo + b_step]
+                keep = (rows == cols) & (a != b) if within else rows != cols
+                keys = group.diff_array(a, b)
+                keys += offset
+                binned = np.bincount(keys[keep])
+                counts[at : at + len(binned)] += binned
+        yield counts.reshape(last - first, n)
+
+
+def difference_counts(
+    group: FiniteGroup, sets: Sequence[Sequence[int]], within: bool = False
+) -> np.ndarray:
+    """The whole (len(sets), n) count matrix: the blocks of difference_count_blocks, stacked."""
+    counts = np.empty((len(sets), group.order), dtype=np.int64)
+    row = 0
+    for block in difference_count_blocks(group, sets, within):
+        counts[row : row + len(block)] = block
+        row += len(block)
+    return counts
 
 
 def self_difference_counts(group: FiniteGroup, members: Iterable[int]) -> np.ndarray:

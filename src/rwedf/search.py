@@ -5,15 +5,16 @@ members ascend, and among runs of equal-sized sets the least members (anchors)
 increase.  Every unordered family of the requested sizes is therefore visited
 at most once.
 
-Caps decide the leaves: the searcher keeps the live count N_i(d) of every set
-and, per column cap, the sums sum_i c_i N_i(d) (edf: c_i = 1, rwedf: K / k_i,
-wedf: the scaled weights), and cuts a placement that lifts a count or a sum
-above its cap.  In a complete family the counts and sums add up to exactly
-(n-1) times each cap (see ``_build_caps``), so a leaf under every cap already
-passes edf, sedf, gsedf, rwedf (and ``target_ell``) and wedf.  bimodal is read
-off the live counts, and star_partition holds by construction: the identity is
-never placed, the sizes add up to n-1, and each completed set is cut unless it
-closes to a subgroup with the identity.  No leaf runs the classifier; the
+Caps decide the leaves: the searcher keeps, per column cap, the sums
+sum_i c_i N_i(d) (edf: c_i = 1, rwedf: K / k_i, wedf: the scaled weights) and,
+when sedf, gsedf or bimodal is required, the live count N_i(d) of every set,
+and cuts a placement that lifts a count or a sum above its cap.  In a complete
+family the counts and sums add up to exactly (n-1) times each cap (see
+``_build_caps``), so a leaf under every cap already passes edf, sedf, gsedf,
+rwedf (and ``target_ell``) and wedf.  bimodal is read off the live counts,
+and star_partition holds by construction: the identity is never placed, the
+sizes add up to n-1, and each completed set is cut unless it closes to a
+subgroup with the identity.  No leaf runs the classifier; the
 naive generate-and-test path below does, and is the oracle for the search.
 
 Symmetry: right translation F -> F*g keeps every left difference a * b^-1,
@@ -281,9 +282,14 @@ class _Searcher:
         self.slots: List[List[int]] = [[] for _ in sizes]
         self.owner = [-1] * self.n
         self.placed: List[int] = []
-        # the live counts N_i(d) at i*n + d, then one block of n sums per column cap
-        self.live = [0] * ((self.m + len(caps.cols)) * self.n)
-        self.cols = [(coef, limit, (self.m + c) * self.n)
+        # Counts N_i(d) are kept only for the flags that read them: the sedf and
+        # gsedf cell caps and the bimodal leaf test.  Any other cell cap is
+        # min(k_i, T - k_i), which no count passes (x * y^-1 = d fixes y given x).
+        self.cells = bool(spec.require & {"sedf", "gsedf", "bimodal"})
+        rows = self.m if self.cells else 0
+        # the live counts N_i(d) at i*n + d if kept, then one block of n sums per column cap
+        self.live = [0] * ((rows + len(caps.cols)) * self.n)
+        self.cols = [(coef, limit, (rows + c) * self.n)
                      for c, (coef, limit) in enumerate(caps.cols)]
         self.bimodal = "bimodal" in spec.require
         self.coset_cut = self.bimodal and g.abelian
@@ -318,6 +324,7 @@ class _Searcher:
         diff_x = diff[x]
         live = self.live
         owner = self.owner
+        cells = self.cells
         cell = self.caps.cell
         cols = self.cols
         n = self.n
@@ -329,12 +336,13 @@ class _Searcher:
                 continue
             d1 = diff_x[y]
             d2 = diff[y][x]
-            c1 = base_i + d1
-            c2 = j * n + d2
-            live[c1] += 1
-            live[c2] += 1
-            if live[c1] > cell_i or live[c2] > cell[j]:
-                return "cell"
+            if cells:
+                c1 = base_i + d1
+                c2 = j * n + d2
+                live[c1] += 1
+                live[c2] += 1
+                if live[c1] > cell_i or live[c2] > cell[j]:
+                    return "cell"
             for coef, limit, base in cols:
                 s1 = base + d1
                 s2 = base + d2

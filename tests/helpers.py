@@ -1,4 +1,5 @@
-"""Standing fixture families shared across the test modules, and the scalar
+"""Standing fixture families shared across the test modules, the dense
+reference classification that the streamed profile must match, and the scalar
 reference loops of the two Monte Carlo games that `rwedf.simulate` must match."""
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from rwedf import (
     DisjointFamily,
     ElementaryAbelianGroup,
     f21_fixture,
+    frac_str,
     heisenberg_partition,
 )
 
@@ -64,6 +66,53 @@ def all_fixtures():
         ("star_d10", star_d10(), None),
         ("heisenberg_27", heisenberg_partition(3), None),
     ]
+
+
+def reference_counts(family):
+    """N_i(delta) for delta = 0..n-1 by a loop over every cross pair (scalar mul/inv)."""
+    g = family.group
+    rows = [[0] * g.order for _ in family.sets]
+    for i, a_set in enumerate(family.sets):
+        for j, b_set in enumerate(family.sets):
+            if i != j:
+                for a in a_set:
+                    for b in b_set:
+                        rows[i][g.mul(a, g.inv(b))] += 1
+    return rows
+
+
+def reference_classification(family, weights=None):
+    """The profile-read keys of classify(family, weights).to_json_dict(), check by
+    check over the whole count matrix, as classify read them before the profile
+    was streamed."""
+    rows = [row[1:] for row in reference_counts(family)]
+    m, n, sizes = family.m, family.n, family.sizes
+    cols = list(zip(*rows))
+    equal = m >= 2 and len(set(sizes)) == 1
+    plain = [sum(col) for col in cols]
+    recip = [sum(Fraction(c, k) for c, k in zip(col, sizes)) for col in cols]
+    constant = len(set(recip)) == 1
+    between = [(i, d + 1, c) for i, row in enumerate(rows) for d, c in enumerate(row)
+               if c and c != sizes[i]]
+    nonzero = [sum(1 for c in col if c) for col in cols]
+    out = {
+        "edf": plain[0] if equal and len(set(plain)) == 1 else None,
+        "sedf": rows[0][0] if equal and len({c for row in rows for c in row}) == 1 else None,
+        "gsedf": ([row[0] for row in rows]
+                  if m >= 2 and all(len(set(row)) == 1 for row in rows) else None),
+        "rwedf": "0" if m == 1 else frac_str(recip[0]) if constant else None,
+        "rwedf_witness": (None if m == 1 or constant
+                          else next(d for d, s in enumerate(recip, 1) if s != recip[0])),
+        "bimodal": not between,
+        "bimodal_witness": list(between[0]) if between else None,
+        "e_hat": frac_str(max(recip) / m),
+        "key_prop": ([nonzero[0], m - nonzero[0]]
+                     if not between and len(set(nonzero)) == 1 else None),
+    }
+    if weights is not None:
+        sums = [sum(Fraction(w) * c for w, c in zip(weights, col)) for col in cols]
+        out["wedf"] = frac_str(sums[0]) if len(set(sums)) == 1 else None
+    return out
 
 
 def reference_wins(family, delta):

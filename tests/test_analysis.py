@@ -12,6 +12,7 @@ from rwedf import (
     ElementaryAbelianGroup,
     HeisenbergGroup,
     IdentityDelta,
+    ProfileTooLarge,
     closure,
     difference_profile,
     e_delta,
@@ -21,9 +22,11 @@ from rwedf import (
     is_bimodal,
     left_cosets,
     play,
+    profile_to_csv,
     r_bound,
     weighted_sum,
 )
+from rwedf import family as family_module
 from rwedf.family import reciprocal_sums, scaled_weights
 
 from helpers import all_fixtures, bimodal_z12, mixed_z10, star_d10, weighted_z8
@@ -214,6 +217,26 @@ def test_translate_preserves_profile():
     for g in range(fam.n):
         moved = fam.translate(g)
         assert difference_profile(moved).matrix.tolist() == prof.matrix.tolist()
+
+
+def test_dense_matrix_cell_budget(monkeypatch):
+    fam, weights = weighted_z8()  # 3 sets x 7 deltas = 21 cells
+    monkeypatch.setattr(family_module, "DENSE_CELL_LIMIT", 21)
+    assert difference_profile(fam).row(0) == (2, 2, 2, 3, 2, 2, 2)
+    monkeypatch.setattr(family_module, "DENSE_CELL_LIMIT", 20)
+    prof = difference_profile(fam)
+    reads = [lambda: prof.matrix, lambda: prof.row(0), lambda: prof.cell(0, 1),
+             lambda: prof.column_sum(1), lambda: weighted_sum(fam, prof, weights, 1),
+             lambda: profile_to_csv(prof)]
+    for read in reads:
+        with pytest.raises(ProfileTooLarge, match="3 x 7 = 21 cells exceeds DENSE_CELL_LIMIT 20"):
+            read()
+    assert isinstance(ProfileTooLarge("x"), ValueError)
+    # the whole-family reads never build the matrix
+    assert e_hat(fam, prof) == Fraction(7, 9) and e_delta(fam, prof, 4) == Fraction(2, 3)
+    assert reciprocal_sums(prof) == (6, [14, 14, 14, 12, 14, 14, 14])
+    assert is_bimodal(fam, prof).holds is False
+    assert "matrix" not in vars(prof)
 
 
 def test_profile_without_dense_rows():

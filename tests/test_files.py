@@ -1,3 +1,4 @@
+import importlib
 import json
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from rwedf import (
     write_family,
 )
 from rwedf.cli import main
+from rwedf.simulate import play_best_response
 
 from helpers import HALF, mixed_z10, pair_z7, star_d10, weighted_z8
 
@@ -496,9 +498,45 @@ def test_cli_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise MemoryError("Unable to allocate 2.00 GiB for an array")
 
-    monkeypatch.setattr(family_module, "difference_counts", refuse)
+    monkeypatch.setattr(family_module, "difference_count_blocks", refuse)
     code, _, err = run(capsys, "verify", str(_pair_z7_file(tmp_path)))
     assert code == 2 and _one_line_error(err) and "out of memory" in err
+
+
+def test_cli_profile_csv_over_the_cell_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # pair_z7 has 2 sets x 6 deltas = 12 cells
+    csv_path = tmp_path / "profile.csv"
+    monkeypatch.setattr(family_module, "DENSE_CELL_LIMIT", 11)
+    code, out, err = run(capsys, "verify", str(_pair_z7_file(tmp_path)),
+                         "--profile-csv", str(csv_path))
+    assert code == 2 and out == "" and _one_line_error(err)
+    assert "12 cells exceeds DENSE_CELL_LIMIT 11" in err and not csv_path.exists()
+    # the report itself needs no dense matrix
+    assert run(capsys, "verify", str(_pair_z7_file(tmp_path)))[0] == 0
+    monkeypatch.setattr(family_module, "DENSE_CELL_LIMIT", 12)
+    code, _, _ = run(capsys, "verify", str(_pair_z7_file(tmp_path)), "--profile-csv", str(csv_path))
+    assert code == 0 and csv_path.read_text().startswith("set,1,2,3,4,5,6\n")
+
+
+def test_profiles_go_through_the_traced_bindings(tmp_path, capsys, monkeypatch):
+    # perfbench times the profile layer by wrapping difference_profile in the
+    # modules that call it; a call that bypassed them would read as no work
+    calls = []
+    for name in ("rwedf.classify", "rwedf.simulate"):
+        module = importlib.import_module(name)
+
+        def counting(family, real=module.difference_profile, name=name):
+            calls.append(name)
+            return real(family)
+
+        monkeypatch.setattr(module, "difference_profile", counting)
+    path = str(_pair_z7_file(tmp_path))
+    assert run(capsys, "verify", path)[0] == 0
+    assert calls == ["rwedf.classify"]
+    assert run(capsys, "report", path, path)[0] == 0
+    assert calls == ["rwedf.classify"] * 3
+    play_best_response(pair_z7(), 10, 0)
+    assert calls == ["rwedf.classify"] * 3 + ["rwedf.simulate"]
 
 
 @pytest.mark.parametrize("delta", ["-1", "7", "99"])

@@ -2,9 +2,11 @@
 
 Every reference here is written with the scalar group arithmetic only
 (``mul`` and ``inv``), so it shares no code with ``diff_array`` or
-``difference_counts``.
+``difference_counts``.  The streamed profile's classification is checked
+against the dense reference in ``helpers`` at many block and chunk sizes.
 """
 import random
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -23,19 +25,24 @@ from rwedf import (
     check_difference_set,
     check_rwedf,
     check_wedf,
+    classify,
     closure,
     difference_profile,
     e_delta,
     e_hat,
     internal_differences,
+    nonzero_singletons,
     play,
     weighted_sum,
 )
 from rwedf.classify import rwedf_failure_witness
 from rwedf import groups
 from rwedf.constructions import f21_group
-from rwedf.groups import is_subgroup
+from rwedf.groups import difference_count_blocks, is_subgroup
 from rwedf.simulate import _Board
+
+from helpers import all_fixtures, bimodal_z12, reference_classification
+from helpers import reference_counts as ref_counts
 
 KERNEL_POOL = [
     CyclicGroup(1),
@@ -61,19 +68,6 @@ KERNEL_POOL = [
 
 def ref_diff(g, a, b):
     return g.mul(a, g.inv(b))
-
-
-def ref_counts(family):
-    """N_i(delta) by a loop over every cross pair, delta = 0..n-1."""
-    g = family.group
-    rows = [[0] * g.order for _ in family.sets]
-    for i, a_set in enumerate(family.sets):
-        for j, b_set in enumerate(family.sets):
-            if i != j:
-                for a in a_set:
-                    for b in b_set:
-                        rows[i][ref_diff(g, a, b)] += 1
-    return rows
 
 
 def ref_self_counts(g, members):
@@ -217,9 +211,8 @@ def test_sparse_family_in_a_large_group():
     assert sum(map(sum, prof.matrix.tolist())) == 3 * 3 + 2 * 4 + 1 * 5
 
 
-def test_scaled_sums_past_int64():
-    # 15 prime sizes 2..47, T = 328: lcm(sizes) is about 6.1e17, past the
-    # int64 guard, so the integer-scaled sums take the exact fallback
+def past_int64_family():
+    """15 prime sizes 2..47 in Z_331, T = 328: lcm(sizes) is about 6.1e17."""
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
     g = CyclicGroup(331)
     elems = list(range(g.order))
@@ -228,7 +221,13 @@ def test_scaled_sums_past_int64():
     for k in primes:
         sets.append(elems[at : at + k])
         at += k
-    fam = DisjointFamily.of(g, *sets)
+    return DisjointFamily.of(g, *sets), primes
+
+
+def test_scaled_sums_past_int64():
+    # lcm(sizes) * max count * m is past the int64 guard, so the integer-scaled
+    # sums take the exact fallback
+    fam, primes = past_int64_family()
     assert fam.total == 328
 
     prof = difference_profile(fam)
@@ -260,3 +259,110 @@ def test_weights_past_int64_on_an_empty_column():
     assert weighted_sum(fam, prof, weights, 1) == Fraction(1, 2**65)
     assert weighted_sum(fam, prof, weights, 6) == Fraction(1, 3**41)
     assert check_wedf(fam, prof, weights) is None
+
+
+# -- the streamed profile against the dense reference -------------------------
+
+def _classified(fam, weights, rows, chunk):
+    """classify(fam, weights).to_json_dict() with blocks of `rows` rows and PAIR_CHUNK chunk."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "BLOCK_CELLS", rows * fam.n)
+        mp.setattr(groups, "PAIR_CHUNK", chunk)
+        return classify(fam, weights).to_json_dict()
+
+
+def _witness_after_a_block_boundary():
+    # singleton rows are always 0-or-1, so the first bimodal break is row 3: (3, 1, 1)
+    return DisjointFamily.of(CyclicGroup(7), (0,), (1,), (2,), (3, 5))
+
+
+BLOCK_CASES = [(label, fam, weights) for label, fam, weights in all_fixtures()] + [
+    ("whole-group", DisjointFamily.of(CyclicGroup(6), range(6)), None),
+    ("n=2", DisjointFamily.of(CyclicGroup(2), (0,), (1,)), None),
+    ("n=2-weighted", DisjointFamily.of(CyclicGroup(2), (0,), (1,)),
+     (Fraction(1, 3), Fraction(1))),
+    ("witness-row-3", _witness_after_a_block_boundary(), None),
+    # n - 1 = 6 divides both row sums k * (T - k), yet neither row is constant
+    ("even-row-sums", DisjointFamily.of(CyclicGroup(7), (0, 1), (2, 3, 4)), None),
+    ("bimodal-weighted", bimodal_z12(), (Fraction(1, 2),) * 8),
+    ("product", DisjointFamily.of(DirectProductGroup(CyclicGroup(3), DihedralGroup(3)),
+                                  (1, 2, 9), (4, 13), (7,), (16, 17)), None),
+    ("cayley-f21", DisjointFamily.of(f21_group(), (1, 4, 11), (2, 3), (20,)),
+     (Fraction(1, 2), Fraction(1, 4), Fraction(1))),
+]
+
+
+@pytest.mark.parametrize("label, fam, weights", BLOCK_CASES, ids=lambda v: str(v)[:16])
+def test_classify_blocks_match_dense_reference(label, fam, weights):
+    ref = reference_classification(fam, weights)
+    first = None
+    for rows in range(1, 18):
+        for chunk in (1, 7, groups.PAIR_CHUNK):
+            got = _classified(fam, weights, rows, chunk)
+            assert {k: got[k] for k in ref} == ref, (rows, chunk)
+            first = first or got
+            assert got == first, (rows, chunk)
+    if label == "witness-row-3":
+        assert ref["bimodal_witness"] == [3, 1, 1]
+
+
+def test_blocks_stack_to_the_count_matrix(monkeypatch):
+    fam = _witness_after_a_block_boundary()
+    for rows in range(1, 6):
+        monkeypatch.setattr(groups, "BLOCK_CELLS", rows * fam.n)
+        blocks = [b.copy() for b in difference_count_blocks(fam.group, fam.sets)]
+        assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        assert np.vstack(blocks).tolist() == ref_counts(fam)
+
+
+@settings(max_examples=150, deadline=None)
+@given(families(), st.integers(1, 17), st.sampled_from([1, 7, groups.PAIR_CHUNK]), st.data())
+def test_streamed_classify_matches_dense_reference(fam, rows, chunk, data):
+    if fam.n < 2:
+        return
+    weight = st.fractions(min_value=Fraction(1, 30), max_value=1, max_denominator=30)
+    weights = data.draw(st.none() | st.lists(weight, min_size=fam.m, max_size=fam.m))
+    ref = reference_classification(fam, weights)
+    got = _classified(fam, weights, rows, chunk)
+    assert {k: got[k] for k in ref} == ref
+    assert got == classify(fam, weights).to_json_dict()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5, 15, 16])
+def test_streamed_classify_past_int64(rows):
+    # the reciprocal sums take the Python-int path from the first block past the bound
+    fam, primes = past_int64_family()
+    weights = [Fraction(p - 1, p) for p in primes]
+    ref = reference_classification(fam, weights)
+    if rows == 1:
+        counts = [row[1:] for row in ref_counts(fam)]
+        assert lcm(*primes) * max(map(max, counts)) * fam.m >= 2**62
+    got = _classified(fam, weights, rows, groups.PAIR_CHUNK)
+    assert {k: got[k] for k in ref} == ref
+
+
+def test_weighted_sums_past_int64_by_their_counts():
+    # the scaled weights 2^60 - 1 and 1 fit int64 with m = 2, and only the
+    # counts (up to 9) carry the sums past 2^63
+    fam = DisjointFamily.of(CyclicGroup(19), range(9), range(9, 18))
+    weights = (Fraction(2**60 - 1, 2**60), Fraction(1, 2**60))
+    sums = ref_weighted_sums(fam, weights)
+    assert max(sums) * 2**60 >= 2**63
+    prof = difference_profile(fam)
+    assert [weighted_sum(fam, prof, weights, d) for d in range(1, fam.n)] == sums
+    for rows in (1, 2):
+        wedf = _classified(fam, weights, rows, groups.PAIR_CHUNK)["wedf"]
+        assert wedf == reference_classification(fam, weights)["wedf"]
+
+
+def test_classify_memory_is_linear_in_n():
+    # m * (n - 1) is about 16.8M cells here, 128 MB as a dense int64 matrix
+    fam = nonzero_singletons(CyclicGroup(4096))
+    tracemalloc.start()
+    try:
+        report = classify(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert (report.rwedf, report.bimodal.holds, report.r_optimal) == (4094, True, True)
