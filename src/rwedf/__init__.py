@@ -17,6 +17,7 @@ from .classify import (
     check_sedf,
     check_wedf,
     classify,
+    classify_many,
     m2_ell_bound_holds,
     m2_ell_bound_tight,
 )
@@ -58,6 +59,7 @@ from .family import (
     DifferenceProfile,
     DisjointFamily,
     difference_profile,
+    difference_profiles,
     e_delta,
     e_hat,
     internal_difference_group,

@@ -17,13 +17,15 @@ never the m x (n-1) count matrix: the reciprocal column sums (the plain
 column sums when sizes are equal, and K times the non-zero rows per column
 when the family is bimodal), the rows' values when every row is constant, and
 the first bimodal witness.  ``check_wedf`` takes its weighted column sums from
-the same count blocks, recounted.
+the same count blocks, recounted.  ``classify_many`` builds the same reports
+for many families from ``difference_profiles``, which counts the pairs of
+many families of one group and one total in one kernel pass.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from .family import (
     check_weights,
     column_sums,
     difference_profile,
+    difference_profiles,
     is_bimodal,
     r_bound,
     reciprocal_sums,
@@ -217,13 +220,37 @@ def _is_trivial_shape(family: DisjointFamily) -> bool:
     return family.total == family.n and all(k == 1 for k in family.sizes)
 
 
+def _check_order(family: DisjointFamily) -> None:
+    if family.n < 2:
+        raise ValueError("classification needs a group of order at least 2")
+
+
 def classify(
     family: DisjointFamily, weights: Optional[Sequence[Fraction]] = None
 ) -> ClassificationReport:
     """Run every checker once over a shared profile."""
-    if family.n < 2:
-        raise ValueError("classification needs a group of order at least 2")
-    profile = difference_profile(family)
+    _check_order(family)
+    return _report(family, difference_profile(family), weights)
+
+
+def classify_many(
+    families: Sequence[DisjointFamily], weights: Optional[Sequence[Fraction]] = None
+) -> List[ClassificationReport]:
+    """The reports of classify(f, weights) for each family f, in order.
+
+    The profiles come from ``difference_profiles``, which counts the pairs of
+    many families of one group and one total in one kernel pass.
+    """
+    for family in families:
+        _check_order(family)
+    profiles = difference_profiles(families)
+    return [_report(f, p, weights) for f, p in zip(families, profiles)]
+
+
+def _report(
+    family: DisjointFamily, profile: DifferenceProfile, weights: Optional[Sequence[Fraction]]
+) -> ClassificationReport:
+    """Every checker over the family's profile."""
     m = family.m
     sizes = family.sizes
     k, sums = reciprocal_sums(profile)

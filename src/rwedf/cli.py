@@ -30,7 +30,7 @@ from .constructions import (
     two_prime_power_construction,
 )
 from .errors import BudgetExceeded, GroupTooLarge
-from .family import DisjointFamily, difference_profile
+from .family import DisjointFamily, count_matrix
 from .files import (
     family_to_dict,
     frac_str,
@@ -95,7 +95,7 @@ def cmd_verify(args) -> int:
         weights = _parse_frac_list(args.weights, "--weights")
     report = classify(family, weights)
     # built before anything is printed or written: a matrix over its cell budget exits 2 here
-    csv = profile_to_csv(difference_profile(family)) if args.profile_csv else None
+    csv = profile_to_csv(count_matrix(family)) if args.profile_csv else None
     data = report.to_json_dict()
     if args.json:
         print(json.dumps(data, indent=2))

@@ -10,20 +10,26 @@ blocks (``groups.difference_count_blocks``) and keeps only what the
 whole-family checks read: the reciprocal column sums, the rows' values when
 every row is constant, and the first count that breaks bimodality.  So
 classify, e_hat, e_delta and the best-response game hold O(m + n) numbers,
-not the matrix.  The dense matrix is built on demand for the per-cell reads
-(``row``, ``cell``, ``column_sum``, ``weighted_sum``) and the CSV export, and
-refused past DENSE_CELL_LIMIT cells.
+not the matrix.  ``difference_profiles`` takes the same reductions for many
+families at once: the families of one group and one total are stacked, a row
+is a (family, set) pair, and one pass of the pair kernel counts them all; a
+single family is the stack of one.  The dense matrix (``count_matrix``) is
+built on demand for the per-cell reads (``row``, ``cell``, ``column_sum``,
+``weighted_sum``) and the CSV export, and refused past DENSE_CELL_LIMIT cells.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import lcm
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import groups
 from .errors import BadWeight, IdentityDelta, ProfileTooLarge
 from .groups import (
     FiniteGroup,
@@ -148,16 +154,7 @@ class DifferenceProfile:
     @cached_property
     def matrix(self) -> np.ndarray:
         """The dense read-only int64 count matrix, refused past DENSE_CELL_LIMIT cells."""
-        fam = self.family
-        cells = fam.m * (fam.n - 1)
-        if cells > DENSE_CELL_LIMIT:
-            raise ProfileTooLarge(
-                f"dense profile of {fam.m} x {fam.n - 1} = {cells} cells exceeds "
-                f"DENSE_CELL_LIMIT {DENSE_CELL_LIMIT}"
-            )
-        matrix = difference_counts(fam.group, fam.sets)[:, 1:]
-        matrix.setflags(write=False)
-        return matrix
+        return count_matrix(self.family)
 
     def row(self, i: int) -> Tuple[int, ...]:
         return tuple(self.matrix[i].tolist())
@@ -169,21 +166,41 @@ class DifferenceProfile:
         return int(self.matrix[:, delta_column(self.family.n, delta)].sum())
 
 
-class _ColumnSums:
-    """Exact sum_i coef_i * N_i(delta) per column, added one row block at a time.
+def count_matrix(family: DisjointFamily) -> np.ndarray:
+    """The family's dense read-only int64 count matrix, in one pass of the pair kernel.
 
-    A block's product is taken in int64 while max(coef) * max(count, 1) * m <
-    2^62 bounds every sum and coefficient; from the first block past that bound
-    on, the sums are Python ints.  most, an upper bound on every count, spares
-    the per-block maximum when it already keeps the product inside int64.
+    Refused with ProfileTooLarge past DENSE_CELL_LIMIT cells, before anything is allocated.
+    """
+    cells = family.m * (family.n - 1)
+    if cells > DENSE_CELL_LIMIT:
+        raise ProfileTooLarge(
+            f"dense profile of {family.m} x {family.n - 1} = {cells} cells exceeds "
+            f"DENSE_CELL_LIMIT {DENSE_CELL_LIMIT}"
+        )
+    matrix = difference_counts(family.group, family.sets)[:, 1:]
+    matrix.setflags(write=False)
+    return matrix
+
+
+class _ColumnSums:
+    """Exact sum_i coef_i * N_i(delta) per family and column, added one row block at a time.
+
+    The rows of N are the families' sets in order, and starts[f] is family f's
+    first row (with the row count past the last).  A block's product is taken
+    in int64 while max(coef) * max(count, 1) * (most rows of a family) < 2^62
+    bounds every sum and coefficient; from the first block past that bound on,
+    the sums are Python ints.  most, an upper bound on every count, spares the
+    per-block maximum when it already keeps the product inside int64.
     """
 
-    def __init__(self, coef: Sequence[int], width: int, most: int):
+    def __init__(self, coef: Sequence[int], width: int, most: int,
+                 starts: Optional[Sequence[int]] = None):
         self.coef = coef
-        self.bound = max(coef) * len(coef)
+        self.starts = starts = starts or (0, len(coef))
+        self.bound = max(coef) * max(b - a for a, b in zip(starts, starts[1:]))
         self.wide = np.array(coef, dtype=np.int64) if self.bound < 2**62 else None
         self.check_peak = self.bound * max(most, 1) >= 2**62
-        self.sums = np.zeros(width, dtype=np.int64)
+        self.sums = np.zeros((len(starts) - 1, width), dtype=np.int64)
         self.row = 0
 
     def add(self, counts: np.ndarray) -> None:
@@ -193,14 +210,25 @@ class _ColumnSums:
         if self.wide is not None and (
             not self.check_peak or self.bound * int(counts.max(initial=1)) < 2**62
         ):
-            self.sums += self.wide[first : self.row] @ counts
+            coef = self.wide[first : self.row]
         else:
             self.wide = None  # Python ints from here on
+            if self.sums.dtype != object:
+                self.sums = self.sums.astype(object)
             coef = np.array(self.coef[first : self.row], dtype=object)
-            self.sums = self.sums.astype(object) + coef @ counts.astype(object)
+            counts = counts.astype(object)
+        # the families lo..hi-1 have rows in this block
+        lo = bisect_right(self.starts, first) - 1
+        hi = bisect_left(self.starts, self.row)
+        if hi - lo == 1:  # a matrix product; reduceat over one family is slower
+            self.sums[lo] += coef @ counts
+        else:
+            cuts = [max(start - first, 0) for start in self.starts[lo:hi]]
+            self.sums[lo:hi] += np.add.reduceat(coef[:, None] * counts, cuts, axis=0)
 
-    def values(self) -> Tuple[int, ...]:
-        return tuple(self.sums.tolist())
+    def values(self) -> List[Tuple[int, ...]]:
+        """Each family's sums."""
+        return [tuple(row) for row in self.sums.tolist()]
 
 
 def column_sums(
@@ -213,50 +241,107 @@ def column_sums(
     sums = _ColumnSums(coef, width, most)
     for block in blocks:
         sums.add(block)
-    return sums.values()
+    return sums.values()[0]
 
 
 def difference_profile(family: DisjointFamily) -> DifferenceProfile:
-    """Count external differences a * b^-1 out of each set into the rest.
+    """Count external differences a * b^-1 out of each set into the rest."""
+    return difference_profiles([family])[0]
 
-    One pass over the count matrix in row blocks; each block is reduced and
-    dropped, so the pass holds O(BLOCK_CELLS + m + n) numbers.  Row i sums to
-    k_i * (T - k_i) over the n - 1 columns and no count exceeds k_i (a and
-    delta fix b).  So:
+
+def difference_profiles(families: Sequence[DisjointFamily]) -> List[DifferenceProfile]:
+    """The difference profile of each family, many families to one pass of the pair kernel.
+
+    Consecutive families of one group and one total T are stacked, at most
+    max(1, BLOCK_CELLS // n) of them: a row of the stacked count matrix is a
+    (family, set) pair, and ``difference_count_blocks`` with span T counts a
+    pair only when both ends lie in one family.  A family whose scaled sums
+    may pass int64, max(K / k_i) * m * max(k_i) >= 2^62 (see ``_ColumnSums``),
+    is profiled alone.
+    """
+    profiles: List[DifferenceProfile] = []
+    stack: List[Tuple[DisjointFamily, int, Tuple[int, ...]]] = []
+    stack_key = None
+    for family in families:
+        scale, coef = scaled_weights(family.sizes)
+        fits = max(coef) * len(coef) * max(family.sizes) < 2**62
+        key = (id(family.group), family.total) if fits else None
+        if stack and (
+            key is None or key != stack_key
+            or len(stack) >= max(1, groups.BLOCK_CELLS // family.n)
+        ):
+            profiles += _stack_profiles(stack)
+            stack = []
+        stack_key = key
+        stack.append((family, scale, coef))
+    if stack:
+        profiles += _stack_profiles(stack)
+    return profiles
+
+
+def _stack_profiles(
+    stack: Sequence[Tuple[DisjointFamily, int, Tuple[int, ...]]]
+) -> List[DifferenceProfile]:
+    """One pass over the stacked count matrix of (family, K, K / k_i) of one group and total.
+
+    Each block is reduced and dropped, so the pass holds O(BLOCK_CELLS + rows
+    + families * n) numbers.  Row i of a family sums to k_i * (T - k_i) over
+    the n - 1 columns and no count exceeds k_i (a and delta fix b).  So:
 
     - the row can be constant only if n - 1 divides that sum, and is constant
       exactly when its largest count times n - 1 reaches it;
     - it has at least T - k_i non-zero counts, with equality exactly when every
       count is 0 or k_i, and a count is neither exactly when it is not 0 mod
-      k_i: a block is searched for the bimodal witness only when it has more
+      k_i: a block is searched for bimodal witnesses only when it has more
       non-zero counts than its rows' T - k_i.
     """
-    sizes = family.sizes
-    total, width = family.total, family.n - 1
-    scale, coef = scaled_weights(sizes)
-    reciprocal = _ColumnSums(coef, width, max(sizes))
-    # no row is constant unless every row sum spreads evenly over the columns
-    level = all(k * (total - k) % max(width, 1) == 0 for k in sizes)
+    families = [family for family, _, _ in stack]
+    group, total, width = families[0].group, families[0].total, families[0].n - 1
+    sizes = [k for family in families for k in family.sizes]
+    starts = [0, *accumulate(family.m for family in families)]
+    reciprocal = _ColumnSums(
+        [c for _, _, coef in stack for c in coef], width, max(sizes), starts
+    )
+    # no row is constant unless every row sum of its family spreads evenly over the columns
+    level = [
+        all(k * (total - k) % max(width, 1) == 0 for k in family.sizes) for family in families
+    ]
+    any_level = any(level)
     tops: List[int] = []
-    witness = None
+    witnesses: List[Optional[Tuple[int, int, int]]] = [None] * len(stack)
+    missing = len(stack)
     first = 0
-    for block in difference_count_blocks(family.group, family.sets):
+    sets = [members for family in families for members in family.sets]
+    for block in difference_count_blocks(group, sets, span=total):
         counts = block[:, 1:]
         last = first + len(counts)
         reciprocal.add(counts)
-        if level:
+        if any_level:
             tops += np.maximum.reduce(counts, axis=1, initial=0).tolist()
-        if witness is None:
+        if missing:
             least = (last - first) * total - sum(sizes[first:last])
             if np.count_nonzero(counts) != least:
-                rows, deltas = np.nonzero(counts % np.array(sizes[first:last])[:, None])
-                r, d = int(rows[0]), int(deltas[0])
-                witness = (first + r, d + 1, int(counts[r, d]))
+                between = counts % np.array(sizes[first:last])[:, None] != 0
+                # the first such count of each family, in row then delta order
+                for r in np.flatnonzero(between.any(axis=1)).tolist():
+                    f = bisect_right(starts, first + r) - 1
+                    if witnesses[f] is None:
+                        d = int(between[r].argmax())
+                        witnesses[f] = (first + r - starts[f], d + 1, int(counts[r, d]))
+                        missing -= 1
+                        if not missing:
+                            break
         first = last
-    constant = level and all(top * width == k * (total - k) for top, k in zip(tops, sizes))
-    return DifferenceProfile(
-        family, scale, reciprocal.values(), tuple(tops) if constant else None, witness
-    )
+    profiles = []
+    for f, ((family, scale, _), sums) in enumerate(zip(stack, reciprocal.values())):
+        row_tops = tops[starts[f] : starts[f + 1]]
+        constant = level[f] and all(
+            top * width == k * (total - k) for top, k in zip(row_tops, family.sizes)
+        )
+        profiles.append(DifferenceProfile(
+            family, scale, sums, tuple(row_tops) if constant else None, witnesses[f]
+        ))
+    return profiles
 
 
 def scaled_weights(sizes: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:

@@ -16,7 +16,9 @@ import json
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .family import DisjointFamily, DifferenceProfile, check_weights
+import numpy as np
+
+from .family import DisjointFamily, check_weights
 from .groups import group_from_descriptor
 
 
@@ -126,9 +128,10 @@ def read_families_jsonl(path) -> List[DisjointFamily]:
     return out
 
 
-def profile_to_csv(profile: DifferenceProfile) -> str:
-    """Rows are family sets (1-based), columns are delta = 1..n-1."""
-    lines = ["set," + ",".join(str(d) for d in range(1, profile.matrix.shape[1] + 1))]
-    for i, row in enumerate(profile.matrix.tolist(), start=1):
+def profile_to_csv(matrix: np.ndarray) -> str:
+    """A count matrix (``count_matrix``) as CSV: rows are family sets (1-based), columns
+    are delta = 1..n-1."""
+    lines = ["set," + ",".join(str(d) for d in range(1, matrix.shape[1] + 1))]
+    for i, row in enumerate(matrix.tolist(), start=1):
         lines.append(str(i) + "," + ",".join(str(c) for c in row))
     return "\n".join(lines) + "\n"

@@ -538,16 +538,19 @@ def _group_of(desc: dict) -> FiniteGroup:
 
 
 def difference_count_blocks(
-    group: FiniteGroup, sets: Sequence[Sequence[int]], within: bool = False
+    group: FiniteGroup, sets: Sequence[Sequence[int]], within: bool = False, span: int = 0
 ) -> Iterator[np.ndarray]:
     """Ordered pairs counted by left difference, as int64 blocks of consecutive rows.
 
     Yields the rows of the (len(sets), n) count matrix in order, at most
     max(1, BLOCK_CELLS // n) rows a block.  Cell (i, d) counts the pairs
     (a, b) with a in sets[i] and a * b^-1 = d, where b ranges over the other
-    sets, or with within=True over sets[i] without a.  The sets must be
-    pairwise disjoint.  Every block is a view of one buffer that the next
-    block overwrites: copy what must outlive the step.
+    sets, or with within=True over sets[i] without a.  With span > 0 the
+    sets' elements, in order, fall into families of span elements each, and b
+    ranges over a's family only: the rows of many families of one total are
+    counted in one pass.  The sets of a family must be pairwise disjoint.
+    Every block is a view of one buffer that the next block overwrites: copy
+    what must outlive the step.
 
     The pairs are taken PAIR_CHUNK at a time, over at most max(n, PAIR_CHUNK)
     bins; each step bins owner(a) * n + diff_array(a, b) with one bincount
@@ -559,8 +562,8 @@ def difference_count_blocks(
     starts = [0, *accumulate(sizes)]
     elems = np.fromiter((x for s in sets for x in s), dtype=np.int64)
     owner = np.repeat(np.arange(m, dtype=np.int64), sizes)
-    total = len(elems)
-    b_step = max(1, min(total, PAIR_CHUNK))
+    span = span or len(elems)
+    b_step = max(1, min(span, PAIR_CHUNK))
     a_step = max(1, PAIR_CHUNK // max(b_step, n))
     rows_per_block = max(1, BLOCK_CELLS // max(n, 1))
     buffer = np.empty(min(m, rows_per_block) * n, dtype=np.int64)
@@ -575,9 +578,16 @@ def difference_count_blocks(
             base = int(rows[0, 0]) * n  # owners ascend, so this chunk's bins start here
             offset = rows * n - base
             at = base - first * n
-            for blo in range(0, total, b_step):
-                b = elems[None, blo : blo + b_step]
-                cols = owner[None, blo : blo + b_step]
+            home = lo - lo % span  # where a[0]'s family starts
+            if hi <= home + span:
+                peers, peer_rows = elems[None, home : home + span], owner[None, home : home + span]
+            else:
+                # a spans families, so span <= b_step: gather each a's own family
+                peer = (np.arange(lo, hi) // span * span)[:, None] + np.arange(span)
+                peers, peer_rows = elems[peer], owner[peer]
+            for blo in range(0, span, b_step):
+                b = peers[:, blo : blo + b_step]
+                cols = peer_rows[:, blo : blo + b_step]
                 keep = (rows == cols) & (a != b) if within else rows != cols
                 keys = group.diff_array(a, b)
                 keys += offset

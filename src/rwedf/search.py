@@ -15,7 +15,8 @@ rwedf (and ``target_ell``) and wedf.  bimodal is read off the live counts,
 and star_partition holds by construction: the identity is never placed, the
 sizes add up to n-1, and each completed set is cut unless it closes to a
 subgroup with the identity.  No leaf runs the classifier; the
-naive generate-and-test path below does, and is the oracle for the search.
+naive generate-and-test path below does, and is the oracle for the search: it
+collects its leaves in order and classifies them with ``classify_many``.
 
 Symmetry: right translation F -> F*g keeps every left difference a * b^-1,
 and a group automorphism sigma maps a * b^-1 to sigma(a) * sigma(b)^-1, so it
@@ -46,7 +47,10 @@ come as restricted growth strings in bounded int8 blocks, and each block is
 scored in one numpy pass over the support's ordered pairs, with every column
 sum scaled by lcm(1..n); memory stays flat whatever the support size.
 ``cross_check_every = s`` still classifies floor(families / s) genuine,
-distinct families: the translates that stand at the crossed positions.
+distinct families: the translates that stand at the crossed positions.  The
+crossed families of one block of a support's partitions all have T = s, and
+go through ``classify_many`` as one batch, in census order; each report is
+compared with what the block's own scoring found.
 """
 from __future__ import annotations
 
@@ -58,7 +62,9 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .classify import check_wedf, classify
+# No search path calls classify or difference_profile, but perfbench's tracer
+# wraps both bindings here and stops if either is missing.
+from .classify import classify, classify_many
 from .errors import BudgetExceeded, GroupTooLarge, InfeasibleParameters
 from .family import (
     DisjointFamily,
@@ -212,35 +218,27 @@ def _build_caps(spec: SearchSpec, sizes: Tuple[int, ...]) -> Optional[_Caps]:
     return _Caps(tuple(cell), tuple(cols))
 
 
-def _passes_require(family: DisjointFamily, spec: SearchSpec, ell: Optional[Fraction]) -> bool:
-    """The oracle's leaf filter: classify the family and test every flag."""
+def _passing(
+    families: List[DisjointFamily], spec: SearchSpec, ell: Optional[Fraction]
+) -> List[DisjointFamily]:
+    """The oracle's leaf filter: classify the families and keep those that meet every flag.
+
+    ell is the only possible ell whenever rwedf is required.
+    """
     req = spec.require
-    if not req and ell is None:
-        return True
-    if "star_partition" in req and not _is_star_partition(family):
-        return False
-    heavy = req & {"rwedf", "bimodal", "edf", "sedf", "gsedf", "wedf"}
-    if not heavy and ell is None:
-        return True
-    report = classify(family)
-    if _require_rwedf(spec):
-        if report.rwedf is None:
-            return False
-        if ell is not None and report.rwedf != ell:
-            return False
-    if "bimodal" in req and not report.bimodal.holds:
-        return False
-    if "edf" in req and report.edf is None:
-        return False
-    if "sedf" in req and report.sedf is None:
-        return False
-    if "gsedf" in req and report.gsedf is None:
-        return False
-    if "wedf" in req:
-        profile = difference_profile(family)
-        if check_wedf(family, profile, spec.weights) is None:
-            return False
-    return True
+    if "star_partition" in req:
+        families = [f for f in families if _is_star_partition(f)]
+    if not req - {"star_partition"} and ell is None:
+        return families
+    return [
+        f for f, report in zip(families, classify_many(families, spec.weights))
+        if (ell is None or report.rwedf == ell)
+        and ("bimodal" not in req or report.bimodal.holds)
+        and ("edf" not in req or report.edf is not None)
+        and ("sedf" not in req or report.sedf is not None)
+        and ("gsedf" not in req or report.gsedf is not None)
+        and ("wedf" not in req or report.wedf is not None)
+    ]
 
 
 def _is_star_partition(family: DisjointFamily) -> bool:
@@ -529,15 +527,13 @@ def naive_enumerate(spec: SearchSpec) -> SearchResult:
     g = spec.group
     n = g.order
     stats = SearchStats()
-    results: List[DisjointFamily] = []
+    leaves: List[DisjointFamily] = []
     slots: List[Tuple[int, ...]] = []
 
     def rec(i: int, used: int) -> None:
         if i == len(sizes):
             stats.nodes += 1
-            family = DisjointFamily(g, tuple(slots))
-            if _passes_require(family, spec, ell):
-                results.append(family)
+            leaves.append(DisjointFamily(g, tuple(slots)))
             return
         lo = 0
         if i > 0 and sizes[i - 1] == sizes[i]:
@@ -552,6 +548,7 @@ def naive_enumerate(spec: SearchSpec) -> SearchResult:
             slots.pop()
 
     rec(0, 0)
+    results = _passing(leaves, spec, ell)
     results.sort(key=_flat_key)
     if spec.dedup == "translation":
         # keep the least hit of each translation class
@@ -683,9 +680,10 @@ def rwedf_census(group: FiniteGroup, cross_check_every: int = 0) -> CensusStats:
     partitions it every way, and counts each partition once per distinct
     translate of the support (n / |Stab(U)| times).  With cross_check_every =
     s > 0, the census family at every s-th position, floor(families / s) of
-    them, is re-checked through the classify pipeline: a partition weighted w
-    stands at w consecutive positions, one per translate, and the translate at
-    the crossed position is the family checked.  Orders past 40 are refused.
+    them, is re-checked through the classify pipeline (``classify_many``, a
+    batch per block of partitions): a partition weighted w stands at w
+    consecutive positions, one per translate, and the translate at the
+    crossed position is the family checked.  Orders past 40 are refused.
     """
     n = group.order
     scale = _census_scale(n)
@@ -721,19 +719,24 @@ def rwedf_census(group: FiniteGroup, cross_check_every: int = 0) -> CensusStats:
             stats.families += w * rows
             if not every:
                 continue
+            # the block's crossed families, in census order, and what the census says of each
+            crossed: List[DisjointFamily] = []
+            expected: List[Tuple[Optional[Fraction], bool, Fraction]] = []
             for pos in range(start - start % every + every, stats.families + 1, every):
                 r, t = divmod(pos - start - 1, w)
                 h = shifts[t]
                 blocks = [[] for _ in range(m[r])]
                 for x, b in zip(members, rgs[r].tolist()):
                     blocks[b].append(diff[x][h])
-                stats.cross_checked += 1
-                report = classify(DisjointFamily(group, tuple(tuple(sorted(b)) for b in blocks)))
-                expected = Fraction(int(sums[r, 0]), scale) if constant[r] else None
-                if (
-                    report.rwedf != expected
-                    or (report.e_hat == report.r_bound) != meets_bound[r]
-                    or report.e_hat != Fraction(int(best[r]), scale * int(m[r]))
-                ):
+                crossed.append(DisjointFamily(group, tuple(tuple(sorted(b)) for b in blocks)))
+                expected.append((
+                    Fraction(int(sums[r, 0]), scale) if constant[r] else None,
+                    bool(meets_bound[r]),
+                    Fraction(int(best[r]), scale * int(m[r])),
+                ))
+            stats.cross_checked += len(crossed)
+            for report, (ell, meets, ehat) in zip(classify_many(crossed), expected):
+                optimal = report.e_hat == report.r_bound
+                if report.rwedf != ell or optimal != meets or report.e_hat != ehat:
                     stats.cross_failures += 1
     return stats

@@ -227,7 +227,7 @@ def test_dense_matrix_cell_budget(monkeypatch):
     prof = difference_profile(fam)
     reads = [lambda: prof.matrix, lambda: prof.row(0), lambda: prof.cell(0, 1),
              lambda: prof.column_sum(1), lambda: weighted_sum(fam, prof, weights, 1),
-             lambda: profile_to_csv(prof)]
+             lambda: profile_to_csv(prof.matrix)]
     for read in reads:
         with pytest.raises(ProfileTooLarge, match="3 x 7 = 21 cells exceeds DENSE_CELL_LIMIT 20"):
             read()

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwedf import family as family_module
+from rwedf import groups
 from rwedf import (
     BadDescriptor,
     BadWeight,
@@ -28,7 +29,7 @@ from rwedf import (
 from rwedf.cli import main
 from rwedf.simulate import play_best_response
 
-from helpers import HALF, mixed_z10, pair_z7, star_d10, weighted_z8
+from helpers import HALF, mixed_z10, pair_z7, reference_counts, star_d10, weighted_z8
 
 
 def test_frac_strings():
@@ -195,7 +196,7 @@ def test_jsonl_round_trip(tmp_path):
 
 def test_profile_csv_golden():
     fam = DisjointFamily.of(CyclicGroup(4), (0, 1), (2,))
-    csv = profile_to_csv(difference_profile(fam))
+    csv = profile_to_csv(difference_profile(fam).matrix)
     assert csv == "set,1,2,3\n1,0,1,1\n2,1,1,0\n"
 
 
@@ -229,7 +230,7 @@ def test_cli_verify_json_and_csv(tmp_path, capsys):
     assert data["wedf"] == "3"
     assert data["rwedf"] is None
     assert data["e_hat"] == "7/9"
-    assert csv_path.read_text() == profile_to_csv(difference_profile(fam))
+    assert csv_path.read_text() == profile_to_csv(difference_profile(fam).matrix)
 
 
 def test_cli_verify_weight_override(tmp_path, capsys):
@@ -516,6 +517,30 @@ def test_cli_profile_csv_over_the_cell_budget_exits_2(tmp_path, capsys, monkeypa
     monkeypatch.setattr(family_module, "DENSE_CELL_LIMIT", 12)
     code, _, _ = run(capsys, "verify", str(_pair_z7_file(tmp_path)), "--profile-csv", str(csv_path))
     assert code == 0 and csv_path.read_text().startswith("set,1,2,3,4,5,6\n")
+
+
+def test_cli_profile_csv_counts_the_pairs_twice(tmp_path, capsys, monkeypatch):
+    # one streamed profile for the report and one dense matrix for the CSV
+    profiles, passes = [], []
+
+    def counting_profiles(families, real=family_module.difference_profiles):
+        profiles.extend(family.sets for family in families)
+        return real(families)
+
+    def counting_blocks(*args, real=groups.difference_count_blocks, **kwargs):
+        passes.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(family_module, "difference_profiles", counting_profiles)
+    monkeypatch.setattr(groups, "difference_count_blocks", counting_blocks)
+    monkeypatch.setattr(family_module, "difference_count_blocks", counting_blocks)
+    csv_path = tmp_path / "profile.csv"
+    code, _, _ = run(capsys, "verify", str(_pair_z7_file(tmp_path)), "--profile-csv", str(csv_path))
+    assert code == 0
+    assert len(profiles) == 1 and len(passes) == 2
+    rows = [row[1:] for row in reference_counts(pair_z7())]
+    assert csv_path.read_text() == "set,1,2,3,4,5,6\n" + "".join(
+        f"{i}," + ",".join(map(str, row)) + "\n" for i, row in enumerate(rows, start=1))
 
 
 def test_profiles_go_through_the_traced_bindings(tmp_path, capsys, monkeypatch):

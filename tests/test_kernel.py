@@ -26,6 +26,7 @@ from rwedf import (
     check_rwedf,
     check_wedf,
     classify,
+    classify_many,
     closure,
     difference_profile,
     e_delta,
@@ -89,11 +90,12 @@ def ref_weighted_sums(family, weights):
 
 
 @st.composite
-def families(draw, pool=KERNEL_POOL, max_m=5):
+def families(draw, pool=KERNEL_POOL, max_m=5, total=None, m=None):
     group = draw(st.sampled_from(pool))
     n = group.order
-    support = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 12))))
-    m = draw(st.integers(1, min(max_m, len(support))))
+    low, high = (total, total) if total else (1, min(n, 12))
+    support = sorted(draw(st.sets(st.integers(0, n - 1), min_size=low, max_size=high)))
+    m = m or draw(st.integers(1, min(max_m, len(support))))
     assign = [draw(st.integers(0, m - 1)) for _ in support]
     assign[:m] = range(m)
     sets = [[] for _ in range(m)]
@@ -366,3 +368,95 @@ def test_classify_memory_is_linear_in_n():
         tracemalloc.stop()
     assert peak < 16 * 2**20
     assert (report.rwedf, report.bimodal.holds, report.r_optimal) == (4094, True, True)
+
+
+# -- many families in one pass -------------------------------------------------
+
+@st.composite
+def family_lists(draw, weighted=False):
+    """Families of one group, in runs of equal totals, so that they stack; with
+    weighted, every family has the same m and a shared weight vector is drawn."""
+    group = draw(st.sampled_from([g for g in KERNEL_POOL if g.order > 1]))
+    top = min(group.order, 12)
+    m = draw(st.integers(1, min(4, top))) if weighted else None
+    out = []
+    for total in draw(st.lists(st.integers(m or 1, top), min_size=1, max_size=3)):
+        run = st.lists(families([group], total=total, m=m), min_size=1, max_size=6)
+        out += draw(run)
+    weight = st.fractions(min_value=Fraction(1, 30), max_value=1, max_denominator=30)
+    weights = tuple(draw(st.lists(weight, min_size=m, max_size=m))) if weighted else None
+    return out, weights
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans().flatmap(family_lists), st.integers(1, 17),
+       st.sampled_from([1, 7, groups.PAIR_CHUNK]))
+def test_classify_many_matches_classify(drawn, rows, chunk):
+    fams, weights = drawn
+    expected = [classify(f, weights) for f in fams]
+    # small blocks and chunks split the stacks mid-list and families across blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "BLOCK_CELLS", rows * fams[0].n)
+        mp.setattr(groups, "PAIR_CHUNK", chunk)
+        got = classify_many(fams, weights)
+    assert got == expected
+    for fam, report in zip(fams, got):
+        ref = reference_classification(fam, weights)
+        assert {k: report.to_json_dict()[k] for k in ref} == ref
+
+
+def test_classify_many_over_groups_and_shapes():
+    fams = [fam for _, fam, _ in all_fixtures()]
+    for g in (CyclicGroup(2), CyclicGroup(6), DihedralGroup(3)):
+        n = g.order
+        fams += [
+            DisjointFamily.of(g, range(n)),  # the whole group, m = 1
+            DisjointFamily.of(g, *([x] for x in range(n))),  # n singletons
+            nonzero_singletons(g),
+            DisjointFamily.of(g, (1,)),
+            DisjointFamily.of(g, (0,), (1,)),
+        ]
+    # Z_7, T = 5, sizes (2, 3): n - 1 divides both row sums, yet not every row is constant
+    z7 = CyclicGroup(7)
+    fams += [DisjointFamily.of(z7, (0, 1), (2, 3, 4)), DisjointFamily.of(z7, (0, 3), (1, 2, 5)),
+             DisjointFamily.of(z7, (1, 6), (2, 3, 4))]
+    expected = [classify(f) for f in fams]
+    got = classify_many(fams)
+    assert got == expected
+    for fam, report in zip(fams, got):
+        ref = reference_classification(fam)
+        assert {k: report.to_json_dict()[k] for k in ref} == ref
+    assert [r.trivial for r in expected].count(True) >= 9
+    # equal sizes (EDF checks) and unequal sizes, weighted, in one stack
+    g = CyclicGroup(13)
+    fams = [DisjointFamily.of(g, (1, 3, 9), (2, 5, 6)),
+            DisjointFamily.of(g, (0, 4), (7, 8, 10, 11)),
+            DisjointFamily.of(g, (1, 12), (2, 11, 3, 10))]
+    weights = (Fraction(1, 2), Fraction(1, 3))
+    assert classify_many(fams, weights) == [classify(f, weights) for f in fams]
+    assert classify_many([]) == []
+
+
+def test_classify_many_with_a_family_past_int64():
+    # the 15-set family takes the Python-int sums alone; its neighbours, of the
+    # same group and total, stack around it
+    fam, primes = past_int64_family()
+    g = fam.group
+    elems = [x for s in fam.sets for x in s]
+    twin = DisjointFamily.of(g, elems[:164], elems[164:])
+    small = DisjointFamily.of(g, (0, 5), (7,))
+    fams = [twin, fam, twin, small, fam]
+    assert classify_many(fams) == [classify(f) for f in fams]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, groups.PAIR_CHUNK])
+@pytest.mark.parametrize("rows", [1, 2, 5, 64])
+def test_span_counts_each_family_apart(monkeypatch, rows, chunk):
+    g = DihedralGroup(4)
+    stack = [[(0, 1), (2,), (3, 4, 5)], [(7,), (0, 6), (1, 2, 3)], [(5, 6, 7, 0, 1, 2)]]
+    monkeypatch.setattr(groups, "BLOCK_CELLS", rows * g.order)
+    monkeypatch.setattr(groups, "PAIR_CHUNK", chunk)
+    sets = [s for fam in stack for s in fam]
+    got = np.vstack([b.copy() for b in difference_count_blocks(g, sets, span=6)])
+    expected = [row for fam in stack for row in ref_counts(DisjointFamily.of(g, *fam))]
+    assert got.tolist() == expected

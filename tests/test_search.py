@@ -18,6 +18,7 @@ from rwedf import (
     InfeasibleParameters,
     SearchSpec,
     classify,
+    classify_many,
     enumerate_families,
     enumerate_star_partitions,
     naive_enumerate,
@@ -251,6 +252,7 @@ def test_leaves_run_no_classifier(monkeypatch):
         raise AssertionError("a search leaf went through the classifier")
 
     monkeypatch.setattr(search, "classify", refuse)
+    monkeypatch.setattr(search, "classify_many", refuse)
     monkeypatch.setattr(search, "difference_profile", refuse)
     for spec, sets in zip(specs, expected):
         assert [f.sets for f in enumerate_families(spec).families] == sets
@@ -366,17 +368,16 @@ def holomorph_flags(group, sizes):
 
 @pytest.fixture
 def memo_oracle(monkeypatch):
-    """The oracle's classify and difference_profile, each run once per family."""
-    for name in ("classify", "difference_profile"):
-        cache = {}
+    """The oracle's classify_many, run once per batch of leaves and weights."""
+    cache = {}
 
-        def memo(family, run=getattr(search, name), cache=cache):
-            key = (id(family.group), family.sets)
-            if key not in cache:
-                cache[key] = run(family)
-            return cache[key]
+    def memo(families, weights=None, run=search.classify_many):
+        key = (tuple((id(f.group), f.sets) for f in families), weights)
+        if key not in cache:
+            cache[key] = run(families, weights)
+        return cache[key]
 
-        monkeypatch.setattr(search, name, memo)
+    monkeypatch.setattr(search, "classify_many", memo)
 
 
 @pytest.mark.parametrize("group, sizes", HOLOMORPH_CASES, ids=str)
@@ -653,11 +654,11 @@ def test_census_cross_checks_every_genuine_family(monkeypatch, group, families):
 def check_every_genuine_family(monkeypatch, group, families):
     checked = []
 
-    def recording_classify(family, *args, **kwargs):
-        checked.append(family.canonical_key())
-        return classify(family, *args, **kwargs)
+    def recording_classify_many(batch, *args, **kwargs):
+        checked.extend(family.canonical_key() for family in batch)
+        return classify_many(batch, *args, **kwargs)
 
-    monkeypatch.setattr(search, "classify", recording_classify)
+    monkeypatch.setattr(search, "classify_many", recording_classify_many)
     stats = rwedf_census(group, cross_check_every=1)
     every = []
     reference_census(group, record=every)
@@ -665,6 +666,22 @@ def check_every_genuine_family(monkeypatch, group, families):
     assert stats.cross_failures == 0
     assert len(set(checked)) == len(set(every)) == families
     assert set(checked) == set(every)
+
+
+def test_census_cross_check_catches_a_wrong_report(monkeypatch):
+    perturbed = []
+
+    def perturbing_classify_many(batch, *args, **kwargs):
+        reports = classify_many(batch, *args, **kwargs)
+        if reports and not perturbed:
+            reports[-1].e_hat += Fraction(1, 1000)
+            perturbed.append(batch[-1])
+        return reports
+
+    monkeypatch.setattr(search, "classify_many", perturbing_classify_many)
+    stats = rwedf_census(DihedralGroup(3), cross_check_every=5)
+    assert len(perturbed) == 1
+    assert stats.cross_checked == 876 // 5 and stats.cross_failures == 1
 
 
 @pytest.mark.parametrize("group", [CyclicGroup(6), DihedralGroup(3)], ids=repr)
@@ -714,7 +731,7 @@ def test_census_cross_checks_block_size_free(monkeypatch, block):
     check_every_genuine_family(monkeypatch, DihedralGroup(3), 876)
 
 
-# sha256 of repr([family.sets, ...]) in the order classify saw them, from the
+# sha256 of repr([family.sets, ...]) in the order the classifier saw them, from the
 # recursive census that came before the block sweep
 CROSS_CHECK_DIGESTS = [
     (CyclicGroup(6), 7, 125, "1c0b9b434972e14c8f2c52b0d3e5392efd3d45a4b1a43ed2d2de1a5fd5decfbd"),
@@ -729,11 +746,11 @@ def test_census_cross_check_positions_frozen(monkeypatch, block, group, every, c
     monkeypatch.setattr(search, "CENSUS_BLOCK", block)
     checked = []
 
-    def recording_classify(family, *args, **kwargs):
-        checked.append(family.sets)
-        return classify(family, *args, **kwargs)
+    def recording_classify_many(batch, *args, **kwargs):
+        checked.extend(family.sets for family in batch)
+        return classify_many(batch, *args, **kwargs)
 
-    monkeypatch.setattr(search, "classify", recording_classify)
+    monkeypatch.setattr(search, "classify_many", recording_classify_many)
     stats = rwedf_census(group, cross_check_every=every)
     assert stats.cross_checked == len(checked) == count
     assert hashlib.sha256(repr(checked).encode()).hexdigest() == digest
