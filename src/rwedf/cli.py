@@ -71,6 +71,15 @@ def _parse_int_list(text: str, what: str) -> List[int]:
         raise CliError(f"bad {what}: {exc}", 2)
 
 
+def _parse_elements(text: str, what: str, group: FiniteGroup) -> List[int]:
+    """A comma list of element indices of the group; one outside 0..n-1 is bad input."""
+    values = _parse_int_list(text, what)
+    for x in values:
+        if not 0 <= x < group.order:
+            raise CliError(f"bad {what}: element {x} is outside 0..{group.order - 1}", 2)
+    return values
+
+
 def _parse_frac_list(text: str, what: str):
     try:
         return tuple(parse_frac(t) for t in text.split(","))
@@ -138,10 +147,10 @@ def _built(args):
             raise CliError(f"{name} needs --group", 2)
         return _parse_group(args.group)
 
-    def set_arg():
+    def set_arg(group):
         if not args.set:
             raise CliError(f"{name} needs --set", 2)
-        return _parse_int_list(args.set, "--set")
+        return _parse_elements(args.set, "--set", group)
 
     if name == "trivial_families":
         ints(0)
@@ -152,10 +161,12 @@ def _built(args):
         return [("", nonzero_singletons(group_arg()))]
     if name == "singletons_from_difference_set":
         ints(0)
-        return [("", singletons_from_difference_set(group_arg(), set_arg()))]
+        group = group_arg()
+        return [("", singletons_from_difference_set(group, set_arg(group)))]
     if name == "complement_pair":
         ints(0)
-        return [("", complement_pair(group_arg(), set_arg()))]
+        group = group_arg()
+        return [("", complement_pair(group, set_arg(group)))]
     if name == "cyclotomic_squares":
         return [("", cyclotomic_squares(*ints(1)))]
     if name == "m2_sedf":
@@ -169,7 +180,7 @@ def _built(args):
         group = group_arg()
         if not args.subgroup:
             raise CliError(f"{name} needs --subgroup (repeatable)", 2)
-        subs = [closure(group, _parse_int_list(g, "--subgroup")) for g in args.subgroup]
+        subs = [closure(group, _parse_elements(g, "--subgroup", group)) for g in args.subgroup]
         return [("", subgroup_star_family(group, subs))]
     if name == "two_prime_power_construction":
         return [("", two_prime_power_construction(*ints(4)))]

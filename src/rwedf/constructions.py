@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Tuple
 
+import numpy as np
+
 from .classify import check_difference_set
 from .errors import (
     BadResidueClass,
@@ -27,7 +29,6 @@ from .groups import (
     Subgroup,
     bounded_power,
     check_order,
-    closure,
     is_prime,
 )
 
@@ -137,8 +138,8 @@ def two_prime_power_construction(p: int, alpha: int, q: int, beta: int) -> Disjo
     g = CyclicGroup(pa * qb)
     if not (is_prime(p) and is_prime(q)) or p == q:
         raise ValueError("need two distinct primes")
-    sub_p = closure(g, [qb])  # order p^alpha
-    sub_q = closure(g, [pa])  # order q^beta
+    sub_p = Subgroup(g, tuple(range(0, g.order, qb)), (qb,))  # <qb>, of order p^alpha
+    sub_q = Subgroup(g, tuple(range(0, g.order, pa)), (pa,))  # <pa>, of order q^beta
     return subgroup_star_family(g, [sub_p, sub_q])
 
 
@@ -188,29 +189,25 @@ def heisenberg_partition(p: int) -> DisjointFamily:
     """Stars of all order-p subgroups of the Heisenberg group over Z_p.
 
     Needs every non-identity element to have order p, which holds exactly for
-    odd p; the stars then partition the non-identity elements.
+    odd p; the stars then partition the non-identity elements.  The powers
+    x^1..x^p of all elements are taken together, one array at a time: x^p = 0
+    says x has order p, and the least of x^1..x^(p-1), the least member of
+    the star of <x>, labels the star x lies in.
     """
     group = HeisenbergGroup(p)
-    for g in range(1, group.order):
-        if group.order_of(g) != p:
-            raise PartitionFailure(
-                f"element {g} has order {group.order_of(g)}, not {p}; no star partition"
-            )
-    seen = {}
-    for g in range(1, group.order):
-        sub = closure(group, [g])
-        seen.setdefault(sub.carrier, sub)
-    covered = bytearray(group.order)
-    sets = []
-    for sub in seen.values():
-        star = sub.star()
-        if any(covered[x] for x in star):
-            raise PartitionFailure("subgroup stars overlap")
-        for x in star:
-            covered[x] = 1
-        sets.append(star)
-    sets.sort(key=lambda s: (-len(s), s))
-    return DisjointFamily(group, tuple(sets))
+    x = np.arange(1, group.order, dtype=np.int64)
+    step = group.diff_array(0, x)  # y * step^-1 = y * x
+    power, label = x, x
+    for _ in range(p - 1):
+        label = np.minimum(label, power)
+        power = group.diff_array(power, step)
+    if power.any():
+        g = int(x[np.argmax(power != 0)])
+        raise PartitionFailure(
+            f"element {g} has order {group.order_of(g)}, not {p}; no star partition"
+        )
+    stars = x[np.argsort(label, kind="stable")].reshape(-1, p - 1)
+    return DisjointFamily(group, tuple(map(tuple, stars.tolist())))
 
 
 def f21_group() -> CayleyTableGroup:

@@ -23,7 +23,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, islice
 from math import lcm
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -105,9 +105,10 @@ class DisjointFamily:
 
     def translate(self, g: int) -> "DisjointFamily":
         """Right-translate every member by g; left differences are unchanged."""
-        mul = self.group.mul
+        flat = np.fromiter(chain.from_iterable(self.sets), dtype=np.int64, count=self.total)
+        moved = iter(self.group.diff_array(flat, self.group.inv(g)).tolist())
         return DisjointFamily(
-            self.group, tuple(tuple(sorted(mul(x, g) for x in s)) for s in self.sets)
+            self.group, tuple(tuple(sorted(islice(moved, k))) for k in self.sizes)
         )
 
     def canonical_key(self) -> Tuple:

@@ -68,12 +68,15 @@ def is_prime(p: int) -> bool:
 
 
 class FiniteGroup:
-    """Base class: subclasses define mul/inv arithmetic on indices.
+    """Base class: each kind defines its law once, as ``diff_array``.
 
-    The identity is always index 0.  Composition is written multiplicatively;
-    for the additive groups in this package mul is addition.  ``diff_array``
-    is the same left difference as ``diff``, elementwise over numpy index
-    arrays with broadcasting; every pair-counting loop goes through it.
+    The identity is always index 0.  ``diff_array(a, b)`` is the left
+    difference a * b^-1, elementwise over numpy index arrays with
+    broadcasting; every pair-counting loop goes through it.  The scalar
+    law is derived from it, each as a Python int: ``inv(b)`` is 0 * b^-1,
+    ``mul(a, b)`` is a * inv(b)^-1, and ``diff`` and ``order_of`` follow.
+    Composition is written multiplicatively; for the additive groups in this
+    package mul is addition.
     """
 
     kind = "abstract"
@@ -83,11 +86,19 @@ class FiniteGroup:
             raise NotAGroup(f"order must be positive, got {order}")
         self.order = check_order(order)
 
-    def mul(self, a: int, b: int) -> int:
+    def diff_array(self, a, b) -> np.ndarray:
+        """a * b^-1 elementwise over int64 index arrays, broadcasting a against b."""
         raise NotImplementedError
 
-    def inv(self, a: int) -> int:
-        raise NotImplementedError
+    def diff(self, a: int, b: int) -> int:
+        """Left difference a * b^-1; the one difference convention used throughout."""
+        return int(self.diff_array(a, b))
+
+    def inv(self, b: int) -> int:
+        return self.diff(0, b)
+
+    def mul(self, a: int, b: int) -> int:
+        return self.diff(a, self.inv(b))
 
     def identity(self) -> int:
         return 0
@@ -95,19 +106,12 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def diff(self, a: int, b: int) -> int:
-        """Left difference a * b^-1; the one difference convention used throughout."""
-        return self.mul(a, self.inv(b))
-
-    def diff_array(self, a, b) -> np.ndarray:
-        """a * b^-1 elementwise over int64 index arrays, broadcasting a against b."""
-        raise NotImplementedError
-
     @cached_property
     def abelian(self) -> bool:
-        n = self.order
-        mul = self.mul
-        return all(mul(a, b) == mul(b, a) for a in range(n) for b in range(a + 1, n))
+        """Whether the whole product table is symmetric; kinds that know say so in O(1)."""
+        idx = np.arange(self.order, dtype=np.int64)
+        table = self.diff_array(idx[:, None], self.diff_array(0, idx))
+        return bool((table == table.T).all())
 
     @cached_property
     def diff_rows(self) -> List[List[int]]:
@@ -130,9 +134,9 @@ class FiniteGroup:
         return [list(range(self.order))]
 
     def order_of(self, a: int) -> int:
-        k, x = 1, a
+        k, x, step = 1, a, self.inv(a)  # x * step^-1 = x * a
         while x != 0:
-            x = self.mul(x, a)
+            x = self.diff(x, step)
             k += 1
         return k
 
@@ -147,16 +151,11 @@ class CyclicGroup(FiniteGroup):
     """Integers mod n under addition."""
 
     kind = "cyclic"
+    abelian = True
 
     def __init__(self, n: int):
         super().__init__(n)
         self.n = n
-
-    def mul(self, a: int, b: int) -> int:
-        return (a + b) % self.n
-
-    def inv(self, a: int) -> int:
-        return (-a) % self.n
 
     def diff_array(self, a, b) -> np.ndarray:
         d = np.subtract(a, b)
@@ -168,10 +167,6 @@ class CyclicGroup(FiniteGroup):
         n = self.n
         units = np.array([u for u in range(1, max(n, 2)) if gcd(u, n) == 1], dtype=np.int64)
         return (units[:, None] * np.arange(n, dtype=np.int64) % n).tolist()
-
-    @cached_property
-    def abelian(self) -> bool:
-        return True
 
     def describe(self) -> dict:
         return {"kind": "cyclic", "n": self.n}
@@ -186,21 +181,7 @@ class DirectProductGroup(FiniteGroup):
         super().__init__(g.order * h.order)
         self.g = g
         self.h = h
-
-    def _encode(self, a: int, b: int) -> int:
-        return a * self.h.order + b
-
-    def _decode(self, x: int) -> Tuple[int, int]:
-        return divmod(x, self.h.order)
-
-    def mul(self, x: int, y: int) -> int:
-        xa, xb = self._decode(x)
-        ya, yb = self._decode(y)
-        return self._encode(self.g.mul(xa, ya), self.h.mul(xb, yb))
-
-    def inv(self, x: int) -> int:
-        a, b = self._decode(x)
-        return self._encode(self.g.inv(a), self.h.inv(b))
+        self.abelian = g.abelian and h.abelian
 
     def diff_array(self, x, y) -> np.ndarray:
         xa, xb = np.divmod(x, self.h.order)
@@ -217,10 +198,6 @@ class DirectProductGroup(FiniteGroup):
                 for sg in self.g.automorphism_subgroup()
                 for sh in self.h.automorphism_subgroup()]
 
-    @cached_property
-    def abelian(self) -> bool:
-        return self.g.abelian and self.h.abelian
-
     def describe(self) -> dict:
         return {"kind": "product", "factors": [self.g.describe(), self.h.describe()]}
 
@@ -229,6 +206,7 @@ class ElementaryAbelianGroup(FiniteGroup):
     """Z_p^e with componentwise addition; index digits base p, coordinate 0 major."""
 
     kind = "elementary_abelian"
+    abelian = True
 
     def __init__(self, p: int, e: int):
         super().__init__(_prime_power_order(p, e))
@@ -247,27 +225,6 @@ class ElementaryAbelianGroup(FiniteGroup):
         for d in vec:
             x = x * self.p + d % self.p
         return x
-
-    def mul(self, a: int, b: int) -> int:
-        p = self.p
-        out = 0
-        power = 1
-        for _ in range(self.e):
-            out += ((a + b) % p) * power
-            a //= p
-            b //= p
-            power *= p
-        return out
-
-    def inv(self, a: int) -> int:
-        p = self.p
-        out = 0
-        power = 1
-        for _ in range(self.e):
-            out += (-a % p) * power
-            a //= p
-            power *= p
-        return out
 
     def diff_array(self, a, b) -> np.ndarray:
         if self.p == 2:
@@ -308,10 +265,6 @@ class ElementaryAbelianGroup(FiniteGroup):
             perms.append([cycle[y] for y in perms[-1]])
         return perms
 
-    @cached_property
-    def abelian(self) -> bool:
-        return True
-
     def describe(self) -> dict:
         return {"kind": "elementary_abelian", "p": self.p, "e": self.e}
 
@@ -330,21 +283,7 @@ class DihedralGroup(FiniteGroup):
             raise NotAGroup(f"rotation order must be positive, got {n}")
         super().__init__(2 * n)
         self.n = n
-
-    def mul(self, a: int, b: int) -> int:
-        n = self.n
-        s, r = divmod(a, n)
-        t, u = divmod(b, n)
-        if t:
-            return (s ^ t) * n + (u - r) % n
-        return s * n + (r + u) % n
-
-    def inv(self, a: int) -> int:
-        n = self.n
-        s, r = divmod(a, n)
-        if s:
-            return a
-        return (-r) % n
+        self.abelian = n <= 2
 
     def diff_array(self, a, b) -> np.ndarray:
         # b^-1 is b for a reflection (t = 1) and x^-u for a rotation, so the
@@ -360,10 +299,6 @@ class DihedralGroup(FiniteGroup):
         d += rot
         return d
 
-    @cached_property
-    def abelian(self) -> bool:
-        return self.n <= 2
-
     def describe(self) -> dict:
         return {"kind": "dihedral", "n": self.n}
 
@@ -376,6 +311,7 @@ class HeisenbergGroup(FiniteGroup):
     """
 
     kind = "heisenberg"
+    abelian = False
 
     def __init__(self, p: int):
         super().__init__(_prime_power_order(p, 3))
@@ -390,16 +326,6 @@ class HeisenbergGroup(FiniteGroup):
         p = self.p
         return (a % p) * p * p + (b % p) * p + (c % p)
 
-    def mul(self, x: int, y: int) -> int:
-        p = self.p
-        a, b, c = self.to_triple(x)
-        d, e, f = self.to_triple(y)
-        return self.from_triple(a + d, b + e + a * f, c + f)
-
-    def inv(self, x: int) -> int:
-        a, b, c = self.to_triple(x)
-        return self.from_triple(-a, a * c - b, -c)
-
     def diff_array(self, x, y) -> np.ndarray:
         # (a, b, c) * (d, e, f)^-1 = (a - d, b - e - (a - d) f, c - f)
         p = self.p
@@ -408,8 +334,7 @@ class HeisenbergGroup(FiniteGroup):
         y, f = np.divmod(y, p)
         d, e = np.divmod(y, p)
         top = np.subtract(a, d)
-        mid = top * f
-        np.subtract(b - e, mid, out=mid)
+        mid = b - e - top * f
         mid %= p
         top %= p
         top *= p
@@ -417,10 +342,6 @@ class HeisenbergGroup(FiniteGroup):
         top *= p
         top += (c - f) % p
         return top
-
-    @cached_property
-    def abelian(self) -> bool:
-        return False
 
     def describe(self) -> dict:
         return {"kind": "heisenberg", "p": self.p}
@@ -444,8 +365,7 @@ class CayleyTableGroup(FiniteGroup):
         self.table = rows
         self._table_np = np.array(rows, dtype=np.int64)
         self._validate()
-        self._inv = self._build_inverses()
-        self._inv_np = np.array(self._inv, dtype=np.int64)
+        self._inv_np = np.nonzero(self._table_np == 0)[1]  # row a holds 0 at column a^-1
 
     def _validate(self) -> None:
         n = self.order
@@ -460,18 +380,6 @@ class CayleyTableGroup(FiniteGroup):
         for c in range(n):
             if not np.array_equal(t[t, c], t[:, t[:, c]]):
                 raise NotAGroup(f"associativity fails against element {c}")
-
-    def _build_inverses(self) -> Tuple[int, ...]:
-        inv = [0] * self.order
-        for a, row in enumerate(self.table):
-            inv[a] = row.index(0)
-        return tuple(inv)
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self._inv[a]
 
     def diff_array(self, a, b) -> np.ndarray:
         return self._table_np[a, self._inv_np[b]]
@@ -639,16 +547,31 @@ def closure(group: FiniteGroup, generators: Iterable[int]) -> Subgroup:
     for g in gens:
         if not 0 <= g < group.order:
             raise ValueError(f"generator {g} out of range for order {group.order}")
-    seen = {0}
-    queue = [0]
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            y = group.mul(x, g)
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return Subgroup(group, tuple(sorted(seen)), tuple(gens))
+    return _closure(group, np.array([0, *gens], dtype=np.int64), gens)
+
+
+def _closure(group: FiniteGroup, start: np.ndarray, gens: Sequence[int]) -> Subgroup:
+    """<gens> as a BFS over right multiplication from start, members of <gens> and 0.
+
+    Each level takes the frontier times every generator, and times its own
+    first few members, which lie in <gens> too: a long cycle, such as the
+    powers of one generator, then takes about log2 of its length levels
+    instead of its length.  The products go at most PAIR_CHUNK a step, and
+    those not inside before the level make the next frontier.
+    """
+    inside = np.zeros(group.order, dtype=bool)
+    inside[start] = True
+    frontier = start
+    gen_steps = group.diff_array(0, np.asarray(gens, dtype=np.int64))  # x * g = x * (g^-1)^-1
+    while len(frontier):
+        before = inside.copy()
+        extra = frontier[: max(1, PAIR_CHUNK // len(frontier))]
+        steps = np.concatenate([gen_steps, group.diff_array(0, extra)])
+        rows = max(1, PAIR_CHUNK // len(steps))
+        for lo in range(0, len(frontier), rows):
+            inside[group.diff_array(frontier[lo : lo + rows, None], steps)] = True
+        frontier = np.flatnonzero(inside > before)
+    return Subgroup(group, tuple(np.flatnonzero(inside).tolist()), tuple(gens))
 
 
 def is_subgroup(group: FiniteGroup, carrier: Iterable[int]) -> bool:
@@ -673,39 +596,44 @@ def _carrier_of(group: FiniteGroup, subgroup) -> Tuple[int, ...]:
 
 
 def left_cosets(group: FiniteGroup, subgroup) -> List[Tuple[int, ...]]:
-    """Left cosets g*H, the coset of the identity first, the rest by least member."""
-    carrier = _carrier_of(group, subgroup)
-    seen = [False] * group.order
+    """Left cosets g*H, the coset of the identity first, the rest by least member.
+
+    Each x*H is sorted, PAIR_CHUNK products a step, and kept where x is its least member.
+    """
+    carrier_inv = group.diff_array(0, np.array(_carrier_of(group, subgroup), dtype=np.int64))
+    x = np.arange(group.order, dtype=np.int64)
+    rows = max(1, PAIR_CHUNK // len(carrier_inv))
     cosets = []
-    for x in range(group.order):
-        if seen[x]:
-            continue
-        coset = sorted(group.mul(x, h) for h in carrier)
-        for y in coset:
-            seen[y] = True
-        cosets.append(tuple(coset))
+    for lo in range(0, group.order, rows):
+        block = np.sort(group.diff_array(x[lo : lo + rows, None], carrier_inv), axis=1)
+        cosets += map(tuple, block[block[:, 0] == x[lo : lo + rows]].tolist())
     return cosets
 
 
 def enumerate_subgroups(group: FiniteGroup, limit: int = SUBGROUP_ORDER_LIMIT) -> List[Subgroup]:
-    """All subgroups, found by closing each known subgroup with one more element.
+    """All subgroups, found by closing each known subgroup H with one more element.
 
+    Since <H, h*g> = <H, g>, only the least g of each right coset H*g other
+    than H is tried, which is also the first g of that coset a walk over every
+    element would try: the subgroups and their generators come out the same.
     Sorted by order, then lexicographically on the carrier.  Guarded by a group
     order limit: beyond it the subgroup lattice can explode combinatorially.
     """
-    if group.order > limit:
-        raise GroupTooLarge(f"order {group.order} exceeds subgroup enumeration limit {limit}")
+    n = group.order
+    if n > limit:
+        raise GroupTooLarge(f"order {n} exceeds subgroup enumeration limit {limit}")
+    x = np.arange(n, dtype=np.int64)
+    x_inv = group.diff_array(0, x)
     trivial = Subgroup(group, (0,), ())
     found = {(0,): trivial}
     frontier = [trivial]
     while frontier:
         fresh = []
         for sub in frontier:
-            carrier_set = set(sub.carrier)
-            for g in range(1, group.order):
-                if g in carrier_set:
-                    continue
-                bigger = closure(group, set(sub.generators) | {g})
+            carrier = np.array(sub.carrier, dtype=np.int64)
+            least = group.diff_array(carrier[:, None], x_inv).min(axis=0)  # of each H * x
+            for g in np.flatnonzero(least == x)[1:].tolist():
+                bigger = _closure(group, carrier, sorted((*sub.generators, g)))
                 if bigger.carrier not in found:
                     found[bigger.carrier] = bigger
                     fresh.append(bigger)

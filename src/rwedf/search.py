@@ -370,7 +370,8 @@ class _Searcher:
             if carrier is None:
                 carrier = self.carriers[diffs] = closure(g, diffs).carrier
             a0 = members[0]
-            coset = {g.mul(h, a0) for h in carrier}
+            a0_inv = diff[0][a0]
+            coset = {diff[h][a0_inv] for h in carrier}
             inside = set(members)
             for y in coset:
                 if y in inside:

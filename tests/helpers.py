@@ -1,21 +1,64 @@
-"""Standing fixture families shared across the test modules, the dense
-reference classification that the streamed profile must match, and the scalar
-reference loops of the two Monte Carlo games that `rwedf.simulate` must match."""
+"""Standing fixture families shared across the test modules, the scalar group
+law that the references are written in, the dense reference classification that
+the streamed profile must match, and the scalar reference loops of the two
+Monte Carlo games that `rwedf.simulate` must match."""
 from fractions import Fraction
 
 import numpy as np
 
 from rwedf import (
+    CayleyTableGroup,
     CyclicGroup,
     DihedralGroup,
+    DirectProductGroup,
     DisjointFamily,
     ElementaryAbelianGroup,
+    HeisenbergGroup,
     f21_fixture,
     frac_str,
     heisenberg_partition,
 )
 
 HALF = Fraction(1, 2)
+
+
+def scalar_diff(g, a, b):
+    """a * b^-1 by the closed form of g's kind, on Python ints.
+
+    The group's own mul, inv and diff derive from its diff_array, so a
+    reference written with them would check diff_array against itself; this
+    law shares no code with it.
+    """
+    if isinstance(g, CyclicGroup):
+        return (a - b) % g.n
+    if isinstance(g, ElementaryAbelianGroup):
+        return g.from_vector([x - y for x, y in zip(g.to_vector(a), g.to_vector(b))])
+    if isinstance(g, DihedralGroup):
+        # y^s x^r * (y^t x^u)^-1: y^t x^u is its own inverse, x^u's is x^-u
+        n = g.n
+        s, r = divmod(a, n)
+        t, u = divmod(b, n)
+        return (s ^ 1) * n + (u - r) % n if t else s * n + (r - u) % n
+    if isinstance(g, HeisenbergGroup):
+        # (a, b, c) * (d, e, f)^-1 = (a - d, b - e - (a - d) f, c - f)
+        x, y, z = g.to_triple(a)
+        d, e, f = g.to_triple(b)
+        return g.from_triple(x - d, y - e - (x - d) * f, z - f)
+    if isinstance(g, DirectProductGroup):
+        k = g.h.order
+        (a1, a2), (b1, b2) = divmod(a, k), divmod(b, k)
+        return scalar_diff(g.g, a1, b1) * k + scalar_diff(g.h, a2, b2)
+    if isinstance(g, CayleyTableGroup):
+        return g.table[a][g.table[b].index(0)]
+    raise TypeError(f"no scalar law for {g!r}")
+
+
+def scalar_inv(g, b):
+    return scalar_diff(g, 0, b)
+
+
+def scalar_mul(g, a, b):
+    return scalar_diff(g, a, scalar_inv(g, b))
 
 
 def weighted_z8():
@@ -69,7 +112,7 @@ def all_fixtures():
 
 
 def reference_counts(family):
-    """N_i(delta) for delta = 0..n-1 by a loop over every cross pair (scalar mul/inv)."""
+    """N_i(delta) for delta = 0..n-1 by a loop over every cross pair (scalar law)."""
     g = family.group
     rows = [[0] * g.order for _ in family.sets]
     for i, a_set in enumerate(family.sets):
@@ -77,7 +120,7 @@ def reference_counts(family):
             if i != j:
                 for a in a_set:
                     for b in b_set:
-                        rows[i][g.mul(a, g.inv(b))] += 1
+                        rows[i][scalar_diff(g, a, b)] += 1
     return rows
 
 
@@ -116,10 +159,10 @@ def reference_classification(family, weights=None):
 
 
 def reference_wins(family, delta):
-    """Per set, 0/1 per member: does delta^-1 * x land in another set (scalar mul/inv)."""
+    """Per set, 0/1 per member: does delta^-1 * x land in another set (scalar law)."""
     g = family.group
     owner = {x: i for i, s in enumerate(family.sets) for x in s}
-    return [np.array([int(owner.get(g.mul(g.inv(delta), x), i) != i) for x in members])
+    return [np.array([int(owner.get(scalar_mul(g, scalar_inv(g, delta), x), i) != i) for x in members])
             for i, members in enumerate(family.sets)]
 
 

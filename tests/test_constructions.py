@@ -9,6 +9,7 @@ from rwedf import (
     ElementaryAbelianGroup,
     FieldGF,
     GroupTooLarge,
+    HeisenbergGroup,
     NotADifferenceSet,
     NotPrimePower,
     OverlappingSubgroups,
@@ -32,6 +33,8 @@ from rwedf import (
     trivial_families,
     two_prime_power_construction,
 )
+
+from helpers import scalar_mul
 
 
 def test_prime_power_factor():
@@ -218,8 +221,27 @@ def test_heisenberg_partition():
     fam5 = heisenberg_partition(5)
     assert fam5.m == (125 - 1) // 4 == 31
     assert classify(fam5).rwedf == 30
-    with pytest.raises(PartitionFailure):
-        heisenberg_partition(2)  # elements of order 4 exist
+    # elements of order 4 exist; the least of them is named
+    with pytest.raises(PartitionFailure,
+                       match=r"^element 5 has order 4, not 2; no star partition$"):
+        heisenberg_partition(2)
+
+
+def scalar_stars(p):
+    """The stars of <x> over every x != 0 of H(p), each from x's powers by the scalar law."""
+    g = HeisenbergGroup(p)
+    stars = set()
+    for x in range(1, g.order):
+        powers = [x]
+        while (y := scalar_mul(g, powers[-1], x)) != 0:
+            powers.append(y)
+        stars.add(tuple(sorted(powers)))
+    return tuple(sorted(stars, key=lambda s: (-len(s), s)))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_heisenberg_partition_matches_scalar_stars(p):
+    assert heisenberg_partition(p).sets == scalar_stars(p)
 
 
 def test_f21_pieces():

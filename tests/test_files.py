@@ -27,6 +27,7 @@ from rwedf import (
     write_family,
 )
 from rwedf.cli import main
+from rwedf.constructions import f21_group
 from rwedf.simulate import play_best_response
 
 from helpers import HALF, mixed_z10, pair_z7, reference_counts, star_d10, weighted_z8
@@ -562,6 +563,33 @@ def test_profiles_go_through_the_traced_bindings(tmp_path, capsys, monkeypatch):
     assert calls == ["rwedf.classify"] * 3
     play_best_response(pair_z7(), 10, 0)
     assert calls == ["rwedf.classify"] * 3 + ["rwedf.simulate"]
+
+
+F21 = json.dumps(f21_group().describe())
+CYCLIC_12 = '{"kind": "cyclic", "n": 12}'
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (("complement_pair", "--group", F21, "--set", "0,3,9,1,30"), "--set: element 30"),
+        (("complement_pair", "--group", F21, "--set=-1,3,9,1,8"), "--set: element -1"),
+        (("singletons_from_difference_set", "--group", CYCLIC_12, "--set", "0,12"),
+         "--set: element 12"),
+        (("subgroup_star_family", "--group", CYCLIC_12, "--subgroup", "13"),
+         "--subgroup: element 13"),
+        (("subgroup_star_family", "--group", CYCLIC_12, "--subgroup", "4", "--subgroup", "3,-2"),
+         "--subgroup: element -2"),
+        (("subgroup_star_family", "--group", F21, "--subgroup", "21"), "--subgroup: element 21"),
+    ],
+    ids=["f21-set", "f21-negative-set", "cyclic-set", "cyclic-subgroup", "cyclic-second-subgroup",
+         "f21-subgroup"],
+)
+def test_cli_construct_element_outside_the_group_exits_2(tmp_path, capsys, argv, where):
+    out = tmp_path / "x.json"
+    code, text, err = run(capsys, "construct", *argv, "--out", str(out))
+    assert code == 2 and text == "" and _one_line_error(err) and where in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("delta", ["-1", "7", "99"])

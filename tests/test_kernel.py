@@ -1,7 +1,7 @@
 """The numpy pair-counting kernel against scalar reference loops.
 
-Every reference here is written with the scalar group arithmetic only
-(``mul`` and ``inv``), so it shares no code with ``diff_array`` or
+Every reference here is written with the scalar group law of
+``helpers.scalar_diff`` only, so it shares no code with ``diff_array`` or
 ``difference_counts``.  The streamed profile's classification is checked
 against the dense reference in ``helpers`` at many block and chunk sizes.
 """
@@ -29,9 +29,11 @@ from rwedf import (
     classify_many,
     closure,
     difference_profile,
+    enumerate_subgroups,
     e_delta,
     e_hat,
     internal_differences,
+    left_cosets,
     nonzero_singletons,
     play,
     weighted_sum,
@@ -42,7 +44,8 @@ from rwedf.constructions import f21_group
 from rwedf.groups import difference_count_blocks, is_subgroup
 from rwedf.simulate import _Board
 
-from helpers import all_fixtures, bimodal_z12, reference_classification
+from helpers import all_fixtures, bimodal_z12, reference_classification, scalar_diff
+from helpers import scalar_inv, scalar_mul
 from helpers import reference_counts as ref_counts
 
 KERNEL_POOL = [
@@ -67,16 +70,13 @@ KERNEL_POOL = [
 ]
 
 
-def ref_diff(g, a, b):
-    return g.mul(a, g.inv(b))
-
 
 def ref_self_counts(g, members):
     counts = [0] * g.order
     for a in members:
         for b in members:
             if a != b:
-                counts[ref_diff(g, a, b)] += 1
+                counts[scalar_diff(g, a, b)] += 1
     return counts
 
 
@@ -111,9 +111,77 @@ def test_diff_array_matches_scalar_arithmetic(g, data):
     a = data.draw(st.lists(idx, min_size=1, max_size=9))
     b = data.draw(st.lists(idx, min_size=1, max_size=9))
     got = g.diff_array(np.array(a)[:, None], np.array(b)[None, :])
-    assert got.tolist() == [[ref_diff(g, x, y) for y in b] for x in a]
-    assert g.diff_array(a[0], np.array(b)).tolist() == [ref_diff(g, a[0], y) for y in b]
+    assert got.tolist() == [[scalar_diff(g, x, y) for y in b] for x in a]
+    assert g.diff_array(a[0], np.array(b)).tolist() == [scalar_diff(g, a[0], y) for y in b]
     assert g.diff_array(np.array(a), np.array(a)).tolist() == [0] * len(a)
+    assert g.diff_array(a[0], b[0]) == scalar_diff(g, a[0], b[0])
+
+
+def scalar_table(g):
+    """table[a][b] == a * b by the scalar law, for the subgroup references below."""
+    return [[scalar_mul(g, a, b) for b in range(g.order)] for a in range(g.order)]
+
+
+def bfs_closure(table, gens):
+    """The carrier of <gens>: a BFS over right multiplication, one element at a time."""
+    seen, queue = {0}, [0]
+    while queue:
+        x = queue.pop()
+        for s in gens:
+            y = table[x][s]
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return tuple(sorted(seen))
+
+
+def walk_subgroups(table):
+    """(carrier, generators) of every subgroup, each known one closed with every element."""
+    found = {(0,): ()}
+    frontier = [((0,), ())]
+    while frontier:
+        fresh = []
+        for carrier, gens in frontier:
+            for x in range(1, len(table)):
+                if x not in carrier:
+                    bigger = tuple(sorted({*gens, x}))
+                    sub = bfs_closure(table, bigger)
+                    if sub not in found:
+                        found[sub] = bigger
+                        fresh.append((sub, bigger))
+        frontier = fresh
+    return sorted(found.items(), key=lambda item: (len(item[0]), item[0]))
+
+
+def walk_left_cosets(table, carrier):
+    seen, cosets = set(), []
+    for x in range(len(table)):
+        if x not in seen:
+            coset = tuple(sorted(table[x][h] for h in carrier))
+            seen.update(coset)
+            cosets.append(coset)
+    return cosets
+
+
+@pytest.mark.parametrize("g", KERNEL_POOL, ids=repr)
+def test_subgroup_paths_match_scalar_walks(g):
+    table = scalar_table(g)
+    assert [g.order_of(a) for a in range(g.order)] == [
+        len(bfs_closure(table, [a])) for a in range(g.order)
+    ]
+    subs = enumerate_subgroups(g)
+    assert [(s.carrier, s.generators) for s in subs] == walk_subgroups(table)
+    for sub in subs:
+        assert left_cosets(g, sub) == walk_left_cosets(table, sub.carrier)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(KERNEL_POOL), st.data())
+def test_closure_matches_scalar_bfs(g, data):
+    gens = data.draw(st.lists(st.integers(0, g.order - 1), max_size=4))
+    sub = closure(g, gens)
+    assert sub.carrier == bfs_closure(scalar_table(g), gens)
+    assert sub.generators == tuple(sorted(set(gens)))
 
 
 @pytest.mark.parametrize("chunk", [1, 7, groups.PAIR_CHUNK])
@@ -122,7 +190,7 @@ def test_diff_rows_is_the_whole_difference_table(chunk, monkeypatch):
     for g in KERNEL_POOL:
         g.__dict__.pop("diff_rows", None)  # built by an earlier test or parameter
         assert g.diff_rows == [
-            [ref_diff(g, a, b) for b in range(g.order)] for a in range(g.order)
+            [scalar_diff(g, a, b) for b in range(g.order)] for a in range(g.order)
         ]
 
 
@@ -185,14 +253,15 @@ def test_success_vectors_match_scalar_shift(fam, data):
     pos = np.arange(fam.total)
     wins = board.wins(np.full(fam.total, delta), pos).tolist()
     for i, members in enumerate(fam.sets):
-        shifted = [g.mul(g.inv(delta), x) for x in members]
+        shifted = [scalar_mul(g, scalar_inv(g, delta), x) for x in members]
         expected = [owner.get(y, i) != i for y in shifted]
         assert wins[board.start[i] : board.start[i] + len(members)] == expected
     # a shift per trial, as the random-shift game scores its picks
     deltas = data.draw(st.lists(st.integers(1, fam.n - 1), min_size=fam.total,
                                 max_size=fam.total))
     flat = [(x, i) for i, s in enumerate(fam.sets) for x in s]
-    expected = [owner.get(g.mul(g.inv(d), x), i) != i for d, (x, i) in zip(deltas, flat)]
+    expected = [owner.get(scalar_mul(g, scalar_inv(g, d), x), i) != i
+                for d, (x, i) in zip(deltas, flat)]
     assert board.wins(np.array(deltas, dtype=np.int64), pos).tolist() == expected
 
 
