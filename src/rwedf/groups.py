@@ -20,6 +20,8 @@ MAX_ORDER = 1 << 20
 # temporary stays a few hundred KB, so heap growth and allocator thresholds
 # track the data the caller keeps, not the kernel's scratch.
 PAIR_CHUNK = 1 << 15
+# Pairs up to which a closure squares its members instead of a BFS level.
+SMALL_CLOSURE = 1 << 12
 # Cells per row block of the count matrix (at least one row a block).  The
 # profile reduces each block as it comes, so a pass holds O(BLOCK_CELLS + n),
 # never the m x n matrix.  At 2 MB the block buffer, one for every block of a
@@ -551,17 +553,30 @@ def closure(group: FiniteGroup, generators: Iterable[int]) -> Subgroup:
 
 
 def _closure(group: FiniteGroup, start: np.ndarray, gens: Sequence[int]) -> Subgroup:
-    """<gens> as a BFS over right multiplication from start, members of <gens> and 0.
+    """<gens> from start, members of <gens> and 0.
 
-    Each level takes the frontier times every generator, and times its own
-    first few members, which lie in <gens> too: a long cycle, such as the
-    powers of one generator, then takes about log2 of its length levels
-    instead of its length.  The products go at most PAIR_CHUNK a step, and
-    those not inside before the level make the next frontier.
+    While a set S of members holds at most SMALL_CLOSURE pairs, it becomes
+    S * S^-1 in one step: that keeps S (S holds 0), doubles the length of the
+    words reached, and adds nothing only when S is a subgroup.  A larger S
+    grows as a BFS over right multiplication: each level takes the frontier
+    times every generator, and times its own first few members, which lie in
+    <gens> too, so a long cycle takes about log2 of its length levels.  The
+    products go at most PAIR_CHUNK a step, and those not inside before the
+    level make the next frontier.
     """
     inside = np.zeros(group.order, dtype=bool)
     inside[start] = True
-    frontier = start
+    inside[list(gens)] = True
+    members = np.flatnonzero(inside)
+    while len(members) ** 2 <= SMALL_CLOSURE:
+        inside[group.diff_array(members[:, None], members)] = True
+        grown = np.flatnonzero(inside)
+        if 2 * len(grown) > group.order:  # <gens> holds them, and no proper subgroup does
+            return Subgroup(group, tuple(range(group.order)), tuple(gens))
+        if len(grown) == len(members):
+            return Subgroup(group, tuple(grown.tolist()), tuple(gens))
+        members = grown
+    frontier = members
     gen_steps = group.diff_array(0, np.asarray(gens, dtype=np.int64))  # x * g = x * (g^-1)^-1
     while len(frontier):
         before = inside.copy()

@@ -29,16 +29,22 @@ search walks only a part of the tree that holds at least one member of every
 orbit: set 0 is anchored at the identity 0, and when a set B of the block of
 largest sets is full, the branch is cut if some sigma(B * a^-1), sigma in A and
 a in B, sorts before set 0.  Those images are the same for every member of an
-orbit, and the member whose set 0 is the least of them passes.  Each hit's
-orbit is then expanded: every sigma(F), then the translation class of each
-new image, so the hit list equals the full walk's; ``SearchStats.nodes``
-counts the reduced tree.  Two requirements are not translation invariant and
-take the full walk with no symmetry: star_partition (the identity must stay
-outside the union), and wedf with different weights on equal-sized sets
-(translation can reorder those sets, and the weights attach by position).
-There ``dedup="translation"`` keeps the least hit of each translation class,
-which need not be the least translate.  Everywhere else it keeps the least
-key of each translation class in the orbit.
+orbit, and the member whose set 0 is the least of them passes; the least key
+of the orbit is such a member, so the walk visits it.  Orderly generation
+(R. C. Read, "Every one a winner", 1978) then emits each orbit at its least
+key and keeps no record of what was seen: a leaf is the least key of its
+orbit unless one of the images whose set 0 ties with its own, recorded by
+the symmetry test, sorts before it.  At a least key the whole orbit is
+expanded at once in numpy (``_translation_classes``), so the hit list equals
+the full walk's and memory stays O(output); ``SearchStats.nodes`` counts the
+reduced tree.  Two requirements are not translation invariant and take the
+full walk with no symmetry: star_partition (the identity must stay outside
+the union), and wedf with different weights on equal-sized sets (translation
+can reorder those sets, and the weights attach by position).  There
+``dedup="translation"`` keeps the least hit of each translation class, which
+need not be the least translate, and holds the keys of the classes met.
+Everywhere else it keeps the least key of each translation class in the
+orbit.
 
 The census (``rwedf_census``) uses translation symmetry: it sweeps one support
 per translation orbit and counts each set partition of it once per distinct
@@ -73,15 +79,24 @@ from .family import (
     scaled_fractions,
     scaled_weights,
 )
-from .groups import FiniteGroup, Subgroup, closure, enumerate_subgroups, is_subgroup
+from .groups import (
+    PAIR_CHUNK,
+    FiniteGroup,
+    Subgroup,
+    closure,
+    enumerate_subgroups,
+    is_subgroup,
+)
 
 KNOWN_FLAGS = frozenset(
     {"rwedf", "bimodal", "edf", "sedf", "gsedf", "wedf", "star_partition"}
 )
 STAR_PARTITION_ORDER_LIMIT = 128
+NODE_BUDGET = 10**8  # the default node budget of the search and the star partition walk
 # Largest group order the search accepts.  The searcher keeps the n x n
 # diff_rows table and |A| < n automorphism lists as Python ints, up to 32
-# bytes a cell, so at order 1024 each takes at most about 32 MB.
+# bytes a cell, so at order 1024 each takes at most about 32 MB; for the orbit
+# expansion it also holds both as int64 arrays, the table 8 MB at order 1024.
 SEARCH_ORDER_LIMIT = 1024
 PRUNE_REASONS = ("cell", "column", "coset", "star", "symmetry", "infeasible")
 CENSUS_BLOCK = 64  # rows for s - 1 points grown into one census block
@@ -97,7 +112,7 @@ class SearchSpec:
     weights: Optional[Tuple[Fraction, ...]] = None
     target_ell: Optional[Fraction] = None
     dedup: str = "none"  # "none" | "translation"
-    node_budget: int = 10**8
+    node_budget: int = NODE_BUDGET
     result_cap: Optional[int] = None
 
 
@@ -271,11 +286,16 @@ class _Searcher:
         self.stats = SearchStats()
         # symmetric: walk one part of the tree per T x| A orbit and expand orbits at the hits
         self.symmetric = _translation_invariant(spec, sizes)
-        self.autos = g.automorphism_subgroup() if self.symmetric else []
+        self.autos = g.automorphism_subgroup() if self.symmetric else [list(range(self.n))]
         # the sets tied with set 0 for largest, each held to the symmetry test once full
         self.tied = sizes.count(sizes[0]) if self.symmetric else 0
+        # per tied set, the (a, sigma) of its images sigma(B * a^-1) equal to set 0
+        self.ties: List[List[Tuple[int, List[int]]]] = [[] for _ in range(self.tied)]
+        if self.symmetric or spec.dedup == "translation":
+            self.table = np.array(self.diff, dtype=np.int64)
+            self.auto_array = np.array(self.autos, dtype=np.int64)
         self.found: List[Key] = []  # hits, orbits expanded
-        self.seen: Set[Key] = set()  # every key of every expanded translation class
+        self.seen: Set[Key] = set()  # a walk without symmetry: the translation classes met
         # mutable search state
         self.slots: List[List[int]] = [[] for _ in sizes]
         self.owner = [-1] * self.n
@@ -360,7 +380,7 @@ class _Searcher:
         if self.star_cut and not is_subgroup(self.group, (0, *members)):
             self._cut("star")
             return None
-        if i < self.tied and self._image_sorts_first(members):
+        if i < self.tied and self._image_sorts_first(i):
             self._cut("symmetry")
             return None
         if self.coset_cut and len(members) >= 2:
@@ -382,22 +402,45 @@ class _Searcher:
                 extra |= 1 << y
         return extra
 
-    def _image_sorts_first(self, members: List[int]) -> bool:
-        """Whether some sigma(B * a^-1), sigma in A and a in B = members, sorts before set 0.
+    def _image_sorts_first(self, i: int) -> bool:
+        """Whether some sigma(B * a^-1), sigma in A and a in B = set i, sorts before set 0.
 
         Over every largest set B of a family, these images are the same for
         every member of its T x| A orbit, and each holds 0.  The member whose
         set 0 is the least image passes this test for each of its largest
-        sets, so cutting every other branch still visits each orbit.
+        sets, so cutting every other branch still visits each orbit.  The
+        (a, sigma) whose image equals set 0 go to ``self.ties[i]``.
         """
+        members = self.slots[i]
         first = tuple(self.slots[0])
         diff = self.diff
+        ties = self.ties[i] = []
         for a in members:
             shifted = [diff[x][a] for x in members]
             for sigma in self.autos:
-                if tuple(sorted([sigma[y] for y in shifted])) < first:
-                    return True
+                image = tuple(sorted([sigma[y] for y in shifted]))
+                if image <= first:
+                    if image < first:
+                        return True
+                    ties.append((a, sigma))
         return False
+
+    def _least_in_orbit(self, key: Key) -> bool:
+        """Whether no member of key's T x| A orbit sorts before key.
+
+        Such a member's set 0 would hold 0, so it would be some sigma(B * a^-1)
+        with B a largest set and a in B; none of those sorts before set 0, so
+        only the images sigma(F * a^-1) of the recorded ties can sort first.
+        """
+        diff = self.diff
+        identity = self.autos[0]
+        for ties in self.ties:
+            for a, sigma in ties:
+                if a == 0 and sigma is identity:
+                    continue  # key itself
+                if _canonical([[sigma[diff[x][a]] for x in s] for s in key]) < key:
+                    return False
+        return True
 
     # -- recursion -----------------------------------------------------------
 
@@ -452,8 +495,6 @@ class _Searcher:
 
     def _emit(self) -> None:
         key = tuple(tuple(s) for s in self.slots)
-        if key in self.seen:
-            return  # an image of a hit whose orbit is already expanded
         if self.bimodal:
             # the one flag the caps leave open: every count is 0 or its set's size
             n, live = self.n, self.live
@@ -463,17 +504,16 @@ class _Searcher:
         dedup = self.spec.dedup
         if not self.symmetric:
             if dedup == "translation":
-                self.seen |= _translation_classes(self.diff, key)
+                if key in self.seen:
+                    return
+                self.seen.update(_translation_classes(self.table, self.auto_array, key, "none"))
             # the full walk meets keys in ascending order: key is the least hit of its class
             self.found.append(key)
+        elif self._least_in_orbit(key):
+            # the walk meets keys in ascending order, so no hit of this orbit came before
+            self.found += _translation_classes(self.table, self.auto_array, key, dedup)
         else:
-            for sigma in self.autos:  # the identity first, so key's own class first
-                image = _canonical([[sigma[x] for x in s] for s in key])
-                if image in self.seen:
-                    continue
-                translates = _translation_classes(self.diff, image)
-                self.seen |= translates
-                self.found.extend(translates if dedup == "none" else (min(translates),))
+            return
         cap = self.spec.result_cap
         if cap is not None and len(self.found) >= cap:
             raise _StopSearch
@@ -492,13 +532,52 @@ def _canonical(sets: List[List[int]]) -> Key:
     return tuple(sorted(sorted([tuple(sorted(s)) for s in sets]), key=len, reverse=True))
 
 
-def _translation_classes(diff: List[List[int]], key: Key) -> Set[Key]:
-    """The translation class of one family: the canonical keys of all its right translates.
+def _translation_classes(table: np.ndarray, autos: np.ndarray, key: Key, dedup: str) -> List[Key]:
+    """The canonical keys of a family's orbit under right translations and ``autos``, ascending.
 
-    ``diff`` is the group's ``diff_rows``; x * h^-1 = diff[x][h], and h^-1 runs
-    over the group as h does.
+    ``table`` is the n x n array of x * h^-1 and ``autos`` an array of
+    automorphisms, one permutation a row.  Row h of ``translates`` (the rows
+    of F's members in ``table``, transposed) is the translate F * h^-1, and
+    sigma of those rows is the translation class of sigma(F).  With dedup "none" it gives every distinct key of the orbit,
+    with "translation" the least key of each translation class.  The
+    automorphisms go PAIR_CHUNK cells a step.
     """
-    return {_canonical([[diff[x][h] for x in s] for s in key]) for h in range(len(diff))}
+    sizes = [len(s) for s in key]
+    n, total = len(table), sum(sizes)
+    translates = table[[x for s in key for x in s]].T
+    step = max(1, PAIR_CHUNK // (n * total))
+    parts = []
+    for lo in range(0, len(autos), step):
+        rows = _canonical_rows(autos[lo : lo + step][:, translates].reshape(-1, total), sizes, n)
+        if dedup == "translation":
+            # sort by sigma, then by row: each sigma's least row opens its block of n
+            blocks = np.repeat(np.arange(len(rows) // n), n)
+            rows = rows[np.lexsort((*rows.T[::-1], blocks))[::n]]
+        parts.append(_distinct_rows(rows))
+    rows = parts[0] if len(parts) == 1 else _distinct_rows(np.concatenate(parts))
+    bounds = np.cumsum([0, *sizes]).tolist()
+    return [tuple(tuple(row[lo:hi]) for lo, hi in zip(bounds, bounds[1:])) for row in rows.tolist()]
+
+
+def _canonical_rows(rows: np.ndarray, sizes: List[int], n: int) -> np.ndarray:
+    """Each row of a 2-D array, a family's sets in ``sizes`` order, in canonical form.
+
+    One sort a row on (set size, descending; least member of the set; member):
+    the sizes do not increase, so each run of equal-sized sets keeps its
+    columns, and within a run the sets come by least member, which orders
+    disjoint sorted sets.  The keys stay below n^3.
+    """
+    largest_first = np.repeat(sizes[0] - np.array(sizes), sizes)
+    least = np.repeat(np.minimum.reduceat(rows, np.cumsum([0, *sizes[:-1]]), axis=1), sizes, axis=1)
+    return np.sort((largest_first * n + least) * n + rows, axis=1) % n
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D array, in lexicographic order."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
 
 
 def enumerate_families(spec: SearchSpec, workers: int = 1) -> SearchResult:
@@ -564,14 +643,17 @@ def naive_enumerate(spec: SearchSpec) -> SearchResult:
 
 
 def enumerate_star_partitions(
-    group: FiniteGroup, limit: int = STAR_PARTITION_ORDER_LIMIT
+    group: FiniteGroup, limit: int = STAR_PARTITION_ORDER_LIMIT, node_budget: int = NODE_BUDGET
 ) -> List[List[Subgroup]]:
     """All ways to partition the non-identity elements into subgroup stars.
 
     Exact cover over the stars of the non-trivial subgroups; the whole group
     always provides the one-part cover.  Results are sorted by part count then
-    carrier tuples, each cover's subgroups by carrier.
+    carrier tuples, each cover's subgroups by carrier.  Each star placed is a
+    node; BudgetExceeded is raised when more than ``node_budget`` would be.
     """
+    if node_budget < 0:
+        raise InfeasibleParameters(f"node budget must be non-negative, got {node_budget}")
     if group.order > limit:
         raise GroupTooLarge(f"order {group.order} exceeds star partition limit {limit}")
     subs = [s for s in enumerate_subgroups(group) if s.order > 1]
@@ -584,14 +666,19 @@ def enumerate_star_partitions(
         star_masks.append(mask)
     covers: List[List[Subgroup]] = []
     chosen: List[Subgroup] = []
+    budget = node_budget
 
     def rec(uncovered: int) -> None:
+        nonlocal budget
         if not uncovered:
             covers.append(sorted(chosen, key=lambda s: s.carrier))
             return
         least = (uncovered & -uncovered).bit_length() - 1
         for s, mask in zip(subs, star_masks):
             if mask >> least & 1 and not (mask & ~uncovered):
+                if budget <= 0:
+                    raise BudgetExceeded(f"star partition node budget {node_budget} exhausted")
+                budget -= 1
                 chosen.append(s)
                 rec(uncovered & ~mask)
                 chosen.pop()

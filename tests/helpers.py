@@ -1,7 +1,8 @@
 """Standing fixture families shared across the test modules, the scalar group
 law that the references are written in, the dense reference classification that
-the streamed profile must match, and the scalar reference loops of the two
-Monte Carlo games that `rwedf.simulate` must match."""
+the streamed profile must match, the scalar reference loops of the two
+Monte Carlo games that `rwedf.simulate` must match, and the scalar orbit
+expansion that the search's numpy one must match."""
 from fractions import Fraction
 
 import numpy as np
@@ -18,8 +19,31 @@ from rwedf import (
     frac_str,
     heisenberg_partition,
 )
+from rwedf.constructions import f21_group
 
 HALF = Fraction(1, 2)
+
+# one group of every kind, products and a Cayley table included
+KERNEL_POOL = [
+    CyclicGroup(1),
+    CyclicGroup(2),
+    CyclicGroup(9),
+    CyclicGroup(16),
+    ElementaryAbelianGroup(2, 4),
+    ElementaryAbelianGroup(3, 2),
+    ElementaryAbelianGroup(5, 2),
+    DihedralGroup(1),
+    DihedralGroup(4),
+    DihedralGroup(7),
+    HeisenbergGroup(2),
+    HeisenbergGroup(3),
+    DirectProductGroup(CyclicGroup(3), DihedralGroup(3)),
+    DirectProductGroup(
+        DirectProductGroup(CyclicGroup(2), HeisenbergGroup(2)), ElementaryAbelianGroup(3, 1)
+    ),
+    DirectProductGroup(f21_group(), CyclicGroup(2)),
+    f21_group(),
+]
 
 
 def scalar_diff(g, a, b):
@@ -156,6 +180,27 @@ def reference_classification(family, weights=None):
         sums = [sum(Fraction(w) * c for w, c in zip(weights, col)) for col in cols]
         out["wedf"] = frac_str(sums[0]) if len(set(sums)) == 1 else None
     return out
+
+
+def canonical_key(sets):
+    """A family's sets, each sorted, in canonical order: largest first, then by members."""
+    return tuple(sorted(sorted(tuple(sorted(s)) for s in sets), key=len, reverse=True))
+
+
+def reference_orbit_keys(g, autos, key, dedup):
+    """The canonical keys of key's orbit under right translations and autos, ascending.
+
+    The search's expansion before it ran on arrays: each image sigma(F), then
+    its translation class F' * h^-1 by the scalar law; every key, or with
+    dedup "translation" the least key of each class.
+    """
+    keys = set()
+    for sigma in autos:
+        image = canonical_key([[sigma[x] for x in s] for s in key])
+        translates = {canonical_key([[scalar_diff(g, x, h) for x in s] for s in image])
+                      for h in range(g.order)}
+        keys |= translates if dedup == "none" else {min(translates)}
+    return sorted(keys)
 
 
 def reference_wins(family, delta):

@@ -20,8 +20,6 @@ from rwedf import (
     DihedralGroup,
     DirectProductGroup,
     DisjointFamily,
-    ElementaryAbelianGroup,
-    HeisenbergGroup,
     check_difference_set,
     check_rwedf,
     check_wedf,
@@ -44,32 +42,9 @@ from rwedf.constructions import f21_group
 from rwedf.groups import difference_count_blocks, is_subgroup
 from rwedf.simulate import _Board
 
-from helpers import all_fixtures, bimodal_z12, reference_classification, scalar_diff
+from helpers import KERNEL_POOL, all_fixtures, bimodal_z12, reference_classification, scalar_diff
 from helpers import scalar_inv, scalar_mul
 from helpers import reference_counts as ref_counts
-
-KERNEL_POOL = [
-    CyclicGroup(1),
-    CyclicGroup(2),
-    CyclicGroup(9),
-    CyclicGroup(16),
-    ElementaryAbelianGroup(2, 4),
-    ElementaryAbelianGroup(3, 2),
-    ElementaryAbelianGroup(5, 2),
-    DihedralGroup(1),
-    DihedralGroup(4),
-    DihedralGroup(7),
-    HeisenbergGroup(2),
-    HeisenbergGroup(3),
-    DirectProductGroup(CyclicGroup(3), DihedralGroup(3)),
-    DirectProductGroup(
-        DirectProductGroup(CyclicGroup(2), HeisenbergGroup(2)), ElementaryAbelianGroup(3, 1)
-    ),
-    DirectProductGroup(f21_group(), CyclicGroup(2)),
-    f21_group(),
-]
-
-
 
 def ref_self_counts(g, members):
     counts = [0] * g.order

@@ -1,4 +1,6 @@
 import hashlib
+import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -26,7 +28,15 @@ from rwedf import (
 )
 from rwedf import search
 
-from helpers import HALF, coset_z33, mixed_z10, weighted_z8
+from helpers import (
+    HALF,
+    KERNEL_POOL,
+    canonical_key,
+    coset_z33,
+    mixed_z10,
+    reference_orbit_keys,
+    weighted_z8,
+)
 
 
 def both(spec):
@@ -418,7 +428,63 @@ def test_symmetric_search_expands_through_translation_classes(monkeypatch):
     monkeypatch.setattr(search, "_translation_classes", counting)
     res = enumerate_families(BENCH_SPECS[1][0])
     assert len(res.families) == 1575
-    assert len(calls) == 1575  # one call per translation class
+    assert len(calls) == 170  # one call per T x| A orbit, at its least key
+
+
+def random_key(rng, group, sizes):
+    members = rng.sample(range(group.order), sum(sizes))
+    bounds = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
+    return canonical_key([members[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
+
+
+def random_sizes(rng, n):
+    total = rng.randint(1, min(n, 9))
+    cuts = sorted(rng.sample(range(1, total), rng.randint(0, min(3, total - 1))))
+    return sorted((hi - lo for lo, hi in zip([0, *cuts], [*cuts, total])), reverse=True)
+
+
+@pytest.mark.parametrize("chunk", [1, search.PAIR_CHUNK])
+@pytest.mark.parametrize("group", KERNEL_POOL, ids=repr)
+def test_orbit_expansion_matches_scalar_reference(monkeypatch, group, chunk):
+    # chunk 1 takes the automorphisms one at a time and merges the parts
+    monkeypatch.setattr(search, "PAIR_CHUNK", chunk)
+    rng = random.Random(group.order * 1009 + chunk)
+    idx = np.arange(group.order)
+    table = group.diff_array(idx[:, None], idx)
+    autos = group.automorphism_subgroup()
+    for _ in range(6):
+        key = random_key(rng, group, random_sizes(rng, group.order))
+        for dedup in ("none", "translation"):
+            got = search._translation_classes(table, np.array(autos), key, dedup)
+            assert got == reference_orbit_keys(group, autos, key, dedup)
+
+
+def test_orbit_expansion_of_large_members():
+    # two tied sets of 7 in Z_1024, where a base-n int64 code of a set would overflow
+    # (1024^7 = 2^70): the sets are ordered by their least members instead
+    group = CyclicGroup(1024)
+    idx = np.arange(1024)
+    table = group.diff_array(idx[:, None], idx)
+    autos = [group.automorphism_subgroup()[u] for u in (0, 1, 255, 511)]  # x -> ux, u = 1, 3, 511, 1023
+    key = random_key(random.Random(7), group, [7, 7, 3])
+    for dedup in ("none", "translation"):
+        got = search._translation_classes(table, np.array(autos), key, dedup)
+        assert got == reference_orbit_keys(group, autos, key, dedup)
+
+
+def test_dedup_search_memory_stays_near_its_output():
+    # before least-key emission, the seen set took 23 MB against 2.8 MB of result
+    group = CyclicGroup(11)
+    group.diff_rows  # the cached table is the group's, not the search's
+    spec = SearchSpec(group=group, sizes=(3, 3, 2, 2), dedup="translation")
+    tracemalloc.start()
+    try:
+        res = enumerate_families(spec)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(res.families) == 6300 and res.stats.complete
+    assert peak < 2 * held
 
 
 @pytest.mark.parametrize(
@@ -531,6 +597,16 @@ def test_star_partitions_elementary_abelian():
     parts = enumerate_star_partitions(ElementaryAbelianGroup(3, 2))
     assert len(parts) == 2
     assert len(parts[1]) == 4  # the four order-3 lines
+
+
+def test_star_partitions_node_budget():
+    group = ElementaryAbelianGroup(2, 3)
+    assert len(enumerate_star_partitions(group, node_budget=37)) == 9  # 37 stars placed
+    with pytest.raises(BudgetExceeded):
+        enumerate_star_partitions(group, node_budget=36)
+    with pytest.raises(InfeasibleParameters):
+        enumerate_star_partitions(group, node_budget=-1)
+    assert enumerate_star_partitions(CyclicGroup(1), node_budget=0) == [[]]
 
 
 def test_star_partitions_cyclic_only_trivial():
