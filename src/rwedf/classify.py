@@ -15,11 +15,11 @@ the family is an RWEDF, which is what makes this weighting the optimal one.
 Every check reads the reductions of one streamed ``difference_profile``,
 never the m x (n-1) count matrix: the reciprocal column sums (the plain
 column sums when sizes are equal, and K times the non-zero rows per column
-when the family is bimodal), the rows' values when every row is constant, and
-the first bimodal witness.  ``check_wedf`` takes its weighted column sums from
-the same count blocks, recounted.  ``classify_many`` builds the same reports
-for many families from ``difference_profiles``, which counts the pairs of
-many families of one group and one total in one kernel pass.
+when the family is bimodal), the weighted column sums when weights are
+given, the rows' values when every row is constant, and the first bimodal
+witness.  ``classify_many`` builds the same reports for many families from
+``difference_profiles``, which counts the pairs of many families of one group
+and one total in one kernel pass.
 """
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ from .family import (
     DifferenceProfile,
     DisjointFamily,
     check_weights,
-    column_sums,
     difference_profile,
     difference_profiles,
     is_bimodal,
@@ -92,10 +91,15 @@ def check_wedf(
     profile: DifferenceProfile,
     weights: Sequence[Fraction],
 ) -> Optional[Fraction]:
-    """Constant weighted column sum under the given weights, if constant."""
-    d, coef = scaled_fractions(check_weights(family.m, weights))
-    sums = column_sums(profile.blocks(), coef, family.n - 1, max(family.sizes))
-    return _constant_value(sums, d)
+    """Constant weighted column sum under the given weights, if constant.
+
+    Reads the profile's weighted sums when it was taken with these weights,
+    and profiles the family once more otherwise.
+    """
+    weights = check_weights(family.m, weights)
+    if profile.weights != weights:
+        profile = difference_profile(family, weights)
+    return _constant_value(profile.weighted, scaled_fractions(weights)[0])
 
 
 def check_rwedf(
@@ -230,7 +234,7 @@ def classify(
 ) -> ClassificationReport:
     """Run every checker once over a shared profile."""
     _check_order(family)
-    return _report(family, difference_profile(family), weights)
+    return _report(family, difference_profile(family, weights), weights)
 
 
 def classify_many(
@@ -243,7 +247,7 @@ def classify_many(
     """
     for family in families:
         _check_order(family)
-    profiles = difference_profiles(families)
+    profiles = difference_profiles(families, weights)
     return [_report(f, p, weights) for f, p in zip(families, profiles)]
 
 
@@ -310,6 +314,6 @@ def _report(
         key_prop=key_prop,
     )
     if weights is not None:
-        report.wedf_weights = check_weights(m, weights)
+        report.wedf_weights = profile.weights
         report.wedf = check_wedf(family, profile, weights)
     return report

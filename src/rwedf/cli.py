@@ -197,8 +197,6 @@ def _built(args):
 def cmd_construct(args) -> int:
     try:
         outputs = _built(args)
-    except CliError:
-        raise
     except GroupTooLarge as exc:
         raise CliError(str(exc), 2)
     except (ValueError, ArithmeticError) as exc:

@@ -146,43 +146,31 @@ def two_prime_power_construction(p: int, alpha: int, q: int, beta: int) -> Disjo
 def desarguesian_star_partition(p: int, a: int, b: int) -> DisjointFamily:
     """Punctured lines through 0 of GF(p^a)^b inside the elementary abelian group.
 
-    One set per 1-dimensional subspace, normalized so the last non-zero
-    coordinate is 1: for each anchor position t and free prefix x_0..x_{t-1},
-    the set {lambda * (x_0,..,x_{t-1},1,0,..,0) : lambda != 0}.
+    One set per 1-dimensional subspace {lambda * v : lambda != 0}, in order of
+    least members.  A vector's coordinates are field indices, coordinate 0
+    major, so the least member of its line is the multiple whose first
+    non-zero coordinate is 1, and that labels the line.  The unit maps of
+    ``ElementaryAbelianGroup(p, a)`` are z -> g^j * z for a primitive g: the
+    vector whose first non-zero coordinate is g^j goes through map g^-j, one
+    coordinate at a time.
     """
     if a * b < 2:
         raise ValueError("need a vector space of group order p^2 or more")
-    group = ElementaryAbelianGroup(p, a * b)  # refuses a large order before the field
-    field = FieldGF(p, a)
-    q = field.q
-
-    def flatten(vec: Sequence[int]) -> int:
-        # Coordinate 0 major; inside a coordinate the field packing is base p.
-        idx = 0
-        for z in vec:
-            idx = idx * q + z
-        return idx
-
-    sets = []
-    for t in range(b):
-        free = [0] * t
-        while True:
-            line = []
-            for lam in field.units():
-                vec = [field.mul(lam, x) for x in free] + [lam] + [0] * (b - t - 1)
-                line.append(flatten(vec))
-            sets.append(tuple(sorted(line)))
-            pos = 0
-            while pos < t:
-                free[pos] += 1
-                if free[pos] < q:
-                    break
-                free[pos] = 0
-                pos += 1
-            if pos == t:
-                break
-    sets.sort(key=lambda s: (-len(s), s))
-    return DisjointFamily(group, tuple(sets))
+    group = ElementaryAbelianGroup(p, a * b)  # refuses a large order before the unit maps
+    n = group.order
+    if b == 1:
+        return DisjointFamily(group, (tuple(range(1, n)),))
+    q = p**a
+    times = np.array(ElementaryAbelianGroup(p, a).automorphism_subgroup(), dtype=np.int64)
+    log = np.empty(q, dtype=np.int64)
+    log[times[:, 1]] = np.arange(q - 1)  # g^j = times[j][1]
+    x = np.arange(1, n, dtype=np.int64)
+    place = q ** np.arange(b - 1, -1, -1, dtype=np.int64)
+    coords = x[:, None] // place % q
+    lead = coords[np.arange(n - 1), np.argmax(coords != 0, axis=1)]
+    label = times[(-log[lead] % (q - 1))[:, None], coords] @ place
+    lines = x[np.argsort(label, kind="stable")].reshape(-1, q - 1)
+    return DisjointFamily(group, tuple(map(tuple, lines.tolist())))
 
 
 def heisenberg_partition(p: int) -> DisjointFamily:

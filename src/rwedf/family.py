@@ -7,15 +7,16 @@ ordered pairs (a, b) with a in A_i, b in any other set, and a * b^-1 = delta.
 
 ``difference_profile`` makes one pass over that m x (n-1) count matrix in row
 blocks (``groups.difference_count_blocks``) and keeps only what the
-whole-family checks read: the reciprocal column sums, the rows' values when
-every row is constant, and the first count that breaks bimodality.  So
-classify, e_hat, e_delta and the best-response game hold O(m + n) numbers,
-not the matrix.  ``difference_profiles`` takes the same reductions for many
-families at once: the families of one group and one total are stacked, a row
-is a (family, set) pair, and one pass of the pair kernel counts them all; a
-single family is the stack of one.  The dense matrix (``count_matrix``) is
-built on demand for the per-cell reads (``row``, ``cell``, ``column_sum``,
-``weighted_sum``) and the CSV export, and refused past DENSE_CELL_LIMIT cells.
+whole-family checks read: the reciprocal column sums, the weighted column
+sums when weights are given, the rows' values when every row is constant, and
+the first count that breaks bimodality.  So classify, e_hat, e_delta and the
+best-response game hold O(m + n) numbers, not the matrix.
+``difference_profiles`` takes the same reductions for many families at once:
+the families of one group and one total are stacked, a row is a (family, set)
+pair, and one pass of the pair kernel counts them all; a single family is the
+stack of one.  The dense matrix (``count_matrix``) is built on demand for the
+per-cell reads (``row``, ``cell``, ``column_sum``, ``weighted_sum``) and the
+CSV export, and refused past DENSE_CELL_LIMIT cells.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, islice
 from math import lcm
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -143,14 +144,10 @@ class DifferenceProfile:
     # the first (set index, delta, count) in row then delta order whose
     # count is neither 0 nor the set's size
     bimodal_witness: Optional[Tuple[int, int, int]] = field(compare=False, repr=False)
-
-    def blocks(self) -> Iterator[np.ndarray]:
-        """The rows of the count matrix in blocks, counted again from the family.
-
-        Each block is a view that the next one overwrites.
-        """
-        fam = self.family
-        return (block[:, 1:] for block in difference_count_blocks(fam.group, fam.sets))
+    # the validated weights w_i the profile was taken with, if any, and
+    # D * sum_i w_i * N_i(delta) per delta, D their common denominator
+    weights: Optional[Tuple[Fraction, ...]] = field(default=None, compare=False, repr=False)
+    weighted: Optional[Tuple[int, ...]] = field(default=None, compare=False, repr=False)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -187,37 +184,25 @@ class _ColumnSums:
     """Exact sum_i coef_i * N_i(delta) per family and column, added one row block at a time.
 
     The rows of N are the families' sets in order, and starts[f] is family f's
-    first row (with the row count past the last).  A block's product is taken
-    in int64 while max(coef) * max(count, 1) * (most rows of a family) < 2^62
-    bounds every sum and coefficient; from the first block past that bound on,
-    the sums are Python ints.  most, an upper bound on every count, spares the
-    per-block maximum when it already keeps the product inside int64.
+    first row (with the row count past the last).  No count exceeds most, so
+    max(coef) * most * (most rows of a family) bounds every coefficient,
+    product and sum: the pass runs in int64 when that bound is below 2^62 and
+    over Python ints otherwise, chosen once before the first block.
     """
 
-    def __init__(self, coef: Sequence[int], width: int, most: int,
-                 starts: Optional[Sequence[int]] = None):
-        self.coef = coef
-        self.starts = starts = starts or (0, len(coef))
-        self.bound = max(coef) * max(b - a for a, b in zip(starts, starts[1:]))
-        self.wide = np.array(coef, dtype=np.int64) if self.bound < 2**62 else None
-        self.check_peak = self.bound * max(most, 1) >= 2**62
-        self.sums = np.zeros((len(starts) - 1, width), dtype=np.int64)
+    def __init__(self, coef: Sequence[int], width: int, most: int, starts: Sequence[int]):
+        self.starts = starts
+        rows = max(b - a for a, b in zip(starts, starts[1:]))
+        dtype = np.int64 if max(coef) * max(most, 1) * rows < 2**62 else object
+        self.coef = np.array(coef, dtype=dtype)
+        self.sums = np.zeros((len(starts) - 1, width), dtype=dtype)
         self.row = 0
 
     def add(self, counts: np.ndarray) -> None:
         """Add the next len(counts) rows of N."""
         first = self.row
         self.row += len(counts)
-        if self.wide is not None and (
-            not self.check_peak or self.bound * int(counts.max(initial=1)) < 2**62
-        ):
-            coef = self.wide[first : self.row]
-        else:
-            self.wide = None  # Python ints from here on
-            if self.sums.dtype != object:
-                self.sums = self.sums.astype(object)
-            coef = np.array(self.coef[first : self.row], dtype=object)
-            counts = counts.astype(object)
+        coef = self.coef[first : self.row]
         # the families lo..hi-1 have rows in this block
         lo = bisect_right(self.starts, first) - 1
         hi = bisect_left(self.starts, self.row)
@@ -232,38 +217,36 @@ class _ColumnSums:
         return [tuple(row) for row in self.sums.tolist()]
 
 
-def column_sums(
-    blocks: Iterable[np.ndarray], coef: Sequence[int], width: int, most: int
-) -> Tuple[int, ...]:
-    """Exact sum_i coef_i * N[i, d] for each of width columns d, over N's rows in blocks.
+def difference_profile(
+    family: DisjointFamily, weights: Optional[Sequence[Fraction]] = None
+) -> DifferenceProfile:
+    """Count external differences a * b^-1 out of each set into the rest.
 
-    most bounds every count (max k_i will do: a and delta fix b).
+    With weights, the profile also holds the weighted column sums.
     """
-    sums = _ColumnSums(coef, width, most)
-    for block in blocks:
-        sums.add(block)
-    return sums.values()[0]
+    return difference_profiles([family], weights)[0]
 
 
-def difference_profile(family: DisjointFamily) -> DifferenceProfile:
-    """Count external differences a * b^-1 out of each set into the rest."""
-    return difference_profiles([family])[0]
-
-
-def difference_profiles(families: Sequence[DisjointFamily]) -> List[DifferenceProfile]:
+def difference_profiles(
+    families: Sequence[DisjointFamily], weights: Optional[Sequence[Fraction]] = None
+) -> List[DifferenceProfile]:
     """The difference profile of each family, many families to one pass of the pair kernel.
 
     Consecutive families of one group and one total T are stacked, at most
     max(1, BLOCK_CELLS // n) of them: a row of the stacked count matrix is a
     (family, set) pair, and ``difference_count_blocks`` with span T counts a
-    pair only when both ends lie in one family.  A family whose scaled sums
-    may pass int64, max(K / k_i) * m * max(k_i) >= 2^62 (see ``_ColumnSums``),
-    is profiled alone.
+    pair only when both ends lie in one family.  The weights, when given, are
+    every family's.  A family whose reciprocal sums may pass int64, max(K /
+    k_i) * m * max(k_i) >= 2^62 (see ``_ColumnSums``), is profiled alone.
+    The scaled weights D * w_i are the same for every family, so they do not
+    decide the stacking.
     """
     profiles: List[DifferenceProfile] = []
     stack: List[Tuple[DisjointFamily, int, Tuple[int, ...]]] = []
     stack_key = None
     for family in families:
+        if weights is not None:
+            weights = check_weights(family.m, weights)
         scale, coef = scaled_weights(family.sizes)
         fits = max(coef) * len(coef) * max(family.sizes) < 2**62
         key = (id(family.group), family.total) if fits else None
@@ -271,17 +254,18 @@ def difference_profiles(families: Sequence[DisjointFamily]) -> List[DifferencePr
             key is None or key != stack_key
             or len(stack) >= max(1, groups.BLOCK_CELLS // family.n)
         ):
-            profiles += _stack_profiles(stack)
+            profiles += _stack_profiles(stack, weights)
             stack = []
         stack_key = key
         stack.append((family, scale, coef))
     if stack:
-        profiles += _stack_profiles(stack)
+        profiles += _stack_profiles(stack, weights)
     return profiles
 
 
 def _stack_profiles(
-    stack: Sequence[Tuple[DisjointFamily, int, Tuple[int, ...]]]
+    stack: Sequence[Tuple[DisjointFamily, int, Tuple[int, ...]]],
+    weights: Optional[Tuple[Fraction, ...]],
 ) -> List[DifferenceProfile]:
     """One pass over the stacked count matrix of (family, K, K / k_i) of one group and total.
 
@@ -300,9 +284,10 @@ def _stack_profiles(
     group, total, width = families[0].group, families[0].total, families[0].n - 1
     sizes = [k for family in families for k in family.sizes]
     starts = [0, *accumulate(family.m for family in families)]
-    reciprocal = _ColumnSums(
-        [c for _, _, coef in stack for c in coef], width, max(sizes), starts
-    )
+    coefs = [[c for _, _, coef in stack for c in coef]]
+    if weights is not None:
+        coefs.append(scaled_fractions(weights)[1] * len(stack))
+    sums = [_ColumnSums(coef, width, max(sizes), starts) for coef in coefs]
     # no row is constant unless every row sum of its family spreads evenly over the columns
     level = [
         all(k * (total - k) % max(width, 1) == 0 for k in family.sizes) for family in families
@@ -316,7 +301,8 @@ def _stack_profiles(
     for block in difference_count_blocks(group, sets, span=total):
         counts = block[:, 1:]
         last = first + len(counts)
-        reciprocal.add(counts)
+        for column_sums in sums:
+            column_sums.add(counts)
         if any_level:
             tops += np.maximum.reduce(counts, axis=1, initial=0).tolist()
         if missing:
@@ -333,14 +319,17 @@ def _stack_profiles(
                         if not missing:
                             break
         first = last
+    reciprocal = sums[0].values()
+    weighted = sums[1].values() if weights is not None else [None] * len(stack)
     profiles = []
-    for f, ((family, scale, _), sums) in enumerate(zip(stack, reciprocal.values())):
+    for f, (family, scale, _) in enumerate(stack):
         row_tops = tops[starts[f] : starts[f + 1]]
         constant = level[f] and all(
             top * width == k * (total - k) for top, k in zip(row_tops, family.sizes)
         )
         profiles.append(DifferenceProfile(
-            family, scale, sums, tuple(row_tops) if constant else None, witnesses[f]
+            family, scale, reciprocal[f], tuple(row_tops) if constant else None, witnesses[f],
+            weights, weighted[f],
         ))
     return profiles
 
@@ -436,5 +425,4 @@ def weighted_sum(
     """sum_i w_i * N_i(delta) for positive weights w_i <= 1."""
     col = delta_column(family.n, delta)
     d, coef = scaled_fractions(check_weights(family.m, weights))
-    (total,) = column_sums([profile.matrix[:, col : col + 1]], coef, 1, max(family.sizes))
-    return Fraction(total, d)
+    return Fraction(sum(c * x for c, x in zip(coef, profile.matrix[:, col].tolist())), d)

@@ -1,9 +1,11 @@
 """Standing fixture families shared across the test modules, the scalar group
 law that the references are written in, the dense reference classification that
 the streamed profile must match, the scalar reference loops of the two
-Monte Carlo games that `rwedf.simulate` must match, and the scalar orbit
-expansion that the search's numpy one must match."""
+Monte Carlo games that `rwedf.simulate` must match, the scalar orbit
+expansion that the search's numpy one must match, and the scalar field
+construction of the Desarguesian spreads."""
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -14,6 +16,7 @@ from rwedf import (
     DirectProductGroup,
     DisjointFamily,
     ElementaryAbelianGroup,
+    FieldGF,
     HeisenbergGroup,
     f21_fixture,
     frac_str,
@@ -180,6 +183,28 @@ def reference_classification(family, weights=None):
         sums = [sum(Fraction(w) * c for w, c in zip(weights, col)) for col in cols]
         out["wedf"] = frac_str(sums[0]) if len(set(sums)) == 1 else None
     return out
+
+
+def reference_spread(p, a, b):
+    """The sets of desarguesian_star_partition(p, a, b) by scalar FieldGF.mul.
+
+    For each anchor t and free prefix x_0..x_{t-1}, the line
+    {lambda * (x_0, .., x_{t-1}, 1, 0, .., 0) : lambda != 0}, with coordinate 0
+    the most significant base-q digit; the lines in order of least members.
+    """
+    field = FieldGF(p, a)
+    q = field.q
+    lines = []
+    for t in range(b):
+        for free in product(range(q), repeat=t):
+            line = []
+            for lam in field.units():
+                idx = 0
+                for z in [field.mul(lam, x) for x in free] + [lam] + [0] * (b - t - 1):
+                    idx = idx * q + z
+                line.append(idx)
+            lines.append(tuple(sorted(line)))
+    return tuple(sorted(lines))
 
 
 def canonical_key(sets):

@@ -34,7 +34,7 @@ from rwedf import (
     two_prime_power_construction,
 )
 
-from helpers import scalar_mul
+from helpers import reference_spread, scalar_mul
 
 
 def test_prime_power_factor():
@@ -201,6 +201,24 @@ def test_desarguesian_counts(p, a, b, count):
     if fam.m > 1:
         assert r.edf is not None
         assert r.rwedf == fam.m - 1
+
+
+# b = 1 (a single line), the perfbench spreads (2,1,10), (2,5,2), (3,1,6),
+# (2,6,2) and (2,1,9), and fields of prime and prime-power order
+SPREAD_SHAPES = [
+    (2, 2, 1), (3, 2, 1), (2, 4, 1),
+    (2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 1, 5), (2, 1, 9), (2, 1, 10),
+    (3, 1, 2), (3, 1, 3), (3, 1, 6), (5, 1, 2), (7, 1, 3),
+    (2, 2, 2), (2, 2, 3), (2, 3, 2), (2, 3, 3), (2, 4, 2), (2, 5, 2), (2, 6, 2), (2, 8, 2),
+    (3, 2, 2), (5, 2, 2), (11, 2, 2), (3, 4, 2),
+]
+
+
+@pytest.mark.parametrize("p, a, b", SPREAD_SHAPES)
+def test_desarguesian_matches_scalar_field_reference(p, a, b):
+    fam = desarguesian_star_partition(p, a, b)
+    assert fam.group.order == p ** (a * b)
+    assert fam.sets == reference_spread(p, a, b)
 
 
 def test_desarguesian_line_is_closed():

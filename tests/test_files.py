@@ -524,9 +524,9 @@ def test_cli_profile_csv_counts_the_pairs_twice(tmp_path, capsys, monkeypatch):
     # one streamed profile for the report and one dense matrix for the CSV
     profiles, passes = [], []
 
-    def counting_profiles(families, real=family_module.difference_profiles):
+    def counting_profiles(families, weights=None, real=family_module.difference_profiles):
         profiles.extend(family.sets for family in families)
-        return real(families)
+        return real(families, weights)
 
     def counting_blocks(*args, real=groups.difference_count_blocks, **kwargs):
         passes.append(args[1])
@@ -551,9 +551,9 @@ def test_profiles_go_through_the_traced_bindings(tmp_path, capsys, monkeypatch):
     for name in ("rwedf.classify", "rwedf.simulate"):
         module = importlib.import_module(name)
 
-        def counting(family, real=module.difference_profile, name=name):
+        def counting(family, weights=None, real=module.difference_profile, name=name):
             calls.append(name)
-            return real(family)
+            return real(family, weights)
 
         monkeypatch.setattr(module, "difference_profile", counting)
     path = str(_pair_z7_file(tmp_path))

@@ -20,6 +20,7 @@ from rwedf import (
     DihedralGroup,
     DirectProductGroup,
     DisjointFamily,
+    ElementaryAbelianGroup,
     check_difference_set,
     check_rwedf,
     check_wedf,
@@ -37,13 +38,14 @@ from rwedf import (
     weighted_sum,
 )
 from rwedf.classify import rwedf_failure_witness
+from rwedf import family as family_module
 from rwedf import groups
 from rwedf.constructions import f21_group
 from rwedf.groups import difference_count_blocks, is_subgroup
 from rwedf.simulate import _Board
 
 from helpers import KERNEL_POOL, all_fixtures, bimodal_z12, reference_classification, scalar_diff
-from helpers import scalar_inv, scalar_mul
+from helpers import scalar_inv, scalar_mul, weighted_z8
 from helpers import reference_counts as ref_counts
 
 def ref_self_counts(g, members):
@@ -376,7 +378,7 @@ def test_streamed_classify_matches_dense_reference(fam, rows, chunk, data):
 
 @pytest.mark.parametrize("rows", [1, 2, 5, 15, 16])
 def test_streamed_classify_past_int64(rows):
-    # the reciprocal sums take the Python-int path from the first block past the bound
+    # the reciprocal and weighted sums take the Python-int path for the whole pass
     fam, primes = past_int64_family()
     weights = [Fraction(p - 1, p) for p in primes]
     ref = reference_classification(fam, weights)
@@ -491,6 +493,83 @@ def test_classify_many_with_a_family_past_int64():
     small = DisjointFamily.of(g, (0, 5), (7,))
     fams = [twin, fam, twin, small, fam]
     assert classify_many(fams) == [classify(f) for f in fams]
+
+
+# -- weighted sums in the same pass ---------------------------------------------
+
+def _count_passes(monkeypatch):
+    """The number of sets of each pass of the pair kernel that the profile makes."""
+    passes = []
+
+    def counting(group, sets, *args, real=family_module.difference_count_blocks, **kwargs):
+        passes.append(len(sets))
+        return real(group, sets, *args, **kwargs)
+
+    monkeypatch.setattr(family_module, "difference_count_blocks", counting)
+    return passes
+
+
+def test_weighted_classify_is_one_kernel_pass(monkeypatch):
+    passes = _count_passes(monkeypatch)
+    for label, fam, weights in BLOCK_CASES:
+        weights = weights or tuple(Fraction(1, k + 1) for k in fam.sizes)
+        passes.clear()
+        report = classify(fam, weights).to_json_dict()
+        assert passes == [fam.m], label
+        ref = reference_classification(fam, weights)
+        assert {k: report[k] for k in ref} == ref, label
+
+
+def test_weighted_classify_many_over_groups_and_totals(monkeypatch):
+    z9, d4, z3z3 = CyclicGroup(9), DihedralGroup(4), ElementaryAbelianGroup(3, 2)
+    fams = [
+        DisjointFamily.of(z9, (0, 1), (3,), (5, 7)),
+        DisjointFamily.of(z9, (2,), (4, 6), (8, 0)),
+        DisjointFamily.of(z9, (0,), (1,), (2,)),
+        DisjointFamily.of(d4, (0, 1, 2), (4,), (6, 7)),
+        DisjointFamily.of(d4, (1,), (2, 3), (5, 6, 7)),
+        DisjointFamily.of(z3z3, (1, 2), (3, 6), (4, 8)),
+        DisjointFamily.of(z9, (1, 2, 4), (3, 5), (0,)),
+    ]
+    weights = (Fraction(1, 2), Fraction(1, 3), Fraction(1))
+    expected = [classify(f, weights) for f in fams]
+    passes = _count_passes(monkeypatch)
+    got = classify_many(fams, weights)
+    # one pass per run of one group and one total
+    assert passes == [6, 3, 6, 3, 3]
+    assert got == expected
+    for fam, report in zip(fams, got):
+        ref = reference_classification(fam, weights)
+        assert {k: report.to_json_dict()[k] for k in ref} == ref
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5, 15, 16])
+def test_weighted_sums_past_int64_take_python_ints(monkeypatch, rows):
+    fam, primes = past_int64_family()
+    weights = [Fraction(p - 1, p) for p in primes]
+    dtypes = []
+
+    class Recording(family_module._ColumnSums):
+        def values(self):
+            dtypes.append(self.sums.dtype)
+            return super().values()
+
+    monkeypatch.setattr(family_module, "_ColumnSums", Recording)
+    monkeypatch.setattr(groups, "BLOCK_CELLS", rows * fam.n)
+    prof = difference_profile(fam, weights)
+    assert dtypes == [object, object]  # the reciprocal sums, then the weighted ones
+    assert [Fraction(s, lcm(*primes)) for s in prof.weighted] == ref_weighted_sums(fam, weights)
+
+
+def test_check_wedf_profiles_again_only_for_other_weights(monkeypatch):
+    fam, weights = weighted_z8()
+    plain = difference_profile(fam)
+    weighted = difference_profile(fam, weights)
+    assert (plain.weights, plain.weighted) == (None, None)
+    passes = _count_passes(monkeypatch)
+    assert check_wedf(fam, weighted, weights) == 3 and passes == []
+    assert check_wedf(fam, plain, weights) == 3 and passes == [3]
+    assert check_wedf(fam, weighted, (1, 1, 1)) == 6 and passes == [3, 3]
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 7, groups.PAIR_CHUNK])
