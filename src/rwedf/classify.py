@@ -234,7 +234,7 @@ def classify(
 ) -> ClassificationReport:
     """Run every checker once over a shared profile."""
     _check_order(family)
-    return _report(family, difference_profile(family, weights), weights)
+    return _report(family, difference_profile(family, weights))
 
 
 def classify_many(
@@ -248,13 +248,11 @@ def classify_many(
     for family in families:
         _check_order(family)
     profiles = difference_profiles(families, weights)
-    return [_report(f, p, weights) for f, p in zip(families, profiles)]
+    return [_report(f, p) for f, p in zip(families, profiles)]
 
 
-def _report(
-    family: DisjointFamily, profile: DifferenceProfile, weights: Optional[Sequence[Fraction]]
-) -> ClassificationReport:
-    """Every checker over the family's profile."""
+def _report(family: DisjointFamily, profile: DifferenceProfile) -> ClassificationReport:
+    """Every checker over the family's profile; wedf under the weights it was taken with."""
     m = family.m
     sizes = family.sizes
     k, sums = reciprocal_sums(profile)
@@ -313,7 +311,7 @@ def _report(
         m2_structure=m2,
         key_prop=key_prop,
     )
-    if weights is not None:
+    if profile.weights is not None:
         report.wedf_weights = profile.weights
-        report.wedf = check_wedf(family, profile, weights)
+        report.wedf = _constant_value(profile.weighted, scaled_fractions(profile.weights)[0])
     return report

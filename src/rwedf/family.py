@@ -236,10 +236,10 @@ def difference_profiles(
     max(1, BLOCK_CELLS // n) of them: a row of the stacked count matrix is a
     (family, set) pair, and ``difference_count_blocks`` with span T counts a
     pair only when both ends lie in one family.  The weights, when given, are
-    every family's.  A family whose reciprocal sums may pass int64, max(K /
-    k_i) * m * max(k_i) >= 2^62 (see ``_ColumnSums``), is profiled alone.
-    The scaled weights D * w_i are the same for every family, so they do not
-    decide the stacking.
+    every family's.  Only the group, the total and the block size decide the
+    stacking: ``_ColumnSums`` picks int64 or Python ints from the rows of the
+    whole stack, so a family whose sums may pass int64 takes its neighbours'
+    sums to Python ints with its own.
     """
     profiles: List[DifferenceProfile] = []
     stack: List[Tuple[DisjointFamily, int, Tuple[int, ...]]] = []
@@ -248,12 +248,8 @@ def difference_profiles(
         if weights is not None:
             weights = check_weights(family.m, weights)
         scale, coef = scaled_weights(family.sizes)
-        fits = max(coef) * len(coef) * max(family.sizes) < 2**62
-        key = (id(family.group), family.total) if fits else None
-        if stack and (
-            key is None or key != stack_key
-            or len(stack) >= max(1, groups.BLOCK_CELLS // family.n)
-        ):
+        key = (id(family.group), family.total)
+        if stack and (key != stack_key or len(stack) >= max(1, groups.BLOCK_CELLS // family.n)):
             profiles += _stack_profiles(stack, weights)
             stack = []
         stack_key = key
@@ -273,8 +269,8 @@ def _stack_profiles(
     + families * n) numbers.  Row i of a family sums to k_i * (T - k_i) over
     the n - 1 columns and no count exceeds k_i (a and delta fix b).  So:
 
-    - the row can be constant only if n - 1 divides that sum, and is constant
-      exactly when its largest count times n - 1 reaches it;
+    - the row is constant exactly when its largest count times n - 1 equals
+      that sum, which fails whenever n - 1 does not divide it;
     - it has at least T - k_i non-zero counts, with equality exactly when every
       count is 0 or k_i, and a count is neither exactly when it is not 0 mod
       k_i: a block is searched for bimodal witnesses only when it has more
@@ -288,11 +284,6 @@ def _stack_profiles(
     if weights is not None:
         coefs.append(scaled_fractions(weights)[1] * len(stack))
     sums = [_ColumnSums(coef, width, max(sizes), starts) for coef in coefs]
-    # no row is constant unless every row sum of its family spreads evenly over the columns
-    level = [
-        all(k * (total - k) % max(width, 1) == 0 for k in family.sizes) for family in families
-    ]
-    any_level = any(level)
     tops: List[int] = []
     witnesses: List[Optional[Tuple[int, int, int]]] = [None] * len(stack)
     missing = len(stack)
@@ -303,8 +294,7 @@ def _stack_profiles(
         last = first + len(counts)
         for column_sums in sums:
             column_sums.add(counts)
-        if any_level:
-            tops += np.maximum.reduce(counts, axis=1, initial=0).tolist()
+        tops += np.maximum.reduce(counts, axis=1, initial=0).tolist()
         if missing:
             least = (last - first) * total - sum(sizes[first:last])
             if np.count_nonzero(counts) != least:
@@ -324,9 +314,7 @@ def _stack_profiles(
     profiles = []
     for f, (family, scale, _) in enumerate(stack):
         row_tops = tops[starts[f] : starts[f + 1]]
-        constant = level[f] and all(
-            top * width == k * (total - k) for top, k in zip(row_tops, family.sizes)
-        )
+        constant = all(top * width == k * (total - k) for top, k in zip(row_tops, family.sizes))
         profiles.append(DifferenceProfile(
             family, scale, reciprocal[f], tuple(row_tops) if constant else None, witnesses[f],
             weights, weighted[f],

@@ -39,10 +39,6 @@ def parse_frac(s) -> Fraction:
         raise ValueError(f"not a rational: {s!r}") from exc
 
 
-def parse_weights(items: Sequence) -> Tuple[Fraction, ...]:
-    return tuple(parse_frac(s) for s in items)
-
-
 def family_to_dict(
     family: DisjointFamily,
     weights: Optional[Sequence[Fraction]] = None,
@@ -83,7 +79,7 @@ def family_from_dict(data) -> Tuple[DisjointFamily, Optional[Tuple[Fraction, ...
     if "weights" in data:
         if not isinstance(data["weights"], list):
             raise ValueError("weights must be a list of rationals")
-        weights = check_weights(family.m, parse_weights(data["weights"]))
+        weights = check_weights(family.m, [parse_frac(s) for s in data["weights"]])
     metadata = data.get("metadata")
     if metadata is not None and not isinstance(metadata, dict):
         raise ValueError("metadata must be an object")

@@ -102,9 +102,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.diff(a, self.inv(b))
 
-    def identity(self) -> int:
-        return 0
-
     def elements(self) -> range:
         return range(self.order)
 

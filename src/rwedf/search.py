@@ -40,10 +40,12 @@ the full walk's and memory stays O(output); ``SearchStats.nodes`` counts the
 reduced tree.  Two requirements are not translation invariant and take the
 full walk with no symmetry: star_partition (the identity must stay outside
 the union), and wedf with different weights on equal-sized sets (translation
-can reorder those sets, and the weights attach by position).  There
+can reorder those sets, and the weights attach by position).  Under wedf
 ``dedup="translation"`` keeps the least hit of each translation class, which
-need not be the least translate, and holds the keys of the classes met.
-Everywhere else it keeps the least key of each translation class in the
+need not be the least translate, and holds the keys of the classes met.  A
+star partition walk keeps no such record: a translate F * h^-1, h != 0, of a
+star partition holds h * h^-1 = 0, so no two hits share a class.
+Everywhere else dedup keeps the least key of each translation class in the
 orbit.
 
 The census (``rwedf_census``) uses translation symmetry: it sweeps one support
@@ -60,7 +62,7 @@ compared with what the block's own scoring found.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -139,7 +141,15 @@ class _StopSearch(Exception):
     pass
 
 
-def _validate_spec(spec: SearchSpec) -> Tuple[Tuple[int, ...], Optional[Fraction]]:
+def _validate_spec(spec: SearchSpec) -> SearchSpec:
+    """The spec checked and normalised; both search paths read only this one.
+
+    ``sizes`` becomes a tuple and ``weights`` the validated weights.  The
+    identity (n-1)*ell = (m-1)*T fixes the only ell a family of these sizes
+    can have, so ``target_ell`` must equal it and is set to it whenever rwedf
+    is required: past this point the two are one requirement.  The dedup mode
+    is checked last.
+    """
     n = spec.group.order
     if n > SEARCH_ORDER_LIMIT:
         raise GroupTooLarge(
@@ -164,10 +174,11 @@ def _validate_spec(spec: SearchSpec) -> Tuple[Tuple[int, ...], Optional[Fraction
         raise InfeasibleParameters(
             "a group of order 1 has no non-identity differences to classify"
         )
+    weights = None
     if "wedf" in spec.require:
         if spec.weights is None:
             raise InfeasibleParameters("the wedf flag needs a weight vector")
-        check_weights(len(sizes), spec.weights)
+        weights = check_weights(len(sizes), spec.weights)
     elif spec.weights is not None:
         raise InfeasibleParameters("weights are only read by the wedf flag")
     ell = spec.target_ell
@@ -177,11 +188,11 @@ def _validate_spec(spec: SearchSpec) -> Tuple[Tuple[int, ...], Optional[Fraction
             raise InfeasibleParameters(
                 f"(n-1)*ell = {(n - 1) * ell} but (m-1)*T = {(len(sizes) - 1) * total}"
             )
-    return sizes, ell
-
-
-def _require_rwedf(spec: SearchSpec) -> bool:
-    return "rwedf" in spec.require or spec.target_ell is not None
+    elif "rwedf" in spec.require:
+        ell = Fraction((len(sizes) - 1) * total, n - 1)
+    if spec.dedup not in ("none", "translation"):
+        raise InfeasibleParameters(f"unknown dedup mode {spec.dedup!r}")
+    return replace(spec, sizes=sizes, weights=weights, target_ell=ell)
 
 
 @dataclass
@@ -190,16 +201,17 @@ class _Caps:
     cols: Tuple[Tuple[Tuple[int, ...], int], ...]  # (per-set coefficients, limit) per column cap
 
 
-def _build_caps(spec: SearchSpec, sizes: Tuple[int, ...]) -> Optional[_Caps]:
+def _build_caps(spec: SearchSpec) -> Optional[_Caps]:
     """The caps a family passing every flag but bimodal meets, or None if none can.
 
     At a complete family row i sums to k_i*(T-k_i) over the n-1 non-identity
     columns, so a column cap's sums add up to (n-1)*limit, and a row whose
     cells are capped at k_i*(T-k_i)/(n-1) is constant.  Staying under every
     cap therefore makes each capped row and column sum constant: the caps
-    alone decide edf, sedf, gsedf, rwedf (with its only possible ell) and wedf.
+    alone decide edf, sedf, gsedf, rwedf (``target_ell``) and wedf.
     """
     n = spec.group.order
+    sizes = spec.sizes
     m = len(sizes)
     total = sum(sizes)
     req = spec.require
@@ -219,7 +231,7 @@ def _build_caps(spec: SearchSpec, sizes: Tuple[int, ...]) -> Optional[_Caps]:
     coefs = []
     if "edf" in req:
         coefs.append((1,) * m)
-    if _require_rwedf(spec):
+    if spec.target_ell is not None:
         coefs.append(scaled_weights(sizes)[1])
     if "wedf" in req:
         coefs.append(scaled_fractions(spec.weights)[1])
@@ -233,14 +245,10 @@ def _build_caps(spec: SearchSpec, sizes: Tuple[int, ...]) -> Optional[_Caps]:
     return _Caps(tuple(cell), tuple(cols))
 
 
-def _passing(
-    families: List[DisjointFamily], spec: SearchSpec, ell: Optional[Fraction]
-) -> List[DisjointFamily]:
-    """The oracle's leaf filter: classify the families and keep those that meet every flag.
-
-    ell is the only possible ell whenever rwedf is required.
-    """
+def _passing(families: List[DisjointFamily], spec: SearchSpec) -> List[DisjointFamily]:
+    """The oracle's leaf filter: classify the families and keep those that meet every flag."""
     req = spec.require
+    ell = spec.target_ell
     if "star_partition" in req:
         families = [f for f in families if _is_star_partition(f)]
     if not req - {"star_partition"} and ell is None:
@@ -262,19 +270,20 @@ def _is_star_partition(family: DisjointFamily) -> bool:
     )
 
 
-def _translation_invariant(spec: SearchSpec, sizes: Tuple[int, ...]) -> bool:
+def _translation_invariant(spec: SearchSpec) -> bool:
     """Whether every translate of a passing family passes too (see the module notes)."""
     if "star_partition" in spec.require:
         return False
     if "wedf" in spec.require:
-        w = check_weights(len(sizes), spec.weights)
+        w, sizes = spec.weights, spec.sizes
         return all(w[i] == w[i + 1] for i in range(len(sizes) - 1) if sizes[i] == sizes[i + 1])
     return True
 
 
 class _Searcher:
-    def __init__(self, spec: SearchSpec, sizes: Tuple[int, ...], caps: _Caps):
+    def __init__(self, spec: SearchSpec, caps: _Caps):
         g = spec.group
+        sizes = spec.sizes
         self.spec = spec
         self.sizes = sizes
         self.caps = caps
@@ -282,16 +291,19 @@ class _Searcher:
         self.n = g.order
         self.m = len(sizes)
         self.diff = g.diff_rows
-        self.budget = spec.node_budget
         self.stats = SearchStats()
         # symmetric: walk one part of the tree per T x| A orbit and expand orbits at the hits
-        self.symmetric = _translation_invariant(spec, sizes)
+        self.symmetric = _translation_invariant(spec)
+        self.star_cut = "star_partition" in spec.require
+        # a translate F * h^-1, h != 0, of a star partition F holds h * h^-1 = 0, so it
+        # is not one: dedup can drop no star partition
+        self.dedup = "none" if self.star_cut else spec.dedup
         self.autos = g.automorphism_subgroup() if self.symmetric else [list(range(self.n))]
         # the sets tied with set 0 for largest, each held to the symmetry test once full
         self.tied = sizes.count(sizes[0]) if self.symmetric else 0
         # per tied set, the (a, sigma) of its images sigma(B * a^-1) equal to set 0
         self.ties: List[List[Tuple[int, List[int]]]] = [[] for _ in range(self.tied)]
-        if self.symmetric or spec.dedup == "translation":
+        if self.symmetric or self.dedup == "translation":
             self.table = np.array(self.diff, dtype=np.int64)
             self.auto_array = np.array(self.autos, dtype=np.int64)
         self.found: List[Key] = []  # hits, orbits expanded
@@ -312,7 +324,6 @@ class _Searcher:
         self.bimodal = "bimodal" in spec.require
         self.coset_cut = self.bimodal and g.abelian
         self.carriers: Dict[FrozenSet[int], Tuple[int, ...]] = {}  # closure per difference set
-        self.star_cut = "star_partition" in spec.require
         self.banned = 1 if self.star_cut else 0  # a star partition leaves out the identity
 
     def run(self) -> None:
@@ -465,19 +476,18 @@ class _Searcher:
             self.banned = saved
             return
         slot = self.slots[i]
+        stats = self.stats
+        budget = self.spec.node_budget
         stop = self.n - remaining + 1
         if i == 0 and not slot and self.symmetric:
             stop = 1  # every orbit has a member with 0 in set 0
         for x in range(lo, stop):
             if self.owner[x] >= 0 or self.banned >> x & 1:
                 continue
-            if self.budget <= 0:
-                self.stats.complete = False
-                raise BudgetExceeded(
-                    "node budget exhausted", families=self.families(), stats=self.stats
-                )
-            self.budget -= 1
-            self.stats.nodes += 1
+            if stats.nodes >= budget:
+                stats.complete = False
+                raise BudgetExceeded("node budget exhausted", families=self.families(), stats=stats)
+            stats.nodes += 1
             live = self.live
             self.live = live[:]
             broken = self._apply(x, i)
@@ -501,7 +511,7 @@ class _Searcher:
             for i, k in enumerate(self.sizes):
                 if any(c and c != k for c in live[i * n : (i + 1) * n]):
                     return
-        dedup = self.spec.dedup
+        dedup = self.dedup
         if not self.symmetric:
             if dedup == "translation":
                 if key in self.seen:
@@ -585,25 +595,21 @@ def enumerate_families(spec: SearchSpec, workers: int = 1) -> SearchResult:
 
     ``workers`` is accepted and ignored: the search runs on one thread.
     """
-    sizes, _ = _validate_spec(spec)
-    if spec.dedup not in ("none", "translation"):
-        raise InfeasibleParameters(f"unknown dedup mode {spec.dedup!r}")
-    caps = _build_caps(spec, sizes)
+    spec = _validate_spec(spec)
+    caps = _build_caps(spec)
     if caps is None:
         stats = SearchStats()
         stats.pruned_by["infeasible"] = 1
         return SearchResult([], stats)
-    searcher = _Searcher(spec, sizes, caps)
+    searcher = _Searcher(spec, caps)
     searcher.run()
     return SearchResult(searcher.families(), searcher.stats)
 
 
 def naive_enumerate(spec: SearchSpec) -> SearchResult:
     """Generate-and-test oracle: same canonical order, no pruning at all."""
-    sizes, ell = _validate_spec(spec)
-    if ell is None and _require_rwedf(spec):
-        m, total, n = len(sizes), sum(sizes), spec.group.order
-        ell = Fraction((m - 1) * total, n - 1)
+    spec = _validate_spec(spec)
+    sizes = spec.sizes
     g = spec.group
     n = g.order
     stats = SearchStats()
@@ -628,7 +634,7 @@ def naive_enumerate(spec: SearchSpec) -> SearchResult:
             slots.pop()
 
     rec(0, 0)
-    results = _passing(leaves, spec, ell)
+    results = _passing(leaves, spec)
     results.sort(key=_flat_key)
     if spec.dedup == "translation":
         # keep the least hit of each translation class
@@ -643,7 +649,7 @@ def naive_enumerate(spec: SearchSpec) -> SearchResult:
 
 
 def enumerate_star_partitions(
-    group: FiniteGroup, limit: int = STAR_PARTITION_ORDER_LIMIT, node_budget: int = NODE_BUDGET
+    group: FiniteGroup, *, node_budget: int = NODE_BUDGET
 ) -> List[List[Subgroup]]:
     """All ways to partition the non-identity elements into subgroup stars.
 
@@ -654,8 +660,10 @@ def enumerate_star_partitions(
     """
     if node_budget < 0:
         raise InfeasibleParameters(f"node budget must be non-negative, got {node_budget}")
-    if group.order > limit:
-        raise GroupTooLarge(f"order {group.order} exceeds star partition limit {limit}")
+    if group.order > STAR_PARTITION_ORDER_LIMIT:
+        raise GroupTooLarge(
+            f"order {group.order} exceeds star partition limit {STAR_PARTITION_ORDER_LIMIT}"
+        )
     subs = [s for s in enumerate_subgroups(group) if s.order > 1]
     full = (1 << group.order) - 2  # non-identity elements
     star_masks = []

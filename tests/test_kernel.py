@@ -5,6 +5,7 @@ Every reference here is written with the scalar group law of
 ``difference_counts``.  The streamed profile's classification is checked
 against the dense reference in ``helpers`` at many block and chunk sizes.
 """
+import importlib
 import random
 import tracemalloc
 from fractions import Fraction
@@ -484,8 +485,8 @@ def test_classify_many_over_groups_and_shapes():
 
 
 def test_classify_many_with_a_family_past_int64():
-    # the 15-set family takes the Python-int sums alone; its neighbours, of the
-    # same group and total, stack around it
+    # the 15-set family stacks with its neighbours of the same group and total,
+    # and its bound takes the sums of the whole stack to Python ints
     fam, primes = past_int64_family()
     g = fam.group
     elems = [x for s in fam.sets for x in s]
@@ -559,6 +560,34 @@ def test_weighted_sums_past_int64_take_python_ints(monkeypatch, rows):
     prof = difference_profile(fam, weights)
     assert dtypes == [object, object]  # the reciprocal sums, then the weighted ones
     assert [Fraction(s, lcm(*primes)) for s in prof.weighted] == ref_weighted_sums(fam, weights)
+
+
+def test_weighted_classify_many_checks_the_weights_once_per_family(monkeypatch):
+    z9, d4 = CyclicGroup(9), DihedralGroup(4)
+    fams = [
+        DisjointFamily.of(z9, (0, 1), (3,), (5, 7)),
+        DisjointFamily.of(z9, (2,), (4, 6), (8, 0)),
+        DisjointFamily.of(d4, (0, 1, 2), (4,), (6, 7)),
+    ]
+    weights = (Fraction(1, 2), Fraction(1, 3), Fraction(1))
+    checked = []
+
+    def counting(m, ws, real=family_module.check_weights):
+        checked.append(m)
+        return real(m, ws)
+
+    def refused(*args):
+        raise AssertionError("the report reads wedf off the profile")
+
+    classify_module = importlib.import_module("rwedf.classify")
+    for module in (family_module, classify_module):
+        monkeypatch.setattr(module, "check_weights", counting)
+    monkeypatch.setattr(classify_module, "check_wedf", refused)
+    got = classify_many(fams, weights)
+    assert checked == [3, 3, 3]
+    for fam, report in zip(fams, got):
+        ref = reference_classification(fam, weights)
+        assert {k: report.to_json_dict()[k] for k in ref} == ref
 
 
 def test_check_wedf_profiles_again_only_for_other_weights(monkeypatch):

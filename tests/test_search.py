@@ -1,6 +1,7 @@
 import hashlib
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -124,6 +125,30 @@ def test_target_ell_filter():
         )
 
 
+@pytest.mark.parametrize("dedup", ["none", "translation"])
+@pytest.mark.parametrize(
+    "group, sizes, require, weights",
+    [
+        (CyclicGroup(9), (4, 2), frozenset(), None),
+        (CyclicGroup(7), (3, 2), frozenset({"wedf"}), (1, HALF)),
+        # unequal weights on equal sizes: the walk without symmetry
+        (CyclicGroup(5), (2, 2), frozenset({"wedf"}), (1, HALF)),
+    ],
+)
+def test_target_ell_is_the_rwedf_requirement(group, sizes, require, weights, dedup):
+    # (n-1)*ell = (m-1)*T leaves one ell, so a target at it asks what rwedf asks
+    ell = Fraction((len(sizes) - 1) * sum(sizes), group.order - 1)
+    by_flag = SearchSpec(group=group, sizes=sizes, require=require | {"rwedf"},
+                         weights=weights, dedup=dedup)
+    by_ell = SearchSpec(group=group, sizes=sizes, require=require, weights=weights,
+                        target_ell=ell, dedup=dedup)
+    for run in (enumerate_families, naive_enumerate):
+        flagged, targeted = run(by_flag), run(by_ell)
+        assert flagged.families
+        assert [f.sets for f in targeted.families] == [f.sets for f in flagged.families]
+        assert targeted.stats == flagged.stats
+
+
 def test_parallel_matches_serial():
     spec = SearchSpec(group=CyclicGroup(10), sizes=(2, 2, 1, 1), require=frozenset({"rwedf"}))
     serial = enumerate_families(spec, workers=1)
@@ -213,6 +238,27 @@ def test_star_partition_dedup_keeps_least_hit(group, sizes):
     assert len(both(spec).families) == 1
     deduped = SearchSpec(group=group, sizes=sizes, require=spec.require, dedup="translation")
     assert len(both(deduped).families) == 1
+
+
+@pytest.mark.parametrize(
+    "group, sizes",
+    [(ElementaryAbelianGroup(3, 2), (2, 2, 2, 2)), (ElementaryAbelianGroup(2, 3), (3, 1, 1, 1, 1))],
+)
+def test_star_partition_dedup_expands_no_translation_class(monkeypatch, group, sizes):
+    # no two star partitions are translates, so the walk keeps no record of classes
+    spec = SearchSpec(group=group, sizes=sizes, require=frozenset({"star_partition"}))
+    plain = enumerate_families(spec)
+    calls = []
+
+    def counting(*args, real=search._translation_classes):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(search, "_translation_classes", counting)
+    deduped = enumerate_families(replace(spec, dedup="translation"))
+    assert calls == []
+    assert [f.sets for f in deduped.families] == [f.sets for f in plain.families]
+    assert deduped.stats == plain.stats
 
 
 @pytest.mark.parametrize(
@@ -546,6 +592,13 @@ def test_infeasible_specs():
         )
 
 
+def test_unknown_dedup_refused_on_both_paths():
+    spec = SearchSpec(group=CyclicGroup(7), sizes=(2, 2), dedup="Translation")
+    for run in (enumerate_families, naive_enumerate):
+        with pytest.raises(InfeasibleParameters, match="dedup"):
+            run(spec)
+
+
 def test_fractional_target_skips_search():
     # (m-1)*T*lcm(sizes) = 20 is not divisible by n-1 = 7, so the scaled
     # constancy target is fractional and no family can reach it
@@ -607,6 +660,12 @@ def test_star_partitions_node_budget():
     with pytest.raises(InfeasibleParameters):
         enumerate_star_partitions(group, node_budget=-1)
     assert enumerate_star_partitions(CyclicGroup(1), node_budget=0) == [[]]
+
+
+def test_star_partitions_take_the_budget_by_keyword_only():
+    # a positional second argument, once the order limit, must not become a budget
+    with pytest.raises(TypeError):
+        enumerate_star_partitions(ElementaryAbelianGroup(2, 3), 128)
 
 
 def test_star_partitions_cyclic_only_trivial():
