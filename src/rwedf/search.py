@@ -50,10 +50,14 @@ orbit.
 
 The census (``rwedf_census``) uses translation symmetry: it sweeps one support
 per translation orbit and counts each set partition of it once per distinct
-translate of the support, n / |Stab(U)| times.  The set partitions of a support
-come as restricted growth strings in bounded int8 blocks, and each block is
-scored in one numpy pass over the support's ordered pairs, with every column
-sum scaled by lcm(1..n); memory stays flat whatever the support size.
+translate of the support, n / |Stab(U)| times.  A partition's reciprocal column
+sums, scaled by K = lcm(1..n), are the sum over its blocks B of (K / |B|) times
+the differences from B to the rest of the support, which depend on B alone:
+each support gets a table of them for all 2^s subsets (``_subset_table``,
+2^s * (n-1) int64 cells), and its set partitions come as restricted growth
+strings in bounded int8 blocks that carry each row's block masks and summed
+table rows, O(CENSUS_BLOCK * s * (n + s)) cells a block.  Orders from 21 up
+are refused, as the whole group's table would pass DENSE_CELL_LIMIT.
 ``cross_check_every = s`` still classifies floor(families / s) genuine,
 distinct families: the translates that stand at the crossed positions.  The
 crossed families of one block of a support's partitions all have T = s, and
@@ -75,6 +79,7 @@ import numpy as np
 from .classify import classify, classify_many
 from .errors import BudgetExceeded, GroupTooLarge, InfeasibleParameters
 from .family import (
+    DENSE_CELL_LIMIT,
     DisjointFamily,
     check_weights,
     difference_profile,
@@ -324,6 +329,7 @@ class _Searcher:
         self.bimodal = "bimodal" in spec.require
         self.coset_cut = self.bimodal and g.abelian
         self.carriers: Dict[FrozenSet[int], Tuple[int, ...]] = {}  # closure per difference set
+        self.stars: Dict[Tuple[int, ...], bool] = {}  # whether 0 and the set close to a subgroup
         self.banned = 1 if self.star_cut else 0  # a star partition leaves out the identity
 
     def run(self) -> None:
@@ -388,9 +394,14 @@ class _Searcher:
         members = self.slots[i]
         diff = self.diff
         extra = 0
-        if self.star_cut and not is_subgroup(self.group, (0, *members)):
-            self._cut("star")
-            return None
+        if self.star_cut:
+            key = tuple(members)
+            star = self.stars.get(key)
+            if star is None:
+                star = self.stars[key] = is_subgroup(self.group, (0, *members))
+            if not star:
+                self._cut("star")
+                return None
         if i < self.tied and self._image_sorts_first(i):
             self._cut("symmetry")
             return None
@@ -745,24 +756,80 @@ def _census_scale(n: int) -> int:
     return scale
 
 
-def _set_partitions(s: int) -> Iterator[np.ndarray]:
-    """Every set partition of s >= 1 points as restricted growth strings, in lex order.
+def _subset_table(group: FiniteGroup, members: List[int], scale: int) -> np.ndarray:
+    """Every subset B of a support S as a census block: its scaled differences to S - B.
 
-    Row a_0..a_{s-1} puts point i in block a_i, with a_0 = 0 and a_i <= 1 +
-    max(a_0..a_{i-1}) (Knuth, TAOCP 4A, 7.2.1.5), so blocks are numbered in
-    order of their least point.  The rows come in int8 blocks, each grown from
-    at most CENSUS_BLOCK rows for s - 1 points.
+    Row mask, B the members whose bits are set in mask, holds at column
+    delta - 1 the count #{x in B, y in S - B : x * y^-1 = delta} times scale /
+    |B|; row 0 is zero.  A partition of S has as its scaled reciprocal column
+    sums the sum of its blocks' rows.  The counts are built by doubling over
+    the points: N[mask | 2^q] = N[mask] + out_q - G_q[mask] for mask over the
+    points before q, where out_q counts the pairs (x_q, y), y in S - {x_q},
+    and G_q[mask] the pairs (x_q, x) and (x, x_q), x in mask; G_q is itself
+    built by doubling, in the rows it is subtracted into.  Besides the 2^s *
+    (n-1) cells of the table the build takes O(s^2 * n) cells.
     """
-    if s == 1:
-        yield np.zeros((1, 1), dtype=np.int8)
-        return
-    last = np.arange(s, dtype=np.int8)
-    for prefixes in _set_partitions(s - 1):
-        for lo in range(0, len(prefixes), CENSUS_BLOCK):
-            head = prefixes[lo : lo + CENSUS_BLOCK]
-            grow = last <= head.max(axis=1, keepdims=True) + 1
-            tails = np.broadcast_to(last, grow.shape)[grow]
-            yield np.column_stack((np.repeat(head, grow.sum(axis=1), axis=0), tails))
+    s, n = len(members), group.order
+    points = np.array(members, dtype=np.int64)
+    i, j = np.nonzero(~np.eye(s, dtype=bool))
+    pair = np.zeros((s, s, n - 1), dtype=np.int64)  # pair[i, j]: the column of (x_i, x_j)
+    pair[i, j, group.diff_array(points[i], points[j]) - 1] = 1
+    out = pair.sum(axis=1)
+    both = pair + pair.transpose(1, 0, 2)
+    table = np.zeros((1 << s, n - 1), dtype=np.int64)
+    for q in range(s):
+        half = 1 << q
+        grown = table[half : 2 * half]
+        for r in range(q):
+            np.add(grown[: 1 << r], both[q, r], out=grown[1 << r : 2 << r])
+        np.subtract(table[:half], grown, out=grown)
+        grown += out[q]
+    sizes = np.bitwise_count(np.arange(1 << s)).astype(np.int64)
+    sizes[0] = 1  # row 0 stays zero
+    table *= (scale // sizes)[:, None]
+    return table
+
+
+def _set_partitions(table: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every set partition of a support's s points, in lex order of restricted growth strings.
+
+    ``table`` is the support's ``_subset_table``, 2^s rows.  Row a_0..a_{s-1}
+    of a restricted growth string puts point i in block a_i, with a_0 = 0 and
+    a_i <= 1 + max(a_0..a_{i-1}) (Knuth, TAOCP 4A, 7.2.1.5), so blocks are
+    numbered in order of their least point.  Each block of rows comes as
+    (rgs, masks, sums): the int8 strings, each row's block bit masks (s
+    columns, 0 past the last block) and the sum of the table rows of those
+    masks.  A block is grown from at most CENSUS_BLOCK rows for s - 1 points,
+    and when point p joins block a the sums gain table[new] - table[old],
+    old the block's mask before and new = old | 2^p after.
+    """
+    s = len(table).bit_length() - 1
+
+    def partitions(p: int) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        if p == 1:
+            masks = np.zeros((1, s), dtype=np.int64)
+            masks[0, 0] = 1
+            yield np.zeros((1, 1), dtype=np.int8), masks, table[1:2]
+            return
+        point = p - 1
+        last = np.arange(p, dtype=np.int8)
+        for prefixes, prefix_masks, prefix_sums in partitions(point):
+            for lo in range(0, len(prefixes), CENSUS_BLOCK):
+                head = prefixes[lo : lo + CENSUS_BLOCK]
+                grow = last <= head.max(axis=1, keepdims=True) + 1
+                tails = np.broadcast_to(last, grow.shape)[grow]
+                parent = np.repeat(np.arange(lo, lo + len(head)), grow.sum(axis=1))
+                rows = np.arange(len(parent))
+                masks = prefix_masks[parent]
+                old = masks[rows, tails]
+                new = old | (1 << point)
+                masks[rows, tails] = new
+                sums = prefix_sums[parent]
+                sums += table[new]
+                sums -= table[old]
+                yield np.column_stack((prefixes[parent], tails)), masks, sums
+
+    return partitions(s)
 
 
 def rwedf_census(group: FiniteGroup, cross_check_every: int = 0) -> CensusStats:
@@ -779,32 +846,26 @@ def rwedf_census(group: FiniteGroup, cross_check_every: int = 0) -> CensusStats:
     them, is re-checked through the classify pipeline (``classify_many``, a
     batch per block of partitions): a partition weighted w stands at w
     consecutive positions, one per translate, and the translate at the
-    crossed position is the family checked.  Orders past 40 are refused.
+    crossed position is the family checked.  Orders from 21 up are refused:
+    the whole group's subset table would pass DENSE_CELL_LIMIT cells.
     """
     n = group.order
     scale = _census_scale(n)
+    cells = (1 << n) * (n - 1)
+    if cells > DENSE_CELL_LIMIT:
+        raise GroupTooLarge(
+            f"order {n} needs a census subset table of 2^{n} x {n - 1} = {cells} cells, "
+            f"past DENSE_CELL_LIMIT {DENSE_CELL_LIMIT}"
+        )
     diff = group.diff_rows
     every = cross_check_every if n > 1 else 0
     stats = CensusStats()
     for members, shifts in _support_orbits(diff):
         stats.supports += 1
         s, w = len(members), len(shifts)
-        # every ordered pair (i, j) of support points, grouped by difference
-        pi, pj = np.nonzero(~np.eye(s, dtype=bool))
-        points = np.array(members, dtype=np.int64)
-        pair_diff = group.diff_array(points[pi], points[pj])
-        order = np.argsort(pair_diff)
-        pi, pj = pi[order], pj[order]
-        cols, starts = np.unique(pair_diff[order], return_index=True)
-        for rgs in _set_partitions(s):
+        for rgs, _, sums in _set_partitions(_subset_table(group, members, scale)):
             rows = len(rgs)
             m = rgs.max(axis=1).astype(np.int64) + 1
-            same = rgs[:, :, None] == rgs[:, None, :]  # points i and j share a block
-            coef = scale // same.sum(axis=2)  # scale / the size of point i's block
-            cross = np.where(same[:, pi, pj], 0, coef[:, pi])
-            sums = np.zeros((rows, n), dtype=np.int64)
-            sums[:, cols] = np.add.reduceat(cross, starts, axis=1)
-            sums = sums[:, 1:]
             constant = (sums == sums[:, :1]).all(axis=1)
             best = sums.max(axis=1, initial=0)
             meets_bound = best * (n - 1) == scale * (m - 1) * s

@@ -28,6 +28,7 @@ from rwedf import (
     rwedf_census,
 )
 from rwedf import search
+from rwedf.family import count_matrix
 
 from helpers import (
     HALF,
@@ -259,6 +260,26 @@ def test_star_partition_dedup_expands_no_translation_class(monkeypatch, group, s
     assert calls == []
     assert [f.sets for f in deduped.families] == [f.sets for f in plain.families]
     assert deduped.stats == plain.stats
+
+
+def test_star_partition_walk_tests_each_set_once(monkeypatch):
+    # the spreads of PG(3, 2): 16,793 completed sets, 455 of them distinct
+    sets = []
+
+    def counting(group, carrier, real=search.is_subgroup):
+        sets.append(tuple(carrier))
+        return real(group, carrier)
+
+    monkeypatch.setattr(search, "is_subgroup", counting)
+    spec = SearchSpec(group=ElementaryAbelianGroup(2, 4), sizes=(3,) * 5,
+                      require=frozenset({"star_partition"}))
+    res = enumerate_families(spec)
+    digest = hashlib.sha256(repr([f.sets for f in res.families]).encode()).hexdigest()
+    assert len(res.families) == 56 and res.stats.complete
+    assert digest == "de6cd42cf583aca2df1d56b197f7d55e86214ab6c72f31e2ec103fbbc4799e0f"
+    assert res.stats.nodes == 29546
+    assert res.stats.pruned_by == dict.fromkeys(search.PRUNE_REASONS, 0) | {"star": 15582}
+    assert len(sets) == len(set(sets)) == 455
 
 
 @pytest.mark.parametrize(
@@ -841,12 +862,22 @@ def rgs_reference(s):
 @pytest.mark.parametrize("block", [1, 3, search.CENSUS_BLOCK])
 def test_set_partitions_lex_order(monkeypatch, s, block):
     monkeypatch.setattr(search, "CENSUS_BLOCK", block)
-    chunks = list(search._set_partitions(s))
+    table = np.random.default_rng(s).integers(0, 1000, (1 << s, 3))
+    table[0] = 0
+    blocks = list(search._set_partitions(table))
+    chunks = [rgs for rgs, _, _ in blocks]
     assert all(c.dtype == np.int8 and len(c) <= s * block for c in chunks)
     rows = [tuple(r) for c in chunks for r in c.tolist()]
     bell = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
     assert len(rows) == len(set(rows)) == bell[s]
     assert rows == rgs_reference(s)
+    # the carried masks are each row's blocks, and the carried sums their table rows
+    bits = 1 << np.arange(s)
+    for rgs, masks, sums in blocks:
+        assert masks.shape == (len(rgs), s)
+        expect = [[int(bits[row == a].sum()) for a in range(s)] for row in rgs]
+        assert masks.tolist() == expect
+        assert np.array_equal(sums, table[masks].sum(axis=1))
 
 
 @pytest.mark.parametrize("block", [1, 2, 3])
@@ -905,7 +936,7 @@ def test_census_counters_frozen():
     assert (d4.leaves, d4.supports, d4.cross_failures) == (6842, 42, 0)
 
 
-def test_census_order_guard():
+def test_census_order_guard(monkeypatch):
     assert search._census_scale(40) == lcm(*range(1, 41))
     with pytest.raises(GroupTooLarge):
         search._census_scale(41)
@@ -913,3 +944,31 @@ def test_census_order_guard():
     with pytest.raises(GroupTooLarge):
         rwedf_census(big)
     assert "diff_rows" not in vars(big)  # refused before the table is built
+    # the subset table of the whole group: 2^21 x 20 cells pass DENSE_CELL_LIMIT
+    z21 = CyclicGroup(21)
+    with pytest.raises(GroupTooLarge, match="DENSE_CELL_LIMIT"):
+        rwedf_census(z21)
+    assert "diff_rows" not in vars(z21)
+    # Z_5 needs 2^5 x 4 = 128 cells
+    monkeypatch.setattr(search, "DENSE_CELL_LIMIT", 127)
+    with pytest.raises(GroupTooLarge, match="128 cells"):
+        rwedf_census(CyclicGroup(5))
+    monkeypatch.setattr(search, "DENSE_CELL_LIMIT", 128)
+    assert rwedf_census(CyclicGroup(5)).families == 202
+
+
+@pytest.mark.parametrize("group", [CyclicGroup(6), DihedralGroup(3), ElementaryAbelianGroup(2, 3),
+                                   ElementaryAbelianGroup(3, 2)], ids=repr)
+def test_subset_table_matches_the_profile_kernel(group):
+    n = group.order
+    scale = lcm(*range(1, n + 1))
+    for support in (list(range(n)), list(range(1, n, 2))):
+        table = search._subset_table(group, support, scale)
+        s = len(support)
+        assert table.shape == (1 << s, n - 1) and table.dtype == np.int64
+        assert not table[0].any() and not table[-1].any()
+        for mask in range(1, (1 << s) - 1):
+            block = [x for i, x in enumerate(support) if mask >> i & 1]
+            rest = [x for x in support if x not in block]
+            counts = count_matrix(DisjointFamily.of(group, block, rest))[0]
+            assert table[mask].tolist() == (scale // len(block) * counts).tolist(), (support, mask)
