@@ -96,15 +96,14 @@ from .groups import (
     group_from_descriptor,
     left_cosets,
 )
+from .census import CensusStats, rwedf_census
 from .search import (
-    CensusStats,
     SearchResult,
     SearchSpec,
     SearchStats,
     enumerate_families,
     enumerate_star_partitions,
     naive_enumerate,
-    rwedf_census,
 )
 from .simulate import GameResult, play, play_best_response, play_random_delta
 

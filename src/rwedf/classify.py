@@ -38,7 +38,6 @@ from .family import (
     is_bimodal,
     r_bound,
     reciprocal_sums,
-    scaled_fractions,
     BimodalVerdict,
 )
 from .groups import FiniteGroup, self_difference_counts
@@ -83,7 +82,11 @@ def _constant_value(sums: Sequence[int], denominator: int) -> Optional[Fraction]
 
 def _first_change(sums: Sequence[int]) -> Optional[int]:
     """The least delta whose sum differs from delta = 1's."""
-    return next((d for d, s in enumerate(sums, start=1) if s != sums[0]), None)
+    first = sums[0]
+    for d, s in enumerate(sums, start=1):
+        if s != first:
+            return d
+    return None
 
 
 def check_wedf(
@@ -99,7 +102,7 @@ def check_wedf(
     weights = check_weights(family.m, weights)
     if profile.weights != weights:
         profile = difference_profile(family, weights)
-    return _constant_value(profile.weighted, scaled_fractions(weights)[0])
+    return _constant_value(profile.weighted, profile.weight_scale)
 
 
 def check_rwedf(
@@ -219,9 +222,8 @@ def _is_trivial_shape(family: DisjointFamily) -> bool:
     # Degenerate shapes: any single set (ell = 0 vacuously, with the whole
     # group as the canonical case) and the partition into n singletons
     # (ell = n).  Only these may violate ell < m.
-    if family.m == 1:
-        return True
-    return family.total == family.n and all(k == 1 for k in family.sizes)
+    # sizes are positive, so n sets add up to n exactly when each is a singleton
+    return family.m == 1 or family.m == family.total == family.n
 
 
 def _check_order(family: DisjointFamily) -> None:
@@ -253,9 +255,10 @@ def classify_many(
 
 def _report(family: DisjointFamily, profile: DifferenceProfile) -> ClassificationReport:
     """Every checker over the family's profile; wedf under the weights it was taken with."""
-    m = family.m
+    m, n, total = family.m, family.n, family.total
     sizes = family.sizes
-    k, sums = reciprocal_sums(profile)
+    k, sums = profile.scale, profile.reciprocal
+    flat = sums.count(sums[0]) == len(sums)
 
     if m == 1:
         edf = sedf = None
@@ -266,19 +269,21 @@ def _report(family: DisjointFamily, profile: DifferenceProfile) -> Classificatio
         edf = check_edf(profile)
         sedf = check_sedf(profile)
         gsedf = check_gsedf(profile)
-        rwedf = _constant_value(sums, k)
-        witness = None if rwedf is not None else _first_change(sums)
+        rwedf = Fraction(sums[0], k) if flat else None
+        witness = None if flat else _first_change(sums)
 
     bimodal = is_bimodal(family, profile)
-    ehat = Fraction(max(sums), k * m)
-    bound = r_bound(family.n, m, family.total)
+    top = max(sums)
+    ehat = Fraction(top, k * m)
+    bound = r_bound(n, m, total)
     trivial = _is_trivial_shape(family)
 
     param_ok = True
     ell_below_m: Optional[bool] = None
     if rwedf is not None:
-        param_ok = (family.n - 1) * rwedf == (m - 1) * family.total
-        ell_below_m = trivial or rwedf < m
+        ell, scale = rwedf.numerator, rwedf.denominator
+        param_ok = (n - 1) * ell == (m - 1) * total * scale
+        ell_below_m = trivial or ell < m * scale
 
     if m == 2 and rwedf is not None:
         m2 = "EDF" if sizes[0] == sizes[1] else "GSEDF"
@@ -288,12 +293,12 @@ def _report(family: DisjointFamily, profile: DifferenceProfile) -> Classificatio
     # bimodal: N_i(delta) / k_i is 1 where N_i(delta) != 0 and 0 elsewhere, so
     # the scaled reciprocal sum of a column is K times its count of non-zero rows
     key_prop: Optional[Tuple[int, int]] = None
-    if bimodal.holds and sums.count(sums[0]) == len(sums):
+    if bimodal.holds and flat:
         lam = sums[0] // k
         key_prop = (lam, m - lam)
 
     report = ClassificationReport(
-        n=family.n,
+        n=n,
         m=m,
         sizes=sizes,
         trivial=trivial,
@@ -305,7 +310,8 @@ def _report(family: DisjointFamily, profile: DifferenceProfile) -> Classificatio
         bimodal=bimodal,
         e_hat=ehat,
         r_bound=bound,
-        r_optimal=ehat == bound,
+        # e_hat = top / (K * m) meets (m - 1) * T / (m * (n - 1))
+        r_optimal=top * (n - 1) == (m - 1) * total * k,
         param_identity_ok=param_ok,
         ell_below_m=ell_below_m,
         m2_structure=m2,
@@ -313,5 +319,5 @@ def _report(family: DisjointFamily, profile: DifferenceProfile) -> Classificatio
     )
     if profile.weights is not None:
         report.wedf_weights = profile.weights
-        report.wedf = _constant_value(profile.weighted, scaled_fractions(profile.weights)[0])
+        report.wedf = _constant_value(profile.weighted, profile.weight_scale)
     return report

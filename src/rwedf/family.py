@@ -23,10 +23,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, chain, islice
 from math import lcm
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,12 +47,16 @@ from .groups import (
 DENSE_CELL_LIMIT = 1 << 25
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DisjointFamily:
     """An ordered family of pairwise disjoint, non-empty subsets of one group."""
 
     group: FiniteGroup
     sets: Tuple[Tuple[int, ...], ...]
+    # set once by __post_init__: read many times per classification, and the sets never change
+    m: int = field(init=False, repr=False, compare=False)
+    sizes: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    total: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.group.order
@@ -72,23 +76,14 @@ class DisjointFamily:
                 used[x] = 1
             if clash:
                 raise ValueError(f"set {i} overlaps an earlier set")
+        sizes = tuple(map(len, self.sets))
+        object.__setattr__(self, "m", len(sizes))
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "total", sum(sizes))
 
     @classmethod
     def of(cls, group: FiniteGroup, *sets: Sequence[int]) -> "DisjointFamily":
         return cls(group, tuple(tuple(sorted(s)) for s in sets))
-
-    @property
-    def m(self) -> int:
-        return len(self.sets)
-
-    # sizes and total are read many times per classification; the sets never change
-    @cached_property
-    def sizes(self) -> Tuple[int, ...]:
-        return tuple(len(s) for s in self.sets)
-
-    @cached_property
-    def total(self) -> int:
-        return sum(self.sizes)
 
     @property
     def n(self) -> int:
@@ -144,10 +139,11 @@ class DifferenceProfile:
     # the first (set index, delta, count) in row then delta order whose
     # count is neither 0 nor the set's size
     bimodal_witness: Optional[Tuple[int, int, int]] = field(compare=False, repr=False)
-    # the validated weights w_i the profile was taken with, if any, and
-    # D * sum_i w_i * N_i(delta) per delta, D their common denominator
+    # the validated weights w_i the profile was taken with, if any,
+    # D * sum_i w_i * N_i(delta) per delta, and D, their common denominator
     weights: Optional[Tuple[Fraction, ...]] = field(default=None, compare=False, repr=False)
     weighted: Optional[Tuple[int, ...]] = field(default=None, compare=False, repr=False)
+    weight_scale: Optional[int] = field(default=None, compare=False, repr=False)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -232,38 +228,52 @@ def difference_profiles(
 ) -> List[DifferenceProfile]:
     """The difference profile of each family, many families to one pass of the pair kernel.
 
-    Consecutive families of one group and one total T are stacked, at most
-    max(1, BLOCK_CELLS // n) of them: a row of the stacked count matrix is a
-    (family, set) pair, and ``difference_count_blocks`` with span T counts a
-    pair only when both ends lie in one family.  The weights, when given, are
-    every family's.  Only the group, the total and the block size decide the
-    stacking: ``_ColumnSums`` picks int64 or Python ints from the rows of the
-    whole stack, so a family whose sums may pass int64 takes its neighbours'
-    sums to Python ints with its own.
+    The families of one group and one total T are stacked, wherever they
+    stand in the list, at most max(1, BLOCK_CELLS // n) of them: a row of the
+    stacked count matrix is a (family, set) pair, and
+    ``difference_count_blocks`` with span T counts a pair only when both ends
+    lie in one family.  The weights, when given, are every family's: they are
+    checked again only for a family whose m differs from the last one
+    checked, and scaled once.  Only the group, the total and the block size
+    decide the stacking: ``_ColumnSums`` picks int64 or Python ints from the
+    rows of the whole stack, so a family whose sums may pass int64 takes its
+    stack's sums to Python ints with its own.
     """
-    profiles: List[DifferenceProfile] = []
-    stack: List[Tuple[DisjointFamily, int, Tuple[int, ...]]] = []
-    stack_key = None
-    for family in families:
-        if weights is not None:
-            weights = check_weights(family.m, weights)
-        scale, coef = scaled_weights(family.sizes)
+    profiles: List[DifferenceProfile] = [None] * len(families)  # type: ignore[list-item]
+    weighting: Optional[_Weighting] = None
+    stacks: Dict[Tuple[int, int], List[int]] = {}  # (group, total) -> places in the list
+
+    def profile(stack: List[int]) -> None:
+        done = _stack_profiles([families[i] for i in stack], weighting)
+        for i, p in zip(stack, done):
+            profiles[i] = p
+
+    for i, family in enumerate(families):
+        if weights is not None and (weighting is None or family.m != len(weighting.weights)):
+            checked = check_weights(family.m, weights)
+            weighting = _Weighting(checked, *scaled_fractions(checked))
         key = (id(family.group), family.total)
-        if stack and (key != stack_key or len(stack) >= max(1, groups.BLOCK_CELLS // family.n)):
-            profiles += _stack_profiles(stack, weights)
-            stack = []
-        stack_key = key
-        stack.append((family, scale, coef))
-    if stack:
-        profiles += _stack_profiles(stack, weights)
+        stack = stacks.setdefault(key, [])
+        stack.append(i)
+        if len(stack) >= max(1, groups.BLOCK_CELLS // family.n):
+            profile(stacks.pop(key))
+    for stack in stacks.values():
+        profile(stack)
     return profiles
 
 
+class _Weighting(NamedTuple):
+    """Checked weights w_i, their common denominator D and the integer weights D * w_i."""
+
+    weights: Tuple[Fraction, ...]
+    scale: int
+    coef: Tuple[int, ...]
+
+
 def _stack_profiles(
-    stack: Sequence[Tuple[DisjointFamily, int, Tuple[int, ...]]],
-    weights: Optional[Tuple[Fraction, ...]],
+    families: Sequence[DisjointFamily], weighting: Optional[_Weighting]
 ) -> List[DifferenceProfile]:
-    """One pass over the stacked count matrix of (family, K, K / k_i) of one group and total.
+    """One pass over the stacked count matrix of families of one group and one total.
 
     Each block is reduced and dropped, so the pass holds O(BLOCK_CELLS + rows
     + families * n) numbers.  Row i of a family sums to k_i * (T - k_i) over
@@ -276,50 +286,71 @@ def _stack_profiles(
       k_i: a block is searched for bimodal witnesses only when it has more
       non-zero counts than its rows' T - k_i.
     """
-    families = [family for family, _, _ in stack]
     group, total, width = families[0].group, families[0].total, families[0].n - 1
-    sizes = [k for family in families for k in family.sizes]
-    starts = [0, *accumulate(family.m for family in families)]
-    coefs = [[c for _, _, coef in stack for c in coef]]
-    if weights is not None:
-        coefs.append(scaled_fractions(weights)[1] * len(stack))
+    # K and K / k_i once per distinct sizes tuple of the stack
+    known: Dict[Tuple[int, ...], Tuple[int, Tuple[int, ...]]] = {}
+    shapes = []
+    for family in families:
+        shape = known.get(family.sizes)
+        if shape is None:
+            shape = known[family.sizes] = scaled_weights(family.sizes)
+        shapes.append(shape)
+    sizes = list(chain.from_iterable(family.sizes for family in families))
+    ms = [family.m for family in families]
+    starts = [0, *accumulate(ms)]
+    coefs = [list(chain.from_iterable(coef for _, coef in shapes))]
+    if weighting is not None:
+        coefs.append(weighting.coef * len(families))
     sums = [_ColumnSums(coef, width, max(sizes), starts) for coef in coefs]
-    tops: List[int] = []
-    witnesses: List[Optional[Tuple[int, int, int]]] = [None] * len(stack)
-    missing = len(stack)
+    row_sizes = np.array(sizes, dtype=np.int64)
+    tops = np.empty(len(sizes), dtype=np.int64)
+    witnesses: List[Optional[Tuple[int, int, int]]] = [None] * len(families)
+    missing = len(families)
     first = 0
-    sets = [members for family in families for members in family.sets]
+    sets = list(chain.from_iterable(family.sets for family in families))
     for block in difference_count_blocks(group, sets, span=total):
         counts = block[:, 1:]
         last = first + len(counts)
         for column_sums in sums:
             column_sums.add(counts)
-        tops += np.maximum.reduce(counts, axis=1, initial=0).tolist()
+        np.maximum.reduce(counts, axis=1, initial=0, out=tops[first:last])
         if missing:
             least = (last - first) * total - sum(sizes[first:last])
             if np.count_nonzero(counts) != least:
-                between = counts % np.array(sizes[first:last])[:, None] != 0
+                between = counts % row_sizes[first:last, None] != 0
                 # the first such count of each family, in row then delta order
-                for r in np.flatnonzero(between.any(axis=1)).tolist():
-                    f = bisect_right(starts, first + r) - 1
+                rows = np.flatnonzero(between.any(axis=1))
+                owners = np.searchsorted(starts, rows + first, side="right") - 1
+                lead = np.ones(len(rows), dtype=bool)
+                np.not_equal(owners[1:], owners[:-1], out=lead[1:])
+                rows, owners = rows[lead], owners[lead]
+                cols = between[rows].argmax(axis=1)
+                found = zip(owners.tolist(), rows.tolist(), cols.tolist(),
+                            counts[rows, cols].tolist())
+                for f, r, d, count in found:
                     if witnesses[f] is None:
-                        d = int(between[r].argmax())
-                        witnesses[f] = (first + r - starts[f], d + 1, int(counts[r, d]))
+                        witnesses[f] = (first + r - starts[f], d + 1, count)
                         missing -= 1
-                        if not missing:
-                            break
         first = last
+    constant = np.logical_and.reduceat(
+        tops * width == row_sizes * (total - row_sizes), starts[:-1]
+    ).tolist()
+    row_tops = tops.tolist()
     reciprocal = sums[0].values()
-    weighted = sums[1].values() if weights is not None else [None] * len(stack)
-    profiles = []
-    for f, (family, scale, _) in enumerate(stack):
-        row_tops = tops[starts[f] : starts[f + 1]]
-        constant = all(top * width == k * (total - k) for top, k in zip(row_tops, family.sizes))
-        profiles.append(DifferenceProfile(
-            family, scale, reciprocal[f], tuple(row_tops) if constant else None, witnesses[f],
-            weights, weighted[f],
-        ))
-    return profiles
+    if weighting is None:
+        weights = scale = None
+        weighted = [None] * len(families)
+    else:
+        weights, scale = weighting.weights, weighting.scale
+        weighted = sums[1].values()
+    return [
+        DifferenceProfile(
+            family, shape[0], reciprocal[f],
+            tuple(row_tops[starts[f] : starts[f + 1]]) if constant[f] else None,
+            witnesses[f], weights, weighted[f], scale,
+        )
+        for f, (family, shape) in enumerate(zip(families, shapes))
+    ]
 
 
 def scaled_weights(sizes: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:
@@ -356,8 +387,9 @@ def e_hat(family: DisjointFamily, profile: Optional[DifferenceProfile] = None) -
     return Fraction(max(sums), k * family.m)
 
 
+@lru_cache(maxsize=1 << 12)
 def r_bound(n: int, m: int, total: int) -> Fraction:
-    """Averaging lower bound (m-1)*T / (m*(n-1)) on the worst-case rate."""
+    """Averaging lower bound (m-1)*T / (m*(n-1)) on the worst-case rate, kept per (n, m, T)."""
     if n < 2:
         raise ValueError("bound needs n >= 2")
     if m < 1 or total < m or total > n:

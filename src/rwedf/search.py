@@ -47,30 +47,13 @@ star partition walk keeps no such record: a translate F * h^-1, h != 0, of a
 star partition holds h * h^-1 = 0, so no two hits share a class.
 Everywhere else dedup keeps the least key of each translation class in the
 orbit.
-
-The census (``rwedf_census``) uses translation symmetry: it sweeps one support
-per translation orbit and counts each set partition of it once per distinct
-translate of the support, n / |Stab(U)| times.  A partition's reciprocal column
-sums, scaled by K = lcm(1..n), are the sum over its blocks B of (K / |B|) times
-the differences from B to the rest of the support, which depend on B alone:
-each support gets a table of them for all 2^s subsets (``_subset_table``,
-2^s * (n-1) int64 cells), and its set partitions come as restricted growth
-strings in bounded int8 blocks that carry each row's block masks and summed
-table rows, O(CENSUS_BLOCK * s * (n + s)) cells a block.  Orders from 21 up
-are refused, as the whole group's table would pass DENSE_CELL_LIMIT.
-``cross_check_every = s`` still classifies floor(families / s) genuine,
-distinct families: the translates that stand at the crossed positions.  The
-crossed families of one block of a support's partitions all have T = s, and
-go through ``classify_many`` as one batch, in census order; each report is
-compared with what the block's own scoring found.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -79,7 +62,6 @@ import numpy as np
 from .classify import classify, classify_many
 from .errors import BudgetExceeded, GroupTooLarge, InfeasibleParameters
 from .family import (
-    DENSE_CELL_LIMIT,
     DisjointFamily,
     check_weights,
     difference_profile,
@@ -106,7 +88,6 @@ NODE_BUDGET = 10**8  # the default node budget of the search and the star partit
 # expansion it also holds both as int64 arrays, the table 8 MB at order 1024.
 SEARCH_ORDER_LIMIT = 1024
 PRUNE_REASONS = ("cell", "column", "coset", "star", "symmetry", "infeasible")
-CENSUS_BLOCK = 64  # rows for s - 1 points grown into one census block
 
 Key = Tuple[Tuple[int, ...], ...]  # a family's sets in canonical order
 
@@ -705,195 +686,3 @@ def enumerate_star_partitions(
     rec(full)
     covers.sort(key=lambda c: (len(c), tuple(s.carrier for s in c)))
     return covers
-
-
-@dataclass
-class CensusStats:
-    families: int = 0
-    rwedf: int = 0
-    violations: int = 0
-    cross_checked: int = 0
-    cross_failures: int = 0
-    leaves: int = 0  # representative families evaluated
-    supports: int = 0  # support orbits swept
-
-
-def _support_orbits(diff: List[List[int]]) -> Iterator[Tuple[List[int], List[int]]]:
-    """One support per right-translation orbit of the non-empty subsets.
-
-    Yields (members, shifts) for each subset U that is the least, as a bit
-    mask, of its translates U * h^-1 = {diff[x][h]}.  ``shifts`` holds one h
-    per distinct translate, in order of h, so it starts at h = 0 and has
-    n / |Stab(U)| entries.
-    """
-    n = len(diff)
-    bits = [[1 << diff[x][h] for x in range(n)] for h in range(n)]
-    for mask in range(1, 1 << n):
-        members = [x for x in range(n) if mask >> x & 1]
-        translates: Dict[int, int] = {}
-        for h, row in enumerate(bits):
-            t = 0
-            for x in members:
-                t |= row[x]
-            if t < mask:
-                break
-            translates.setdefault(t, h)
-        else:
-            yield members, list(translates.values())
-
-
-def _census_scale(n: int) -> int:
-    """lcm(1..n), the scale of every census column sum; GroupTooLarge for n >= 41.
-
-    A support of s <= n points meets each difference at most s times, so both
-    sides of the bound test stay below lcm(1..n) * n * (n-1), which must fit int64.
-    """
-    scale = 1
-    for k in range(2, n + 1):
-        scale = lcm(scale, k)
-        if scale * n * (n - 1) >= 1 << 63:
-            raise GroupTooLarge(f"order {n} is too large for an int64 census (n <= 40)")
-    return scale
-
-
-def _subset_table(group: FiniteGroup, members: List[int], scale: int) -> np.ndarray:
-    """Every subset B of a support S as a census block: its scaled differences to S - B.
-
-    Row mask, B the members whose bits are set in mask, holds at column
-    delta - 1 the count #{x in B, y in S - B : x * y^-1 = delta} times scale /
-    |B|; row 0 is zero.  A partition of S has as its scaled reciprocal column
-    sums the sum of its blocks' rows.  The counts are built by doubling over
-    the points: N[mask | 2^q] = N[mask] + out_q - G_q[mask] for mask over the
-    points before q, where out_q counts the pairs (x_q, y), y in S - {x_q},
-    and G_q[mask] the pairs (x_q, x) and (x, x_q), x in mask; G_q is itself
-    built by doubling, in the rows it is subtracted into.  Besides the 2^s *
-    (n-1) cells of the table the build takes O(s^2 * n) cells.
-    """
-    s, n = len(members), group.order
-    points = np.array(members, dtype=np.int64)
-    i, j = np.nonzero(~np.eye(s, dtype=bool))
-    pair = np.zeros((s, s, n - 1), dtype=np.int64)  # pair[i, j]: the column of (x_i, x_j)
-    pair[i, j, group.diff_array(points[i], points[j]) - 1] = 1
-    out = pair.sum(axis=1)
-    both = pair + pair.transpose(1, 0, 2)
-    table = np.zeros((1 << s, n - 1), dtype=np.int64)
-    for q in range(s):
-        half = 1 << q
-        grown = table[half : 2 * half]
-        for r in range(q):
-            np.add(grown[: 1 << r], both[q, r], out=grown[1 << r : 2 << r])
-        np.subtract(table[:half], grown, out=grown)
-        grown += out[q]
-    sizes = np.bitwise_count(np.arange(1 << s)).astype(np.int64)
-    sizes[0] = 1  # row 0 stays zero
-    table *= (scale // sizes)[:, None]
-    return table
-
-
-def _set_partitions(table: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Every set partition of a support's s points, in lex order of restricted growth strings.
-
-    ``table`` is the support's ``_subset_table``, 2^s rows.  Row a_0..a_{s-1}
-    of a restricted growth string puts point i in block a_i, with a_0 = 0 and
-    a_i <= 1 + max(a_0..a_{i-1}) (Knuth, TAOCP 4A, 7.2.1.5), so blocks are
-    numbered in order of their least point.  Each block of rows comes as
-    (rgs, masks, sums): the int8 strings, each row's block bit masks (s
-    columns, 0 past the last block) and the sum of the table rows of those
-    masks.  A block is grown from at most CENSUS_BLOCK rows for s - 1 points,
-    and when point p joins block a the sums gain table[new] - table[old],
-    old the block's mask before and new = old | 2^p after.
-    """
-    s = len(table).bit_length() - 1
-
-    def partitions(p: int) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        if p == 1:
-            masks = np.zeros((1, s), dtype=np.int64)
-            masks[0, 0] = 1
-            yield np.zeros((1, 1), dtype=np.int8), masks, table[1:2]
-            return
-        point = p - 1
-        last = np.arange(p, dtype=np.int8)
-        for prefixes, prefix_masks, prefix_sums in partitions(point):
-            for lo in range(0, len(prefixes), CENSUS_BLOCK):
-                head = prefixes[lo : lo + CENSUS_BLOCK]
-                grow = last <= head.max(axis=1, keepdims=True) + 1
-                tails = np.broadcast_to(last, grow.shape)[grow]
-                parent = np.repeat(np.arange(lo, lo + len(head)), grow.sum(axis=1))
-                rows = np.arange(len(parent))
-                masks = prefix_masks[parent]
-                old = masks[rows, tails]
-                new = old | (1 << point)
-                masks[rows, tails] = new
-                sums = prefix_sums[parent]
-                sums += table[new]
-                sums -= table[old]
-                yield np.column_stack((prefixes[parent], tails)), masks, sums
-
-    return partitions(s)
-
-
-def rwedf_census(group: FiniteGroup, cross_check_every: int = 0) -> CensusStats:
-    """Sweep every family over the group (every support, every set partition).
-
-    For each family it evaluates, in exact integer arithmetic, whether the
-    reciprocally weighted column sums are constant and whether the worst-case
-    rate meets the averaging bound, counting any family where the two verdicts
-    disagree.  Both verdicts depend only on the left differences, which right
-    translation keeps, so the sweep visits one support per translation orbit,
-    partitions it every way, and counts each partition once per distinct
-    translate of the support (n / |Stab(U)| times).  With cross_check_every =
-    s > 0, the census family at every s-th position, floor(families / s) of
-    them, is re-checked through the classify pipeline (``classify_many``, a
-    batch per block of partitions): a partition weighted w stands at w
-    consecutive positions, one per translate, and the translate at the
-    crossed position is the family checked.  Orders from 21 up are refused:
-    the whole group's subset table would pass DENSE_CELL_LIMIT cells.
-    """
-    n = group.order
-    scale = _census_scale(n)
-    cells = (1 << n) * (n - 1)
-    if cells > DENSE_CELL_LIMIT:
-        raise GroupTooLarge(
-            f"order {n} needs a census subset table of 2^{n} x {n - 1} = {cells} cells, "
-            f"past DENSE_CELL_LIMIT {DENSE_CELL_LIMIT}"
-        )
-    diff = group.diff_rows
-    every = cross_check_every if n > 1 else 0
-    stats = CensusStats()
-    for members, shifts in _support_orbits(diff):
-        stats.supports += 1
-        s, w = len(members), len(shifts)
-        for rgs, _, sums in _set_partitions(_subset_table(group, members, scale)):
-            rows = len(rgs)
-            m = rgs.max(axis=1).astype(np.int64) + 1
-            constant = (sums == sums[:, :1]).all(axis=1)
-            best = sums.max(axis=1, initial=0)
-            meets_bound = best * (n - 1) == scale * (m - 1) * s
-            stats.leaves += rows
-            stats.rwedf += w * int(constant.sum())
-            stats.violations += w * int((constant != meets_bound).sum())
-            start = stats.families
-            stats.families += w * rows
-            if not every:
-                continue
-            # the block's crossed families, in census order, and what the census says of each
-            crossed: List[DisjointFamily] = []
-            expected: List[Tuple[Optional[Fraction], bool, Fraction]] = []
-            for pos in range(start - start % every + every, stats.families + 1, every):
-                r, t = divmod(pos - start - 1, w)
-                h = shifts[t]
-                blocks = [[] for _ in range(m[r])]
-                for x, b in zip(members, rgs[r].tolist()):
-                    blocks[b].append(diff[x][h])
-                crossed.append(DisjointFamily(group, tuple(tuple(sorted(b)) for b in blocks)))
-                expected.append((
-                    Fraction(int(sums[r, 0]), scale) if constant[r] else None,
-                    bool(meets_bound[r]),
-                    Fraction(int(best[r]), scale * int(m[r])),
-                ))
-            stats.cross_checked += len(crossed)
-            for report, (ell, meets, ehat) in zip(classify_many(crossed), expected):
-                optimal = report.e_hat == report.r_bound
-                if report.rwedf != ell or optimal != meets or report.e_hat != ehat:
-                    stats.cross_failures += 1
-    return stats

@@ -584,7 +584,7 @@ def test_weighted_classify_many_checks_the_weights_once_per_family(monkeypatch):
         monkeypatch.setattr(module, "check_weights", counting)
     monkeypatch.setattr(classify_module, "check_wedf", refused)
     got = classify_many(fams, weights)
-    assert checked == [3, 3, 3]
+    assert checked == [3]  # once for the batch: every family has the same m
     for fam, report in zip(fams, got):
         ref = reference_classification(fam, weights)
         assert {k: report.to_json_dict()[k] for k in ref} == ref

@@ -27,7 +27,7 @@ from rwedf import (
     naive_enumerate,
     rwedf_census,
 )
-from rwedf import search
+from rwedf import census, search
 from rwedf.family import count_matrix
 
 from helpers import (
@@ -807,14 +807,29 @@ def test_census_cross_checks_every_genuine_family(monkeypatch, group, families):
     check_every_genuine_family(monkeypatch, group, families)
 
 
+@pytest.mark.parametrize("block, batch", [(240, 7), (census.CENSUS_BLOCK, census.CROSS_CHECK_BATCH)])
+def test_census_cross_checks_every_genuine_family_split_rows(monkeypatch, block, batch):
+    # the supports of Z_2^3 that are unions of cosets have non-trivial stabilisers and
+    # fewer than n translates; 240 cells grow a block for the 8 points of the whole
+    # support from 2 of its 877 prefixes, and batches of 7 split each block's crossings
+    monkeypatch.setattr(census, "CENSUS_BLOCK", block)
+    monkeypatch.setattr(census, "CROSS_CHECK_BATCH", batch)
+    batches = check_every_genuine_family(monkeypatch, ElementaryAbelianGroup(2, 3), 21146)
+    # full batches across blocks and supports, and the rest at the end
+    assert batches == [batch] * (21146 // batch) + [21146 % batch] * (21146 % batch > 0)
+
+
 def check_every_genuine_family(monkeypatch, group, families):
+    """Cross-check every family of the census; return the sizes of the batches classified."""
     checked = []
+    batches = []
 
     def recording_classify_many(batch, *args, **kwargs):
         checked.extend(family.canonical_key() for family in batch)
+        batches.append(len(batch))
         return classify_many(batch, *args, **kwargs)
 
-    monkeypatch.setattr(search, "classify_many", recording_classify_many)
+    monkeypatch.setattr(census, "classify_many", recording_classify_many)
     stats = rwedf_census(group, cross_check_every=1)
     every = []
     reference_census(group, record=every)
@@ -822,6 +837,7 @@ def check_every_genuine_family(monkeypatch, group, families):
     assert stats.cross_failures == 0
     assert len(set(checked)) == len(set(every)) == families
     assert set(checked) == set(every)
+    return batches
 
 
 def test_census_cross_check_catches_a_wrong_report(monkeypatch):
@@ -834,7 +850,7 @@ def test_census_cross_check_catches_a_wrong_report(monkeypatch):
             perturbed.append(batch[-1])
         return reports
 
-    monkeypatch.setattr(search, "classify_many", perturbing_classify_many)
+    monkeypatch.setattr(census, "classify_many", perturbing_classify_many)
     stats = rwedf_census(DihedralGroup(3), cross_check_every=5)
     assert len(perturbed) == 1
     assert stats.cross_checked == 876 // 5 and stats.cross_failures == 1
@@ -859,14 +875,17 @@ def rgs_reference(s):
 
 
 @pytest.mark.parametrize("s", range(1, 9))
-@pytest.mark.parametrize("block", [1, 3, search.CENSUS_BLOCK])
+@pytest.mark.parametrize("block", [1, 3, 64, census.CENSUS_BLOCK])
 def test_set_partitions_lex_order(monkeypatch, s, block):
-    monkeypatch.setattr(search, "CENSUS_BLOCK", block)
+    monkeypatch.setattr(census, "CENSUS_BLOCK", block)
     table = np.random.default_rng(s).integers(0, 1000, (1 << s, 3))
     table[0] = 0
-    blocks = list(search._set_partitions(table))
+    blocks = list(census._set_partitions(table))
     chunks = [rgs for rgs, _, _ in blocks]
     assert all(c.dtype == np.int8 and len(c) <= s * block for c in chunks)
+    # a row holds s mask and 3 sum cells: a block stays within CENSUS_BLOCK cells, or
+    # grows from a single row for s - 1 points when one such row alone passes it
+    assert all(len(c) * (s + 3) <= max(block, s * (s + 3)) for c in chunks)
     rows = [tuple(r) for c in chunks for r in c.tolist()]
     bell = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
     assert len(rows) == len(set(rows)) == bell[s]
@@ -884,7 +903,7 @@ def test_set_partitions_lex_order(monkeypatch, s, block):
 @pytest.mark.parametrize("group", [CyclicGroup(6), DihedralGroup(3),
                                    ElementaryAbelianGroup(2, 3)], ids=repr)
 def test_census_block_size_free(monkeypatch, group, block):
-    monkeypatch.setattr(search, "CENSUS_BLOCK", block)
+    monkeypatch.setattr(census, "CENSUS_BLOCK", block)
     stats = rwedf_census(group)
     ref = reference_census(group)
     assert (stats.families, stats.rwedf, stats.violations) == (
@@ -893,7 +912,7 @@ def test_census_block_size_free(monkeypatch, group, block):
 
 @pytest.mark.parametrize("block", [1, 2, 3])
 def test_census_cross_checks_block_size_free(monkeypatch, block):
-    monkeypatch.setattr(search, "CENSUS_BLOCK", block)
+    monkeypatch.setattr(census, "CENSUS_BLOCK", block)
     check_every_genuine_family(monkeypatch, DihedralGroup(3), 876)
 
 
@@ -906,17 +925,17 @@ CROSS_CHECK_DIGESTS = [
 ]
 
 
-@pytest.mark.parametrize("block", [1, search.CENSUS_BLOCK])
+@pytest.mark.parametrize("block", [1, census.CENSUS_BLOCK])
 @pytest.mark.parametrize("group, every, count, digest", CROSS_CHECK_DIGESTS)
 def test_census_cross_check_positions_frozen(monkeypatch, block, group, every, count, digest):
-    monkeypatch.setattr(search, "CENSUS_BLOCK", block)
+    monkeypatch.setattr(census, "CENSUS_BLOCK", block)
     checked = []
 
     def recording_classify_many(batch, *args, **kwargs):
         checked.extend(family.sets for family in batch)
         return classify_many(batch, *args, **kwargs)
 
-    monkeypatch.setattr(search, "classify_many", recording_classify_many)
+    monkeypatch.setattr(census, "classify_many", recording_classify_many)
     stats = rwedf_census(group, cross_check_every=every)
     assert stats.cross_checked == len(checked) == count
     assert hashlib.sha256(repr(checked).encode()).hexdigest() == digest
@@ -936,10 +955,47 @@ def test_census_counters_frozen():
     assert (d4.leaves, d4.supports, d4.cross_failures) == (6842, 42, 0)
 
 
+def test_census_without_bitwise_count(monkeypatch):
+    # np.bitwise_count is new in numpy 2.0; the subset table sizes its blocks without it
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    stats = rwedf_census(CyclicGroup(6))
+    assert (stats.families, stats.rwedf) == (876, 82)
+
+
+def test_census_times_its_cross_checks():
+    plain = rwedf_census(CyclicGroup(6))
+    assert plain.cross_check_s == 0.0 and plain.elapsed_s > 0
+    checked = rwedf_census(CyclicGroup(6), cross_check_every=3)
+    assert checked.cross_checked == 292
+    assert 0 < checked.cross_check_s <= checked.elapsed_s
+    # the times vary from run to run, so neither == nor repr reads them
+    again = rwedf_census(CyclicGroup(6), cross_check_every=3)
+    assert again == checked and repr(again) == repr(checked)
+    assert "elapsed_s" not in repr(checked)
+
+
+def test_census_cross_check_time_holds_every_batch(monkeypatch):
+    # a clock that moves one second in each classify_many batch and stands still otherwise
+    clock = [0.0]
+    batches = []
+
+    def ticking_classify_many(batch, *args, **kwargs):
+        clock[0] += 1
+        batches.append(len(batch))
+        return classify_many(batch, *args, **kwargs)
+
+    monkeypatch.setattr(census, "perf_counter", lambda: clock[0])
+    monkeypatch.setattr(census, "classify_many", ticking_classify_many)
+    monkeypatch.setattr(census, "CROSS_CHECK_BATCH", 5)
+    stats = rwedf_census(DihedralGroup(3), cross_check_every=2)
+    assert batches == [5] * 87 + [3]
+    assert stats.cross_check_s == stats.elapsed_s == len(batches)
+
+
 def test_census_order_guard(monkeypatch):
-    assert search._census_scale(40) == lcm(*range(1, 41))
+    assert census._census_scale(40) == lcm(*range(1, 41))
     with pytest.raises(GroupTooLarge):
-        search._census_scale(41)
+        census._census_scale(41)
     big = CyclicGroup(2**20)
     with pytest.raises(GroupTooLarge):
         rwedf_census(big)
@@ -950,10 +1006,10 @@ def test_census_order_guard(monkeypatch):
         rwedf_census(z21)
     assert "diff_rows" not in vars(z21)
     # Z_5 needs 2^5 x 4 = 128 cells
-    monkeypatch.setattr(search, "DENSE_CELL_LIMIT", 127)
+    monkeypatch.setattr(census, "DENSE_CELL_LIMIT", 127)
     with pytest.raises(GroupTooLarge, match="128 cells"):
         rwedf_census(CyclicGroup(5))
-    monkeypatch.setattr(search, "DENSE_CELL_LIMIT", 128)
+    monkeypatch.setattr(census, "DENSE_CELL_LIMIT", 128)
     assert rwedf_census(CyclicGroup(5)).families == 202
 
 
@@ -963,7 +1019,7 @@ def test_subset_table_matches_the_profile_kernel(group):
     n = group.order
     scale = lcm(*range(1, n + 1))
     for support in (list(range(n)), list(range(1, n, 2))):
-        table = search._subset_table(group, support, scale)
+        table = census._subset_table(group, support, scale)
         s = len(support)
         assert table.shape == (1 << s, n - 1) and table.dtype == np.int64
         assert not table[0].any() and not table[-1].any()
