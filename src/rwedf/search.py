@@ -3,7 +3,10 @@
 Canonical generation: sets are filled in size order (largest first), each set's
 members ascend, and among runs of equal-sized sets the least members (anchors)
 increase.  Every unordered family of the requested sizes is therefore visited
-at most once.
+at most once.  An element is entered only when enough free elements lie above
+it for the rest of its set and, when it is the anchor, for the later sets of
+its size, whose members all lie above it; the subtrees this removes hold no
+family.
 
 Caps decide the leaves: the searcher keeps, per column cap, the sums
 sum_i c_i N_i(d) (edf: c_i = 1, rwedf: K / k_i, wedf: the scaled weights) and,
@@ -90,6 +93,7 @@ SEARCH_ORDER_LIMIT = 1024
 PRUNE_REASONS = ("cell", "column", "coset", "star", "symmetry", "infeasible")
 
 Key = Tuple[Tuple[int, ...], ...]  # a family's sets in canonical order
+Ties = List[Tuple[int, List[int]]]  # the (a, sigma) whose image sigma(B * a^-1) is set 0
 
 
 @dataclass(frozen=True)
@@ -287,8 +291,8 @@ class _Searcher:
         self.autos = g.automorphism_subgroup() if self.symmetric else [list(range(self.n))]
         # the sets tied with set 0 for largest, each held to the symmetry test once full
         self.tied = sizes.count(sizes[0]) if self.symmetric else 0
-        # per tied set, the (a, sigma) of its images sigma(B * a^-1) equal to set 0
-        self.ties: List[List[Tuple[int, List[int]]]] = [[] for _ in range(self.tied)]
+        self.ties: List[Ties] = [[] for _ in range(self.tied)]  # per tied set
+        self.images: Dict[Tuple[int, ...], Tuple[bool, Ties]] = {}  # (cut, ties) per set, this set 0
         if self.symmetric or self.dedup == "translation":
             self.table = np.array(self.diff, dtype=np.int64)
             self.auto_array = np.array(self.autos, dtype=np.int64)
@@ -312,6 +316,8 @@ class _Searcher:
         self.carriers: Dict[FrozenSet[int], Tuple[int, ...]] = {}  # closure per difference set
         self.stars: Dict[Tuple[int, ...], bool] = {}  # whether 0 and the set close to a subgroup
         self.banned = 1 if self.star_cut else 0  # a star partition leaves out the identity
+        # per set, the members of the later sets of its size: they all lie above its anchor
+        self.after = [k * sizes[i + 1 :].count(k) for i, k in enumerate(sizes)]
 
     def run(self) -> None:
         try:
@@ -412,21 +418,32 @@ class _Searcher:
         every member of its T x| A orbit, and each holds 0.  The member whose
         set 0 is the least image passes this test for each of its largest
         sets, so cutting every other branch still visits each orbit.  The
-        (a, sigma) whose image equals set 0 go to ``self.ties[i]``.
+        (a, sigma) whose image equals set 0 go to ``self.ties[i]``.  The answer
+        depends on set 0 and B alone, so it is kept per B until set 0 changes.
         """
-        members = self.slots[i]
+        members = tuple(self.slots[i])
+        if i == 0:
+            self.images.clear()
+        known = self.images.get(members)
+        if known is None:
+            known = self.images[members] = self._images(members)
+        cut, self.ties[i] = known
+        return cut
+
+    def _images(self, members: Tuple[int, ...]) -> Tuple[bool, Ties]:
+        """``_image_sorts_first`` for the set ``members``: (cut, ties), stopping at a cut."""
         first = tuple(self.slots[0])
         diff = self.diff
-        ties = self.ties[i] = []
+        ties: Ties = []
         for a in members:
             shifted = [diff[x][a] for x in members]
             for sigma in self.autos:
                 image = tuple(sorted([sigma[y] for y in shifted]))
                 if image <= first:
                     if image < first:
-                        return True
+                        return True, ties
                     ties.append((a, sigma))
-        return False
+        return False, ties
 
     def _least_in_orbit(self, key: Key) -> bool:
         """Whether no member of key's T x| A orbit sorts before key.
@@ -470,12 +487,16 @@ class _Searcher:
         slot = self.slots[i]
         stats = self.stats
         budget = self.spec.node_budget
-        stop = self.n - remaining + 1
-        if i == 0 and not slot and self.symmetric:
-            stop = 1  # every orbit has a member with 0 in set 0
-        for x in range(lo, stop):
-            if self.owner[x] >= 0 or self.banned >> x & 1:
-                continue
+        owner, banned = self.owner, self.banned
+        free = [x for x in range(lo, self.n) if owner[x] < 0 and not banned >> x & 1]
+        # x needs free elements above it for the rest of its set and, as the
+        # anchor, for the later sets of its size
+        room = len(free) - remaining + 1
+        if not slot:
+            room -= self.after[i]
+            if i == 0 and self.symmetric:
+                room = min(room, 1)  # every orbit has a member with 0 in set 0
+        for x in free[: max(room, 0)]:
             if stats.nodes >= budget:
                 stats.complete = False
                 raise BudgetExceeded("node budget exhausted", families=self.families(), stats=stats)

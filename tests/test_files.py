@@ -317,11 +317,11 @@ def test_cli_search_prunes_by_reason(tmp_path, capsys):
     code, text, _ = run(capsys, *argv, "--json")
     assert code == 0
     summary = json.loads(text)
-    assert summary["pruned_by"] == {"cell": 0, "column": 648, "coset": 0, "star": 0,
+    assert summary["pruned_by"] == {"cell": 0, "column": 644, "coset": 0, "star": 0,
                                     "symmetry": 42, "infeasible": 0}
-    assert summary["pruned"] == 690
+    assert summary["pruned"] == 686
     code, text, _ = run(capsys, *argv)
-    assert code == 0 and "pruned 690 (column=648 symmetry=42)" in text
+    assert code == 0 and "pruned 686 (column=644 symmetry=42)" in text
 
 
 @pytest.mark.parametrize("weights", ["1/2,1/2", "1/2", "1/2,1/2,1/2"])

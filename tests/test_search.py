@@ -1,10 +1,12 @@
 import hashlib
+import importlib
 import random
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,8 +26,10 @@ from rwedf import (
     classify_many,
     enumerate_families,
     enumerate_star_partitions,
+    group_from_descriptor,
     naive_enumerate,
     rwedf_census,
+    write_families_jsonl,
 )
 from rwedf import census, search
 from rwedf.family import count_matrix
@@ -263,7 +267,7 @@ def test_star_partition_dedup_expands_no_translation_class(monkeypatch, group, s
 
 
 def test_star_partition_walk_tests_each_set_once(monkeypatch):
-    # the spreads of PG(3, 2): 16,793 completed sets, 455 of them distinct
+    # the spreads of PG(3, 2): 1,876 completed sets, 371 of them distinct
     sets = []
 
     def counting(group, carrier, real=search.is_subgroup):
@@ -277,9 +281,9 @@ def test_star_partition_walk_tests_each_set_once(monkeypatch):
     digest = hashlib.sha256(repr([f.sets for f in res.families]).encode()).hexdigest()
     assert len(res.families) == 56 and res.stats.complete
     assert digest == "de6cd42cf583aca2df1d56b197f7d55e86214ab6c72f31e2ec103fbbc4799e0f"
-    assert res.stats.nodes == 29546
-    assert res.stats.pruned_by == dict.fromkeys(search.PRUNE_REASONS, 0) | {"star": 15582}
-    assert len(sets) == len(set(sets)) == 455
+    assert res.stats.nodes == 2583
+    assert res.stats.pruned_by == dict.fromkeys(search.PRUNE_REASONS, 0) | {"star": 1673}
+    assert len(sets) == len(set(sets)) == 371
 
 
 @pytest.mark.parametrize(
@@ -375,7 +379,7 @@ def test_cap_counts_expanded_families():
 def test_budget_exhaustion_keeps_genuine_hits():
     spec = SearchSpec(group=CyclicGroup(10), sizes=(2, 2, 1, 1), require=frozenset({"rwedf"}))
     every = {f.sets for f in naive_enumerate(spec).families}
-    assert enumerate_families(spec).stats.nodes == 1004  # every budget below stops the walk
+    assert enumerate_families(spec).stats.nodes == 956  # every budget below stops the walk
     partial = []
     for budget in (30, 300, 900):
         with pytest.raises(BudgetExceeded) as info:
@@ -457,7 +461,15 @@ def memo_oracle(monkeypatch):
     monkeypatch.setattr(search, "classify_many", memo)
 
 
-@pytest.mark.parametrize("group, sizes", HOLOMORPH_CASES, ids=str)
+# (group, sizes) with long runs of equal sizes, where the room bound cuts
+ROOM_CASES = [
+    (CyclicGroup(7), (1,) * 6),
+    (CyclicGroup(8), (2, 1, 1, 1, 1)),
+    (DihedralGroup(4), (3, 1, 1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("group, sizes", HOLOMORPH_CASES + ROOM_CASES, ids=str)
 def test_holomorph_search_matches_naive(memo_oracle, group, sizes):
     for kwargs in holomorph_flags(group, sizes):
         for dedup in ("none", "translation"):
@@ -465,14 +477,66 @@ def test_holomorph_search_matches_naive(memo_oracle, group, sizes):
             assert res.stats.complete
 
 
-# the search workload of perfbench/: (spec, hits, nodes with translations and
-# automorphisms); translations alone walked 87,086 / 26,450 / 8,395 nodes
+@pytest.mark.parametrize(
+    "group, sizes, require",
+    [
+        # the coset cut bans the rest of a completed set's coset
+        (ElementaryAbelianGroup(2, 3), (4, 1, 1, 1, 1), "bimodal"),
+        (ElementaryAbelianGroup(2, 3), (3, 3, 1, 1), "bimodal"),
+        (DirectProductGroup(CyclicGroup(2), CyclicGroup(4)), (2, 2, 2, 1, 1), "bimodal"),
+        # a star partition bans the identity
+        (ElementaryAbelianGroup(2, 3), (1,) * 7, "star_partition"),
+        (ElementaryAbelianGroup(2, 3), (3, 1, 1, 1, 1), "star_partition"),
+        (ElementaryAbelianGroup(3, 2), (2, 2, 2, 2), "star_partition"),
+    ],
+    ids=str,
+)
+def test_room_bound_with_banned_elements_matches_naive(group, sizes, require):
+    for dedup in ("none", "translation"):
+        res = both(SearchSpec(group=group, sizes=sizes, require=frozenset({require}), dedup=dedup))
+        assert res.stats.complete
+
+
+@pytest.mark.parametrize(
+    "group, sizes",
+    [
+        (CyclicGroup(7), (1,) * 6),
+        (CyclicGroup(8), (2, 1, 1, 1, 1)),
+        (CyclicGroup(9), (3, 2, 1, 1)),
+        (DihedralGroup(4), (2, 2, 1, 1, 1)),
+    ],
+    ids=str,
+)
+def test_search_enters_only_prefixes_that_extend(monkeypatch, group, sizes):
+    # with no flags there are no caps and no bans, so every prefix the walk enters
+    # must extend to a family of these sizes on the elements it leaves free
+    spec = SearchSpec(group=group, sizes=sizes)
+    extendable = set()
+    for f in naive_enumerate(spec).families:
+        for i, members in enumerate(f.sets):
+            for k in range(1, len(members) + 1):
+                extendable.add((*f.sets[:i], members[:k]))
+    entered = []
+
+    def recording(self, x, i, real=search._Searcher._apply):
+        entered.append((*map(tuple, self.slots[:i]), (*self.slots[i], x)))
+        return real(self, x, i)
+
+    monkeypatch.setattr(search._Searcher, "_apply", recording)
+    res = enumerate_families(spec)
+    assert res.stats.complete and len(entered) == res.stats.nodes > 0
+    assert [p for p in entered if p not in extendable] == []
+
+
+# the search workload of perfbench/: (spec, hits, nodes with translations,
+# automorphisms and the room bound); translations alone walked 87,086 / 26,450 /
+# 8,395 nodes, and with automorphisms but no room bound 41,286 / 2,631 / 2,861
 BENCH_SPECS = [
     (SearchSpec(group=CyclicGroup(12), sizes=(3, 2, 1, 1, 1, 1, 1, 1),
-                require=frozenset({"rwedf"})), 12, 41286),
-    (SearchSpec(group=CyclicGroup(11), sizes=(2, 2, 2, 2), dedup="translation"), 1575, 2631),
+                require=frozenset({"rwedf"})), 12, 9210),
+    (SearchSpec(group=CyclicGroup(11), sizes=(2, 2, 2, 2), dedup="translation"), 1575, 2319),
     (SearchSpec(group=CyclicGroup(16), sizes=(4, 4, 2, 2, 1, 1, 1, 1),
-                require=frozenset({"bimodal"})), 36, 2861),
+                require=frozenset({"bimodal"})), 36, 2376),
 ]
 
 
@@ -481,6 +545,50 @@ def test_bench_search_node_ceilings(spec, hits, nodes):
     res = enumerate_families(spec)
     assert len(res.families) == hits and res.stats.complete
     assert res.stats.nodes <= nodes
+
+
+def test_bench_search_hits_match_perfbench_digests(monkeypatch, tmp_path):
+    # the hit digests perfbench checks, computed by its own hits_digest
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    workloads = importlib.import_module("perfbench.workloads")
+    jobs = workloads.SEARCH_JOBS["full"]
+    assert len(jobs) == len(BENCH_SPECS)
+    for (spec, hits, _), (desc, sizes, flags, count, digest) in zip(BENCH_SPECS, jobs):
+        assert spec.group.describe() == group_from_descriptor(desc).describe()
+        assert ",".join(map(str, spec.sizes)) == sizes
+        assert dict(zip(flags[::2], flags[1::2])) == (
+            {"--require": ",".join(sorted(spec.require))} if spec.require
+            else {"--dedup": spec.dedup})
+        path = tmp_path / "hits.jsonl"
+        write_families_jsonl(path, enumerate_families(spec).families)
+        assert hits == count and workloads.hits_digest(path) == digest
+
+
+def test_symmetry_images_once_per_set_0(monkeypatch):
+    # each completed largest set's images are sorted once per set 0, and the memo
+    # keeps no answer from an earlier set 0
+    computed = []
+    under = {}  # set -> the set 0 its kept answer was computed under
+
+    def images(self, members, real=search._Searcher._images):
+        computed.append((tuple(self.slots[0]), members))
+        under[members] = tuple(self.slots[0])
+        return real(self, members)
+
+    completed = []
+
+    def image_test(self, i, real=search._Searcher._image_sorts_first):
+        cut = real(self, i)
+        completed.append(i)
+        assert all(under[b] == tuple(self.slots[0]) for b in self.images)
+        return cut
+
+    monkeypatch.setattr(search._Searcher, "_images", images)
+    monkeypatch.setattr(search._Searcher, "_image_sorts_first", image_test)
+    res = enumerate_families(BENCH_SPECS[1][0])
+    assert len(res.families) == 1575 and res.stats.nodes == BENCH_SPECS[1][2]
+    assert len(computed) == len(set(computed)) == 46
+    assert len(completed) == 1581
 
 
 def test_symmetric_search_expands_through_translation_classes(monkeypatch):
@@ -558,10 +666,10 @@ def test_dedup_search_memory_stays_near_its_output():
     "spec, reasons",
     [
         (SearchSpec(group=CyclicGroup(10), sizes=(2, 2, 1, 1), require=frozenset({"rwedf"})),
-         {"column": 648, "symmetry": 42}),
+         {"column": 644, "symmetry": 42}),
         (SearchSpec(group=CyclicGroup(5), sizes=(2, 2), require=frozenset({"sedf"})),
          {"cell": 2, "symmetry": 3}),
-        (BENCH_SPECS[2][0], {"coset": 89, "symmetry": 1106}),
+        (BENCH_SPECS[2][0], {"coset": 85, "symmetry": 1106}),
         (SearchSpec(group=DihedralGroup(3), sizes=(2, 1, 1, 1),
                     require=frozenset({"star_partition"})), {"star": 9}),
         (SearchSpec(group=CyclicGroup(8), sizes=(2, 2, 1), require=frozenset({"rwedf"})),
