@@ -11,27 +11,34 @@ group, abelian or not.
 Trials are drawn in one documented batch order with numpy's PCG64 generator:
 first the shifts (random-shift game only) and the source indices, then the
 within-set positions cell by cell, the trials grouped into (delta, set) cells
-in lexicographic order.  A set of size 1 has one member to pick, so its cells
-draw nothing (``rng.integers(0, 1, size=c)`` uses no generator state either)
-and score count times that member's outcome.  Memory is O(trials + n): no
-table over all (delta, set) or (delta, member) pairs is formed.  Runs are
-reproducible bit-for-bit for a fixed seed, trial count, and family.
+in lexicographic order.  Each of these draws may be split into calls of any
+size without changing the stream, and the games split them TRIAL_CHUNK at a
+time.  A set of size 1 has one member to pick, so its cells draw nothing
+(``rng.integers(0, 1, size=c)`` uses no generator state either) and score
+count times that member's outcome.  Runs are reproducible bit-for-bit for a
+fixed seed, trial count, and family.
+
+Memory is O(trials + n), and no table over all (delta, set) or (delta, member)
+pairs is formed.  The random-shift game keeps one int64 key per trial and,
+when the (n-1)*m cells are no more than the trials, one count per cell; it
+scores the cells TRIAL_CHUNK at a time, so every other array is the size of
+one block.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Callable, Optional
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
 from .family import (DisjointFamily, delta_column, difference_profile, r_bound,
                      reciprocal_sums, scaled_weights)
 
-# Trials drawn or scored per step, so every temporary stays about 128 KB at any
-# trial count.  Steps of 2^18 made 100,000-trial games about 1.6 times slower on
-# a 2-vCPU VM.
+# Trials drawn or scored, and cells scored, per step, so every temporary stays
+# about 128 KB at any trial count.  Steps of 2^18 made 100,000-trial games about
+# 1.6 times slower on a 2-vCPU VM.
 TRIAL_CHUNK = 1 << 14
 
 
@@ -65,43 +72,95 @@ class _Board:
         self.member_set = np.repeat(np.arange(family.m), self.sizes)
         self.owner = np.full(family.n, -1, dtype=np.int64)
         self.owner[self.members] = self.member_set
+        self.inverse = self.group.diff_array(0, self.members)  # x^-1 per member
 
-    def wins(self, delta: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    def wins(self, delta, pos: np.ndarray) -> np.ndarray:
         """Per trial: does the shifted element delta^-1 * x, x = members[pos], land in another set."""
-        g = self.group
-        # delta^-1 * x is the left difference of delta^-1 = 0 * delta^-1 and x^-1 = 0 * x^-1
-        landed = self.owner[g.diff_array(g.diff_array(0, delta), g.diff_array(0, self.members[pos]))]
+        return self._lands(self.group.diff_array(0, delta), pos)
+
+    def _lands(self, inv_delta, pos: np.ndarray) -> np.ndarray:
+        """``wins``, given delta^-1 (one element, or one per trial)."""
+        # delta^-1 * x is the left difference of delta^-1 and x^-1
+        landed = self.owner[self.group.diff_array(inv_delta, self.inverse[pos])]
         return (landed >= 0) & (landed != self.member_set[pos])
 
     def tally(self, rng: np.random.Generator, src: np.ndarray, count: np.ndarray,
-              score: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> int:
+              won: Optional[np.ndarray] = None, delta: Optional[np.ndarray] = None) -> int:
         """Successes over the non-empty trial cells, given in (delta, set) order.
 
-        Cell c holds count[c] trials from set src[c]; score(cells, pos) says per
-        trial whether picking the member at pos wins in its cell.
+        Cell c holds count[c] trials from set src[c].  A trial is scored by
+        ``won``, the outcome per member at one fixed shift, or else by ``wins``
+        at its cell's shift delta[c].
         """
+        inv = None if won is not None else self.group.diff_array(0, delta)
         k = self.sizes[src]
         first = self.start[src]
-        single = np.flatnonzero(k == 1)
-        successes = int(count[single][score(single, first[single])].sum())
-        multi = np.flatnonzero(k > 1)
+        one = k == 1
+        hit = won[first[one]] if won is not None else self._lands(inv[one], first[one])
+        successes = int(count[one][hit].sum())
+        multi = np.flatnonzero(~one)
         ends = np.cumsum(count[multi])
         begins = ends - count[multi]
         total = int(ends[-1]) if ends.size else 0
         for lo in range(0, total, TRIAL_CHUNK):
             hi = min(lo + TRIAL_CHUNK, total)
             a, b = np.searchsorted(ends, (lo, hi - 1), side="right")
-            span = slice(a, b + 1)
-            cells = np.repeat(multi[span], np.minimum(ends[span], hi) - np.maximum(begins[span], lo))
             # the picks of trials lo..hi-1: the same stream as one rng.integers(0, k_i,
             # size=count) per cell in cell order; a scalar bound is the faster call
-            high = k[multi[span]]
+            if a == b:  # one cell: score against its set's k_i outcomes
+                c = multi[a]
+                f, size = first[c], k[c]
+                outcome = (won[f : f + size] if won is not None
+                           else self._lands(inv[c], np.arange(f, f + size)))
+                picks = rng.integers(0, size, size=hi - lo)
+                # a set whose members all win, or all lose, needs no look at the picks
+                successes += (hi - lo if outcome.all() else 0 if not outcome.any()
+                              else int(np.count_nonzero(outcome[picks])))
+                continue
+            cells = multi[a : b + 1]
+            lens = np.minimum(ends[a : b + 1], hi) - np.maximum(begins[a : b + 1], lo)
+            high = k[cells]
             if (high == high[0]).all():
                 picks = rng.integers(0, high[0], size=hi - lo)
             else:
-                picks = rng.integers(0, k[cells])
-            successes += int(np.count_nonzero(score(cells, first[cells] + picks)))
+                picks = rng.integers(0, np.repeat(high, lens))
+            pos = np.repeat(first[cells], lens) + picks
+            hits = won[pos] if won is not None else self._lands(np.repeat(inv[cells], lens), pos)
+            successes += int(np.count_nonzero(hits))
         return successes
+
+
+def _trial_cells(rng: np.random.Generator, n: int, m: int,
+                 trials: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The random-shift trials' non-empty cells (delta - 1) * m + set with their counts.
+
+    Draws all shifts, then all sources, TRIAL_CHUNK a call (the same stream as
+    one call each), into one key per trial, and yields the cells in ascending
+    order, at most TRIAL_CHUNK a block.
+    """
+    key = np.empty(trials, dtype=np.int64)
+    for lo in range(0, trials, TRIAL_CHUNK):
+        key[lo : lo + TRIAL_CHUNK] = rng.integers(1, n, size=min(TRIAL_CHUNK, trials - lo)) - 1
+    for lo in range(0, trials, TRIAL_CHUNK):
+        part = key[lo : lo + TRIAL_CHUNK]
+        part *= m
+        part += rng.integers(0, m, size=len(part))
+    cells = (n - 1) * m
+    if cells <= trials:  # then the bins are no larger than the key
+        bins = np.bincount(key, minlength=cells)
+        del key
+        for lo in range(0, cells, TRIAL_CHUNK):
+            part = bins[lo : lo + TRIAL_CHUNK]
+            idx = np.flatnonzero(part)
+            yield idx + lo, part[idx]
+    else:
+        # (n-1)*m cells can far outnumber the trials; a cell split between two
+        # blocks draws its picks in two calls, which is the same stream
+        key.sort()
+        for lo in range(0, trials, TRIAL_CHUNK):
+            part = key[lo : lo + TRIAL_CHUNK]
+            starts = np.flatnonzero(np.diff(part, prepend=-1))
+            yield part[starts], np.diff(starts, append=len(part))
 
 
 def play(family: DisjointFamily, delta: int, trials: int, seed: int) -> GameResult:
@@ -117,8 +176,8 @@ def play(family: DisjointFamily, delta: int, trials: int, seed: int) -> GameResu
         sources = rng.integers(0, family.m, size=min(TRIAL_CHUNK, trials - lo))
         counts += np.bincount(sources, minlength=family.m)
     src = np.flatnonzero(counts)
-    won = board.wins(np.full(family.total, delta), np.arange(family.total))
-    successes = board.tally(rng, src, counts[src], lambda cells, pos: won[pos])
+    won = board.wins(delta, np.arange(family.total))
+    successes = board.tally(rng, src, counts[src], won=won)
     # set i's wins add up to N_i(delta), so this is e_delta without a profile
     n_delta = np.bincount(board.member_set[won], minlength=family.m).tolist()
     k, coef = scaled_weights(family.sizes)
@@ -146,16 +205,11 @@ def play_random_delta(family: DisjointFamily, trials: int, seed: int) -> GameRes
         raise ValueError("no non-identity element to shift by")
     board = _Board(family)
     rng = np.random.default_rng(seed)
-    key = rng.integers(1, family.n, size=trials)
-    key -= 1
-    key *= family.m
-    key += rng.integers(0, family.m, size=trials)
-    # a sort over the trials: (n-1)*m cells can far outnumber them
-    cells, counts = np.unique(key, return_counts=True)
-    del key
-    delta, src = np.divmod(cells, family.m)
-    delta += 1
-    successes = board.tally(rng, src, counts, lambda cells, pos: board.wins(delta[cells], pos))
+    successes = 0
+    for cells, counts in _trial_cells(rng, family.n, family.m, trials):
+        delta, src = np.divmod(cells, family.m)
+        delta += 1
+        successes += board.tally(rng, src, counts, delta=delta)
     analytic = r_bound(family.n, family.m, family.total)
     return GameResult(
         delta=None,
@@ -169,6 +223,8 @@ def play_random_delta(family: DisjointFamily, trials: int, seed: int) -> GameRes
 
 def play_best_response(family: DisjointFamily, trials: int, seed: int) -> GameResult:
     """Adversary plays a best shift: the least delta maximizing e_delta."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
     if family.n < 2:
         raise ValueError("no non-identity element to shift by")
     _, sums = reciprocal_sums(difference_profile(family))

@@ -131,18 +131,28 @@ def test_fixed_shift_builds_no_profile(monkeypatch):
     assert calls == []
     play_best_response(fam, trials=10, seed=0)
     assert calls == [fam]
+    # no trial to play: refused before the profile is built
+    with pytest.raises(ValueError, match="at least one trial"):
+        play_best_response(fam, trials=0, seed=0)
+    assert calls == [fam]
 
 
 # 1 and 5 trials leave most (delta, set) cells empty; a chunk of 29 trials splits
-# cells and mixes set sizes within one draw
-@pytest.mark.parametrize("chunk", [29, simulate.TRIAL_CHUNK])
+# cells and mixes set sizes within one draw; with a chunk of 1 every chunk lies
+# inside one cell, and the sweep stops at 60 trials, as 3000 would take 3000
+# steps per draw.  (n-1)*m trials sit on the line between counting the
+# random-shift cells in bins and sorting the trials.
+@pytest.mark.parametrize("chunk", [1, 29, simulate.TRIAL_CHUNK])
 def test_games_match_scalar_reference(monkeypatch, chunk):
     monkeypatch.setattr(simulate, "TRIAL_CHUNK", chunk)
+    sweep = (1, 5, 60, 3000) if chunk > 1 else (1, 5, 60)
     for label, fam, _ in all_fixtures():
+        cells = (fam.n - 1) * fam.m
         for seed in (0, 1, 2):
-            for trials in (1, 5, 60, 3000):
+            for trials in (*sweep, cells - 1, cells, cells + 1):
                 assert (play_random_delta(fam, trials, seed).successes
                         == reference_random_delta_successes(fam, trials, seed)), (label, seed, trials)
+            for trials in sweep:
                 for delta in range(1, fam.n):
                     assert (play(fam, delta, trials, seed).successes
                             == reference_play_successes(fam, delta, trials, seed)), (label, delta)
@@ -152,7 +162,9 @@ def test_games_match_scalar_reference(monkeypatch, chunk):
 
 # Seeded successes pinned when both games were a loop over (delta, set) cells,
 # on the three benchmark families and a spread with 31-member sets: a change to
-# the batch order fails here.
+# the batch order fails here.  The random-shift rows on heisenberg(7) and f21
+# have (n-1)*m <= trials, multi-member sets drawing in every cell; the 20,000-trial
+# spread rows have more cells than trials.
 FROZEN_DRAWS = [
     ("spread (2,1,9)", lambda: desarguesian_star_partition(2, 1, 9), None, 20_000,
      (19957, 19975, 19970)),
@@ -160,6 +172,9 @@ FROZEN_DRAWS = [
     ("f21", f21_fixture, 5, 200_000, (105014, 104979, 104959)),
     ("spread (2,5,2)", lambda: desarguesian_star_partition(2, 5, 2), None, 20_000,
      (19431, 19397, 19371)),
+    ("heisenberg(7) random", lambda: heisenberg_partition(7), None, 200_000,
+     (196377, 196512, 196426)),
+    ("f21 random", f21_fixture, None, 200_000, (104972, 105080, 105088)),
 ]
 
 
@@ -193,3 +208,17 @@ def test_random_shift_memory_is_linear_in_trials():
     deltas = rng.integers(1, fam.n, size=trials)
     lost = np.count_nonzero(rng.integers(0, fam.m, size=trials) + 1 == deltas)
     assert res.successes == trials - lost == 10_000
+
+
+def test_counted_random_shift_memory():
+    # 261,121 cells, fewer than the trials: the game counts them in bins no
+    # larger than the key and hands them on in blocks
+    fam = desarguesian_star_partition(2, 1, 9)
+    tracemalloc.start()
+    try:
+        res = play_random_delta(fam, 10**6, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert res.successes == 998082  # pinned when the cells came from one np.unique
