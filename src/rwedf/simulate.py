@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Iterator, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -85,19 +85,17 @@ class _Board:
         return (landed >= 0) & (landed != self.member_set[pos])
 
     def tally(self, rng: np.random.Generator, src: np.ndarray, count: np.ndarray,
-              won: Optional[np.ndarray] = None, delta: Optional[np.ndarray] = None) -> int:
+              score: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> int:
         """Successes over the non-empty trial cells, given in (delta, set) order.
 
-        Cell c holds count[c] trials from set src[c].  A trial is scored by
-        ``won``, the outcome per member at one fixed shift, or else by ``wins``
-        at its cell's shift delta[c].
+        Cell c holds count[c] trials from set src[c]; score(cells, pos) says per
+        trial whether picking the member at pos wins in its cell (cells is one
+        cell for all of pos, or one per trial).
         """
-        inv = None if won is not None else self.group.diff_array(0, delta)
         k = self.sizes[src]
         first = self.start[src]
         one = k == 1
-        hit = won[first[one]] if won is not None else self._lands(inv[one], first[one])
-        successes = int(count[one][hit].sum())
+        successes = int(count[one][score(np.flatnonzero(one), first[one])].sum())
         multi = np.flatnonzero(~one)
         ends = np.cumsum(count[multi])
         begins = ends - count[multi]
@@ -110,8 +108,7 @@ class _Board:
             if a == b:  # one cell: score against its set's k_i outcomes
                 c = multi[a]
                 f, size = first[c], k[c]
-                outcome = (won[f : f + size] if won is not None
-                           else self._lands(inv[c], np.arange(f, f + size)))
+                outcome = score(c, np.arange(f, f + size))
                 picks = rng.integers(0, size, size=hi - lo)
                 # a set whose members all win, or all lose, needs no look at the picks
                 successes += (hi - lo if outcome.all() else 0 if not outcome.any()
@@ -125,8 +122,7 @@ class _Board:
             else:
                 picks = rng.integers(0, np.repeat(high, lens))
             pos = np.repeat(first[cells], lens) + picks
-            hits = won[pos] if won is not None else self._lands(np.repeat(inv[cells], lens), pos)
-            successes += int(np.count_nonzero(hits))
+            successes += int(np.count_nonzero(score(np.repeat(cells, lens), pos)))
         return successes
 
 
@@ -146,7 +142,9 @@ def _trial_cells(rng: np.random.Generator, n: int, m: int,
         part *= m
         part += rng.integers(0, m, size=len(part))
     cells = (n - 1) * m
-    if cells <= trials:  # then the bins are no larger than the key
+    # when the bins are no larger than the key, counting is the faster way:
+    # 10^6 keys over 261,121 cells take ~3 ms to count and ~10 ms to sort
+    if cells <= trials:
         bins = np.bincount(key, minlength=cells)
         del key
         for lo in range(0, cells, TRIAL_CHUNK):
@@ -177,7 +175,7 @@ def play(family: DisjointFamily, delta: int, trials: int, seed: int) -> GameResu
         counts += np.bincount(sources, minlength=family.m)
     src = np.flatnonzero(counts)
     won = board.wins(delta, np.arange(family.total))
-    successes = board.tally(rng, src, counts[src], won=won)
+    successes = board.tally(rng, src, counts[src], lambda cells, pos: won[pos])
     # set i's wins add up to N_i(delta), so this is e_delta without a profile
     n_delta = np.bincount(board.member_set[won], minlength=family.m).tolist()
     k, coef = scaled_weights(family.sizes)
@@ -209,7 +207,8 @@ def play_random_delta(family: DisjointFamily, trials: int, seed: int) -> GameRes
     for cells, counts in _trial_cells(rng, family.n, family.m, trials):
         delta, src = np.divmod(cells, family.m)
         delta += 1
-        successes += board.tally(rng, src, counts, delta=delta)
+        inv_delta = board.group.diff_array(0, delta)
+        successes += board.tally(rng, src, counts, lambda c, pos: board._lands(inv_delta[c], pos))
     analytic = r_bound(family.n, family.m, family.total)
     return GameResult(
         delta=None,
