@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import gcd
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -67,6 +67,15 @@ def is_prime(p: int) -> bool:
             return False
         d += 1
     return True
+
+
+def _digitwise(values: np.ndarray, weight: int, k: int) -> np.ndarray:
+    """t[sum_i s_i r^i] = sum_i values[s_i] * weight^i over k digits s_i < r = len(values)."""
+    table = np.zeros(1, dtype=np.int64)
+    for i in range(k):  # digit i becomes the major axis
+        table = (values * weight**i)[:, None] + table
+        table = table.ravel()
+    return table
 
 
 class FiniteGroup:
@@ -202,7 +211,17 @@ class DirectProductGroup(FiniteGroup):
 
 
 class ElementaryAbelianGroup(FiniteGroup):
-    """Z_p^e with componentwise addition; index digits base p, coordinate 0 major."""
+    """Z_p^e with componentwise addition; index digits base p, coordinate 0 major.
+
+    For p = 2 the law is XOR and for e = 1 subtraction mod p.  Otherwise it
+    is carry-free: the e digits split into a high half of ceil(e/2) digits and
+    a low half of floor(e/2).  Each half of a, and of -b, is spelled in radix
+    2p, so that adding the two spellings carries nothing, and a fold table
+    reduces each digit of that sum mod p.  Per pair that is one add and one
+    gather a half, plus one add.  The tables, built on first use, hold
+    2 p^k + (2p)^k int64 cells for each half of k digits: 96,228 cells for
+    Z_3^12, whose order is 531,441.
+    """
 
     kind = "elementary_abelian"
     abelian = True
@@ -225,19 +244,37 @@ class ElementaryAbelianGroup(FiniteGroup):
             x = x * self.p + d % self.p
         return x
 
+    @cached_property
+    def _halves(self) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """(spell, spell of the negative, fold) for the high half, then the low half.
+
+        For a half of k digits, spell[v] writes v's digits in radix 2p, the
+        second table those of -v, digit by digit mod p; fold[s] reduces each
+        radix-2p digit of s mod p and places the half within the index.
+        """
+        p, low = self.p, self.e // 2
+        digits = np.arange(p, dtype=np.int64)
+        folded = np.arange(2 * p, dtype=np.int64) % p
+        return tuple(
+            (_digitwise(digits, 2 * p, k), _digitwise(-digits % p, 2 * p, k),
+             _digitwise(folded * p**shift, p, k))
+            for k, shift in ((self.e - low, low), (low, 0))
+        )
+
     def diff_array(self, a, b) -> np.ndarray:
         if self.p == 2:
             return np.bitwise_xor(a, b)  # digitwise subtraction mod 2
-        p = self.p
-        out = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=np.int64)
-        power = 1
-        for _ in range(self.e):
-            # digits are taken on the unbroadcast operands, combined on the full shape
-            d = np.subtract(np.asarray(a) // power % p, np.asarray(b) // power % p)
-            d %= p
-            d *= power
-            out += d
-            power *= p
+        if self.e == 1:
+            d = np.subtract(a, b)
+            d %= self.p
+            return d
+        (hi_a, hi_b, hi_fold), (lo_a, lo_b, lo_fold) = self._halves
+        # the halves are split on the unbroadcast operands, combined on the full shape
+        low = self.p ** (self.e // 2)
+        a_hi, a_lo = np.divmod(a, low)
+        b_hi, b_lo = np.divmod(b, low)
+        out = hi_fold[hi_a[a_hi] + hi_b[b_hi]]
+        out += lo_fold[lo_a[a_lo] + lo_b[b_lo]]
         return out
 
     def automorphism_subgroup(self) -> List[List[int]]:
@@ -307,6 +344,14 @@ class HeisenbergGroup(FiniteGroup):
 
     (a, b, c) stands for the matrix with a top-middle, b top-right, c middle-right;
     index is a*p^2 + b*p + c.  For odd p every non-identity element has order p.
+
+    The law (a, b, c) * (d, e, f)^-1 = (a - d, b + (d f - e) - a f, c - f) is
+    table-driven.  d f - e, like each coordinate, is taken on the unbroadcast
+    operands.  Per pair, a gather at a*p + f gives -a f mod p; added to the
+    radix-3p spellings of (a, b) and of (-d, d f - e), it indexes a fold table
+    that reduces the first two coordinates mod p, and c + (-f mod p) indexes
+    one that reduces the third.  The tables, built on first use, hold
+    7 p^2 + 2p int64 cells.
     """
 
     kind = "heisenberg"
@@ -325,22 +370,28 @@ class HeisenbergGroup(FiniteGroup):
         p = self.p
         return (a % p) * p * p + (b % p) * p + (c % p)
 
-    def diff_array(self, x, y) -> np.ndarray:
-        # (a, b, c) * (d, e, f)^-1 = (a - d, b - e - (a - d) f, c - f)
+    @cached_property
+    def _tables(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(-a f mod p at a*p + f, the fold of the first two coordinates, the fold of the third)."""
         p = self.p
-        x, c = np.divmod(x, p)
-        a, b = np.divmod(x, p)
-        y, f = np.divmod(y, p)
-        d, e = np.divmod(y, p)
-        top = np.subtract(a, d)
-        mid = b - e - top * f
-        mid %= p
-        top %= p
-        top *= p
-        top += mid
-        top *= p
-        top += (c - f) % p
-        return top
+        r = np.arange(3 * p, dtype=np.int64) % p
+        neg_af = (-np.multiply.outer(r[:p], r[:p]) % p).ravel()
+        fold = (r[: 2 * p, None] * (p * p) + r * p).ravel()  # at t*3p + m: t*p^2 + m*p, mod p
+        return neg_af, fold, r[: 2 * p]
+
+    def diff_array(self, x, y) -> np.ndarray:
+        p = self.p
+        neg_af, fold, fold_last = self._tables
+        a, x = np.divmod(x, p * p)
+        b, c = np.divmod(x, p)
+        d, y = np.divmod(y, p * p)
+        e, f = np.divmod(y, p)
+        key = neg_af[np.add(a * p, f)]
+        key += a * (3 * p) + b
+        key += -d % p * (3 * p) + (d * f - e) % p
+        out = fold[key]
+        out += fold_last[np.add(c, -f % p)]
+        return out
 
     def describe(self) -> dict:
         return {"kind": "heisenberg", "p": self.p}
@@ -467,7 +518,7 @@ def difference_count_blocks(
     m = len(sets)
     sizes = [len(s) for s in sets]
     starts = [0, *accumulate(sizes)]
-    elems = np.fromiter((x for s in sets for x in s), dtype=np.int64)
+    elems = np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=starts[-1])
     owner = np.repeat(np.arange(m, dtype=np.int64), sizes)
     span = span or len(elems)
     b_step = max(1, min(span, PAIR_CHUNK))

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import sqrt
 from typing import Callable, Iterator, Optional, Tuple
 
@@ -65,9 +66,9 @@ class _Board:
 
     def __init__(self, family: DisjointFamily):
         self.group = family.group
-        self.sizes = np.array(family.sizes, dtype=np.int64)
+        self.sizes = np.fromiter(family.sizes, dtype=np.int64, count=family.m)
         self.start = np.cumsum(self.sizes) - self.sizes
-        self.members = np.fromiter((x for s in family.sets for x in s), dtype=np.int64,
+        self.members = np.fromiter(chain.from_iterable(family.sets), dtype=np.int64,
                                    count=family.total)
         self.member_set = np.repeat(np.arange(family.m), self.sizes)
         self.owner = np.full(family.n, -1, dtype=np.int64)

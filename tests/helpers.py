@@ -34,12 +34,14 @@ KERNEL_POOL = [
     CyclicGroup(16),
     ElementaryAbelianGroup(2, 4),
     ElementaryAbelianGroup(3, 2),
+    ElementaryAbelianGroup(3, 3),
     ElementaryAbelianGroup(5, 2),
     DihedralGroup(1),
     DihedralGroup(4),
     DihedralGroup(7),
     HeisenbergGroup(2),
     HeisenbergGroup(3),
+    HeisenbergGroup(5),
     DirectProductGroup(CyclicGroup(3), DihedralGroup(3)),
     DirectProductGroup(
         DirectProductGroup(CyclicGroup(2), HeisenbergGroup(2)), ElementaryAbelianGroup(3, 1)

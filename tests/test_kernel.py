@@ -22,6 +22,7 @@ from rwedf import (
     DirectProductGroup,
     DisjointFamily,
     ElementaryAbelianGroup,
+    HeisenbergGroup,
     check_difference_set,
     check_rwedf,
     check_wedf,
@@ -93,6 +94,94 @@ def test_diff_array_matches_scalar_arithmetic(g, data):
     assert g.diff_array(a[0], np.array(b)).tolist() == [scalar_diff(g, a[0], y) for y in b]
     assert g.diff_array(np.array(a), np.array(a)).tolist() == [0] * len(a)
     assert g.diff_array(a[0], b[0]) == scalar_diff(g, a[0], b[0])
+
+
+# every ordered pair of these: e = 1, odd e, halves of unequal and of equal length
+EVERY_PAIR_GROUPS = [
+    ElementaryAbelianGroup(3, 1),
+    ElementaryAbelianGroup(3, 3),
+    ElementaryAbelianGroup(3, 4),
+    ElementaryAbelianGroup(5, 3),
+    ElementaryAbelianGroup(7, 2),
+    HeisenbergGroup(2),
+    HeisenbergGroup(3),
+    HeisenbergGroup(5),
+    HeisenbergGroup(7),
+]
+
+
+class CheckedTable(np.ndarray):
+    """A table view that fails on an index outside 0..len - 1, where numpy would
+    wrap a negative one silently."""
+
+    def __getitem__(self, key):
+        k = np.asarray(key)
+        assert k.dtype.kind == "i" and 0 <= k.min() and k.max() < len(self), "table index out of range"
+        return np.asarray(self)[key]
+
+
+def checked(value):
+    """value with every array in it, nested in tuples too, seen through CheckedTable."""
+    if isinstance(value, np.ndarray):
+        return value.view(CheckedTable)
+    if isinstance(value, tuple):
+        return tuple(map(checked, value))
+    return value
+
+
+def assert_law_matches_scalar(g, xs, ys):
+    """diff_array(x, y) == scalar_diff(g, x, y) for every x in xs and y in ys, with the
+    operands as (k, 1) x (1, l) broadcasts, 1-d arrays, Python ints and 0-d values."""
+    want = [[scalar_diff(g, x, y) for y in ys] for x in xs]
+    a, b = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
+    assert g.diff_array(a[:, None], b[None, :]).tolist() == want
+    assert [g.diff_array(x, b).tolist() for x in xs] == want
+    assert g.diff_array(np.repeat(a, len(b)), np.tile(b, len(a))).tolist() == sum(want, [])
+    for i, x in enumerate(xs[:40]):
+        y = ys[i % len(ys)]
+        for u, v in ((x, y), (np.int64(x), np.int64(y)), (np.array(x), np.array(y))):
+            assert g.diff_array(u, v) == want[i][i % len(ys)]
+
+
+@pytest.mark.parametrize("g", EVERY_PAIR_GROUPS, ids=repr)
+def test_table_laws_match_scalar_arithmetic_on_every_pair(g):
+    g.diff(0, 0)  # builds the group's law tables, if it has any
+    for name, value in list(vars(g).items()):
+        vars(g)[name] = checked(value)  # each pre-key must land inside its table
+    assert_law_matches_scalar(g, range(g.order), range(g.order))
+
+
+@pytest.mark.parametrize("g", [HeisenbergGroup(11), ElementaryAbelianGroup(3, 6)], ids=repr)
+def test_table_laws_match_scalar_arithmetic_on_random_pairs(g):
+    # the two groups of the benchmark's verify workload
+    rng = random.Random(g.order)
+    assert_law_matches_scalar(g, rng.sample(range(g.order), 120), rng.sample(range(g.order), 120))
+
+
+@pytest.mark.parametrize("g", KERNEL_POOL, ids=repr)
+def test_diff_array_returns_int64(g):
+    # the kernel adds an int64 offset in place, and numpy would cast it into a
+    # narrower result and wrap without an error
+    idx = np.arange(g.order, dtype=np.int64)
+    assert g.diff_array(idx[:, None], idx).dtype == np.int64
+    assert g.diff_array(0, idx).dtype == np.int64
+    assert g.diff_array(g.order - 1, 0).dtype == np.int64
+
+
+@pytest.mark.parametrize("kind, args", [(ElementaryAbelianGroup, (3, 12)),
+                                        (ElementaryAbelianGroup, (1048573, 1)),
+                                        (HeisenbergGroup, (101,))],
+                         ids=["Z_3^12", "Z_1048573", "Heisenberg_101"])
+def test_law_tables_are_built_on_first_use_within_n_cells(kind, args):
+    g = kind(*args)
+    assert all(type(v) is int for v in vars(g).values())  # nothing built yet
+    tracemalloc.start()
+    try:
+        g.diff(1, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * g.order  # n int64 cells
 
 
 def scalar_table(g):
