@@ -495,6 +495,17 @@ def _group_of(desc: dict) -> FiniteGroup:
     raise BadDescriptor(f"unknown group kind {kind!r}")
 
 
+def _complement_is_cheaper(n: int, span: int, families: int, squares: int) -> bool:
+    """Whether counting by complement visits fewer pairs than counting the cross pairs.
+
+    For families of span elements each in a group of order n, whose sets'
+    squared sizes sum to squares, the cross pairs number
+    families * span^2 - squares and the complement route's pairs
+    families * span * (n - span) + squares.
+    """
+    return families * span * (n - span) + squares < families * span * span - squares
+
+
 def difference_count_blocks(
     group: FiniteGroup, sets: Sequence[Sequence[int]], within: bool = False, span: int = 0
 ) -> Iterator[np.ndarray]:
@@ -510,9 +521,27 @@ def difference_count_blocks(
     Every block is a view of one buffer that the next block overwrites: copy
     what must outlive the step.
 
-    The pairs are taken PAIR_CHUNK at a time, over at most max(n, PAIR_CHUNK)
-    bins; each step bins owner(a) * n + diff_array(a, b) with one bincount
-    over the rows its a's span.
+    Two routes count the other sets; they differ only in the peers b of each
+    a.  The cross route visits the other sets' members (with within=True, the
+    other members of a's set, and it is the only route).  The complement
+    route rests on this: for each a and d exactly one b in G has
+    a * b^-1 = d.  So with S the support of a's family and C = G \\ S,
+
+        N_i(d) = k_i - #{(a, b) in A_i x A_i : a * b^-1 = d}
+                     - #{(a, z) in A_i x C : a * z^-1 = d},
+
+    the pairs within A_i taken with the diagonal, which also makes column 0
+    come out 0.  A family of total T costs T^2 - sum k_i^2 pairs by the
+    cross route and T * (n - T) + sum k_i^2 by the complement route, and
+    the call takes the route with fewer pairs over all its families
+    (``_complement_is_cheaper``).  By complement, a block is filled with its
+    rows' k_i and its pairs are subtracted, and the complements are built
+    for the block's families alone, so either route holds
+    O(BLOCK_CELLS + n) numbers, never the m x n matrix.
+
+    The pairs are taken at most PAIR_CHUNK a step (at least one a a step),
+    and each step adds or subtracts 1 at (row of a - first row) * n +
+    diff_array(a, b) of its block, by ``ufunc.at``.
     """
     n = group.order
     m = len(sets)
@@ -520,37 +549,77 @@ def difference_count_blocks(
     starts = [0, *accumulate(sizes)]
     elems = np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=starts[-1])
     owner = np.repeat(np.arange(m, dtype=np.int64), sizes)
+    row_sizes = np.array(sizes, dtype=np.int64)
     span = span or len(elems)
-    b_step = max(1, min(span, PAIR_CHUNK))
-    a_step = max(1, PAIR_CHUNK // max(b_step, n))
+    by_complement = (not within and span > 0 and
+                     _complement_is_cheaper(n, span, len(elems) // span, int(row_sizes @ row_sizes)))
+    if by_complement:
+        own_size = np.repeat(row_sizes, sizes)  # per element: its set's size and first place
+        own_start = np.repeat(np.array(starts[:-1], dtype=np.int64), sizes)
+        a_step = max(1, PAIR_CHUNK // (max(sizes) + n - span))
+        step = np.subtract.at
+    else:
+        b_step = max(1, min(span, PAIR_CHUNK))
+        a_step = max(1, PAIR_CHUNK // b_step)
+        step = np.add.at
+
+    def cross_keys(lo, hi, home, a, offset):
+        """Keys of a's pairs with the other sets of its family, or with its own set when within."""
+        rows = owner[lo:hi, None]
+        if hi <= home + span:
+            peers, peer_rows = elems[None, home : home + span], owner[None, home : home + span]
+        else:
+            # a spans families, so span <= b_step: gather each a's own family
+            peer = (np.arange(lo, hi) // span * span)[:, None] + np.arange(span)
+            peers, peer_rows = elems[peer], owner[peer]
+        for blo in range(0, span, b_step):
+            b = peers[:, blo : blo + b_step]
+            cols = peer_rows[:, blo : blo + b_step]
+            keep = (rows == cols) & (a != b) if within else rows != cols
+            keys = group.diff_array(a, b)
+            keys += offset
+            yield keys[keep]
+
+    def complement_keys(lo, hi, home, a, offset):
+        """Keys of a's pairs with its own set, a included, and with its family's complement."""
+        k = own_size[lo:hi]
+        ends = np.cumsum(k)
+        own = np.arange(ends[-1]) + np.repeat(own_start[lo:hi] - ends + k, k)
+        keys = group.diff_array(np.repeat(a[:, 0], k), elems[own])
+        keys += np.repeat(offset[:, 0], k)
+        yield keys
+        if span < n:
+            if hi <= home + span:
+                outside = complements[None, home // span - first_family]
+            else:
+                outside = complements[np.arange(lo, hi) // span - first_family]
+            keys = group.diff_array(a, outside)
+            keys += offset
+            yield keys.ravel()
+
+    pair_keys = complement_keys if by_complement else cross_keys
     rows_per_block = max(1, BLOCK_CELLS // max(n, 1))
     buffer = np.empty(min(m, rows_per_block) * n, dtype=np.int64)
     for first in range(0, m, rows_per_block):
         last = min(m, first + rows_per_block)
         counts = buffer[: (last - first) * n]
-        counts.fill(0)
+        if not by_complement:
+            counts.fill(0)
+        else:
+            counts.reshape(last - first, n)[:] = row_sizes[first:last, None]
+            if span < n:  # G \ S of each family with rows in this block, (families, n - span)
+                first_family = starts[first] // span
+                support = elems[first_family * span : -(-starts[last] // span) * span]
+                support = support.reshape(-1, span)
+                outside = np.ones((len(support), n), dtype=bool)
+                outside[np.arange(len(support))[:, None], support] = False
+                complements = np.nonzero(outside)[1].reshape(len(support), n - span)
         for lo in range(starts[first], starts[last], a_step):
             hi = min(lo + a_step, starts[last])
-            a = elems[lo:hi, None]
-            rows = owner[lo:hi, None]
-            base = int(rows[0, 0]) * n  # owners ascend, so this chunk's bins start here
-            offset = rows * n - base
-            at = base - first * n
             home = lo - lo % span  # where a[0]'s family starts
-            if hi <= home + span:
-                peers, peer_rows = elems[None, home : home + span], owner[None, home : home + span]
-            else:
-                # a spans families, so span <= b_step: gather each a's own family
-                peer = (np.arange(lo, hi) // span * span)[:, None] + np.arange(span)
-                peers, peer_rows = elems[peer], owner[peer]
-            for blo in range(0, span, b_step):
-                b = peers[:, blo : blo + b_step]
-                cols = peer_rows[:, blo : blo + b_step]
-                keep = (rows == cols) & (a != b) if within else rows != cols
-                keys = group.diff_array(a, b)
-                keys += offset
-                binned = np.bincount(keys[keep])
-                counts[at : at + len(binned)] += binned
+            offset = (owner[lo:hi, None] - first) * n  # where each a's row starts in the block
+            for keys in pair_keys(lo, hi, home, elems[lo:hi, None], offset):
+                step(counts, keys, 1)
         yield counts.reshape(last - first, n)
 
 

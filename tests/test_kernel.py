@@ -4,10 +4,13 @@ Every reference here is written with the scalar group law of
 ``helpers.scalar_diff`` only, so it shares no code with ``diff_array`` or
 ``difference_counts``.  The streamed profile's classification is checked
 against the dense reference in ``helpers`` at many block and chunk sizes.
+The kernel's two routes, cross pairs and complement, are each forced in turn
+(``forced``), whichever one the pair counts would pick.
 """
 import importlib
 import random
 import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
 from math import lcm
 
@@ -42,7 +45,7 @@ from rwedf import (
 from rwedf.classify import rwedf_failure_witness
 from rwedf import family as family_module
 from rwedf import groups
-from rwedf.constructions import f21_group
+from rwedf.constructions import f21_group, heisenberg_partition
 from rwedf.groups import difference_count_blocks, is_subgroup
 from rwedf.simulate import _Board
 
@@ -81,6 +84,18 @@ def families(draw, pool=KERNEL_POOL, max_m=5, total=None, m=None):
     for x, j in zip(support, assign):
         sets[j].append(x)
     return DisjointFamily.of(group, *sets)
+
+
+ROUTES = ("cross", "complement")
+
+
+@contextmanager
+def forced(route):
+    """Every pass of the pair kernel that counts the other sets takes this route,
+    whichever visits fewer pairs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "_complement_is_cheaper", lambda *args: route == "complement")
+        yield
 
 
 @settings(max_examples=150, deadline=None)
@@ -266,9 +281,9 @@ chunks = st.sampled_from([1, 2, 5, 17, groups.PAIR_CHUNK])
 
 
 @settings(max_examples=150, deadline=None)
-@given(families(), chunks)
-def test_profile_matches_pair_loop(fam, chunk):
-    with pytest.MonkeyPatch.context() as mp:
+@given(families(), chunks, st.sampled_from(ROUTES))
+def test_profile_matches_pair_loop(fam, chunk, route):
+    with pytest.MonkeyPatch.context() as mp, forced(route):
         mp.setattr(groups, "PAIR_CHUNK", chunk)
         prof = difference_profile(fam)
     expected = [tuple(row[1:]) for row in ref_counts(fam)]
@@ -434,23 +449,27 @@ BLOCK_CASES = [(label, fam, weights) for label, fam, weights in all_fixtures()] 
 def test_classify_blocks_match_dense_reference(label, fam, weights):
     ref = reference_classification(fam, weights)
     first = None
-    for rows in range(1, 18):
-        for chunk in (1, 7, groups.PAIR_CHUNK):
-            got = _classified(fam, weights, rows, chunk)
-            assert {k: got[k] for k in ref} == ref, (rows, chunk)
-            first = first or got
-            assert got == first, (rows, chunk)
+    for route in ROUTES:
+        for rows in range(1, 18):
+            for chunk in (1, 7, groups.PAIR_CHUNK):
+                with forced(route):
+                    got = _classified(fam, weights, rows, chunk)
+                assert {k: got[k] for k in ref} == ref, (route, rows, chunk)
+                first = first or got
+                assert got == first, (route, rows, chunk)
     if label == "witness-row-3":
         assert ref["bimodal_witness"] == [3, 1, 1]
 
 
 def test_blocks_stack_to_the_count_matrix(monkeypatch):
     fam = _witness_after_a_block_boundary()
-    for rows in range(1, 6):
-        monkeypatch.setattr(groups, "BLOCK_CELLS", rows * fam.n)
-        blocks = [b.copy() for b in difference_count_blocks(fam.group, fam.sets)]
-        assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
-        assert np.vstack(blocks).tolist() == ref_counts(fam)
+    for route in ROUTES:
+        for rows in range(1, 6):
+            monkeypatch.setattr(groups, "BLOCK_CELLS", rows * fam.n)
+            with forced(route):
+                blocks = [b.copy() for b in difference_count_blocks(fam.group, fam.sets)]
+            assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+            assert np.vstack(blocks).tolist() == ref_counts(fam), (route, rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -475,8 +494,10 @@ def test_streamed_classify_past_int64(rows):
     if rows == 1:
         counts = [row[1:] for row in ref_counts(fam)]
         assert lcm(*primes) * max(map(max, counts)) * fam.m >= 2**62
-    got = _classified(fam, weights, rows, groups.PAIR_CHUNK)
-    assert {k: got[k] for k in ref} == ref
+    for route in ROUTES:
+        with forced(route):
+            got = _classified(fam, weights, rows, groups.PAIR_CHUNK)
+        assert {k: got[k] for k in ref} == ref, route
 
 
 def test_weighted_sums_past_int64_by_their_counts():
@@ -557,8 +578,10 @@ def test_classify_many_over_groups_and_shapes():
     fams += [DisjointFamily.of(z7, (0, 1), (2, 3, 4)), DisjointFamily.of(z7, (0, 3), (1, 2, 5)),
              DisjointFamily.of(z7, (1, 6), (2, 3, 4))]
     expected = [classify(f) for f in fams]
-    got = classify_many(fams)
-    assert got == expected
+    for route in ROUTES:
+        with forced(route):
+            got = classify_many(fams)
+        assert got == expected, route
     for fam, report in zip(fams, got):
         ref = reference_classification(fam)
         assert {k: report.to_json_dict()[k] for k in ref} == ref
@@ -582,7 +605,10 @@ def test_classify_many_with_a_family_past_int64():
     twin = DisjointFamily.of(g, elems[:164], elems[164:])
     small = DisjointFamily.of(g, (0, 5), (7,))
     fams = [twin, fam, twin, small, fam]
-    assert classify_many(fams) == [classify(f) for f in fams]
+    expected = [classify(f) for f in fams]
+    for route in ROUTES:
+        with forced(route):
+            assert classify_many(fams) == expected, route
 
 
 # -- weighted sums in the same pass ---------------------------------------------
@@ -698,6 +724,75 @@ def test_span_counts_each_family_apart(monkeypatch, rows, chunk):
     monkeypatch.setattr(groups, "BLOCK_CELLS", rows * g.order)
     monkeypatch.setattr(groups, "PAIR_CHUNK", chunk)
     sets = [s for fam in stack for s in fam]
-    got = np.vstack([b.copy() for b in difference_count_blocks(g, sets, span=6)])
     expected = [row for fam in stack for row in ref_counts(DisjointFamily.of(g, *fam))]
-    assert got.tolist() == expected
+    for route in ROUTES:
+        with forced(route):
+            got = np.vstack([b.copy() for b in difference_count_blocks(g, sets, span=6)])
+        assert got.tolist() == expected, route
+
+
+# -- the two routes of the pair kernel -------------------------------------------
+
+def covering_families(g, copies=3):
+    """copies families of g for each total n, n - 1 (G minus the identity), n - 2
+    and a small one, of mixed set sizes, the supports drawn apart."""
+    n = g.order
+    rng = random.Random(n)
+    out = []
+    for total in sorted({n, n - 1, n - 2, min(n, 3)} - {0, -1}):
+        for _ in range(copies):
+            pool = list(range(1, n)) if total == n - 1 else list(range(n))
+            rng.shuffle(pool)
+            m = rng.randint(1, min(total, 5))
+            cuts = [0, *sorted(rng.sample(range(1, total), m - 1)), total]
+            out.append(DisjointFamily.of(g, *(pool[a:b] for a, b in zip(cuts, cuts[1:]))))
+    return out
+
+
+@pytest.mark.parametrize("g", KERNEL_POOL, ids=repr)
+def test_both_routes_match_pair_loop_at_every_total(g, monkeypatch):
+    fams = covering_families(g)
+    counts = {fam: ref_counts(fam) for fam in fams}
+    classes = {fam: reference_classification(fam) for fam in fams} if g.order > 1 else {}
+    # chunks of a few pairs split every family; on the largest groups they are
+    # scaled up to keep the steps few
+    small = (1, 7) if g.order <= 32 else (g.order // 2, 3 * g.order)
+    for route in ROUTES:
+        for rows, chunk in ((1, small[0]), (2, small[1]), (64, groups.PAIR_CHUNK)):
+            monkeypatch.setattr(groups, "BLOCK_CELLS", rows * g.order)
+            monkeypatch.setattr(groups, "PAIR_CHUNK", chunk)
+            with forced(route):
+                for total in {fam.total for fam in fams}:
+                    # the families of one total, each counted alone and all stacked
+                    stack = [fam for fam in fams if fam.total == total]
+                    for fam in stack:
+                        blocks = difference_count_blocks(g, fam.sets)
+                        assert np.vstack([b.copy() for b in blocks]).tolist() == counts[fam]
+                    sets = [s for fam in stack for s in fam.sets]
+                    blocks = difference_count_blocks(g, sets, span=total)
+                    expected = [row for fam in stack for row in counts[fam]]
+                    assert np.vstack([b.copy() for b in blocks]).tolist() == expected
+                reports = classify_many(list(classes))
+            for fam, report in zip(classes, reports):
+                got = report.to_json_dict()
+                assert {k: got[k] for k in classes[fam]} == classes[fam], (route, rows, chunk)
+
+
+def test_the_route_follows_the_pair_counts(monkeypatch):
+    taken = []
+
+    def recording(*args, real=groups._complement_is_cheaper):
+        taken.append((args, real(*args)))
+        return taken[-1][1]
+
+    monkeypatch.setattr(groups, "_complement_is_cheaper", recording)
+    z7 = CyclicGroup(7)
+    # 13 pairs of G minus the identity: 624 cross pairs against 26 + 52
+    difference_profile(heisenberg_partition(3))
+    # the whole group as one set has no cross pair; two singletons have 2 against 12
+    classify_many([DisjointFamily.of(z7, range(7)), DisjointFamily.of(z7, (0,), (1,)),
+                   DisjointFamily.of(z7, (3,), (5,))])
+    assert taken == [((27, 26, 1, 52), True), ((7, 7, 1, 49), False), ((7, 2, 2, 4), False)]
+    # the differences within one set have a single route
+    assert is_subgroup(z7, range(7)) and internal_differences(z7, (0, 1, 3)) == (1, 2, 3, 4, 5, 6)
+    assert len(taken) == 3
