@@ -462,14 +462,16 @@ def test_classify_blocks_match_dense_reference(label, fam, weights):
 
 
 def test_blocks_stack_to_the_count_matrix(monkeypatch):
-    fam = _witness_after_a_block_boundary()
-    for route in ROUTES:
-        for rows in range(1, 6):
-            monkeypatch.setattr(groups, "BLOCK_CELLS", rows * fam.n)
-            with forced(route):
-                blocks = [b.copy() for b in difference_count_blocks(fam.group, fam.sets)]
-            assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
-            assert np.vstack(blocks).tolist() == ref_counts(fam), (route, rows)
+    # every block case, column 0 included, by both routes
+    for label, fam, _ in BLOCK_CASES:
+        expected = ref_counts(fam)
+        for route in ROUTES:
+            for rows in range(1, 6):
+                monkeypatch.setattr(groups, "BLOCK_CELLS", rows * fam.n)
+                with forced(route):
+                    blocks = [b.copy() for b in difference_count_blocks(fam.group, fam.sets)]
+                assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+                assert np.vstack(blocks).tolist() == expected, (label, route, rows)
 
 
 @settings(max_examples=150, deadline=None)
