@@ -260,13 +260,17 @@ def rwedf_census(group: FiniteGroup, cross_check_every: int = 0) -> CensusStats:
     """
     began = perf_counter()
     n = group.order
-    scale = _census_scale(n)
+    # the cell limit is checked first: it refuses every order from 21 up,
+    # long before the int64 scale does (from 41 up)
     cells = (1 << n) * (n - 1)
     if cells > DENSE_CELL_LIMIT:
+        # a count of thousands of digits cannot be printed; its exponent says enough
+        count = f" = {cells}" if n < 64 else ""
         raise GroupTooLarge(
-            f"order {n} needs a census subset table of 2^{n} x {n - 1} = {cells} cells, "
+            f"order {n} needs a census subset table of 2^{n} x {n - 1}{count} cells, "
             f"past DENSE_CELL_LIMIT {DENSE_CELL_LIMIT}"
         )
+    scale = _census_scale(n)
     diff = group.diff_rows
     every = cross_check_every if n > 1 else 0
     stats = CensusStats()

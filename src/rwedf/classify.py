@@ -20,6 +20,12 @@ given, the rows' values when every row is constant, and the first bimodal
 witness.  ``classify_many`` builds the same reports for many families from
 ``difference_profiles``, which counts the pairs of many families of one group
 and one total in one kernel pass.
+
+Each predicate has one implementation, its public reader (``check_edf``,
+``check_sedf``, ``check_gsedf``, ``check_rwedf``, ``rwedf_failure_witness``,
+``is_bimodal``), and a report holds those readers' values over the shared
+profile; it derives only what no reader gives: e_hat and the R-optimal test
+from the largest reciprocal sum, and the structure checks on ell.
 """
 from __future__ import annotations
 
@@ -37,7 +43,6 @@ from .family import (
     difference_profiles,
     is_bimodal,
     r_bound,
-    reciprocal_sums,
     BimodalVerdict,
 )
 from .groups import FiniteGroup, self_difference_counts
@@ -80,15 +85,6 @@ def _constant_value(sums: Sequence[int], denominator: int) -> Optional[Fraction]
     return Fraction(sums[0], denominator)
 
 
-def _first_change(sums: Sequence[int]) -> Optional[int]:
-    """The least delta whose sum differs from delta = 1's."""
-    first = sums[0]
-    for d, s in enumerate(sums, start=1):
-        if s != first:
-            return d
-    return None
-
-
 def check_wedf(
     family: DisjointFamily,
     profile: DifferenceProfile,
@@ -111,15 +107,19 @@ def check_rwedf(
     """The constant ell = sum_i N_i(delta)/k_i, or None if it varies."""
     if profile is None:
         profile = difference_profile(family)
-    k, sums = reciprocal_sums(profile)
-    return _constant_value(sums, k)
+    return _constant_value(profile.reciprocal, profile.scale)
 
 
 def rwedf_failure_witness(
     family: DisjointFamily, profile: DifferenceProfile
 ) -> Optional[int]:
     """Smallest delta whose reciprocal sum differs from delta = 1's, if any."""
-    return _first_change(reciprocal_sums(profile)[1])
+    sums = profile.reciprocal
+    first = sums[0]
+    for d, s in enumerate(sums, start=1):
+        if s != first:
+            return d
+    return None
 
 
 def check_difference_set(group: FiniteGroup, members: Sequence[int]) -> Optional[int]:
@@ -254,70 +254,45 @@ def classify_many(
 
 
 def _report(family: DisjointFamily, profile: DifferenceProfile) -> ClassificationReport:
-    """Every checker over the family's profile; wedf under the weights it was taken with."""
+    """Each reader's verdict over the family's profile; wedf under the weights it was taken with."""
     m, n, total = family.m, family.n, family.total
-    sizes = family.sizes
-    k, sums = profile.scale, profile.reciprocal
-    flat = sums.count(sums[0]) == len(sums)
-
-    if m == 1:
-        edf = sedf = None
-        gsedf = None
-        rwedf: Optional[Fraction] = Fraction(0)
-        witness = None
-    else:
-        edf = check_edf(profile)
-        sedf = check_sedf(profile)
-        gsedf = check_gsedf(profile)
-        rwedf = Fraction(sums[0], k) if flat else None
-        witness = None if flat else _first_change(sums)
-
+    k = profile.scale
+    rwedf = check_rwedf(family, profile)
     bimodal = is_bimodal(family, profile)
-    top = max(sums)
-    ehat = Fraction(top, k * m)
-    bound = r_bound(n, m, total)
+    top = max(profile.reciprocal)
     trivial = _is_trivial_shape(family)
 
-    param_ok = True
-    ell_below_m: Optional[bool] = None
+    param_ok, ell_below_m, m2, key_prop = True, None, "not-applicable", None
     if rwedf is not None:
         ell, scale = rwedf.numerator, rwedf.denominator
         param_ok = (n - 1) * ell == (m - 1) * total * scale
         ell_below_m = trivial or ell < m * scale
+        if m == 2:
+            m2 = "EDF" if family.sizes[0] == family.sizes[1] else "GSEDF"
+        # bimodal: N_i(delta) / k_i is 1 where N_i(delta) != 0 and 0 elsewhere,
+        # so ell is an integer (scale 1), each column's count of non-zero rows
+        if bimodal.holds:
+            key_prop = (ell, m - ell)
 
-    if m == 2 and rwedf is not None:
-        m2 = "EDF" if sizes[0] == sizes[1] else "GSEDF"
-    else:
-        m2 = "not-applicable"
-
-    # bimodal: N_i(delta) / k_i is 1 where N_i(delta) != 0 and 0 elsewhere, so
-    # the scaled reciprocal sum of a column is K times its count of non-zero rows
-    key_prop: Optional[Tuple[int, int]] = None
-    if bimodal.holds and flat:
-        lam = sums[0] // k
-        key_prop = (lam, m - lam)
-
-    report = ClassificationReport(
+    return ClassificationReport(
         n=n,
         m=m,
-        sizes=sizes,
+        sizes=family.sizes,
         trivial=trivial,
-        edf=edf,
-        sedf=sedf,
-        gsedf=gsedf,
+        edf=check_edf(profile),
+        sedf=check_sedf(profile),
+        gsedf=check_gsedf(profile),
         rwedf=rwedf,
-        rwedf_witness=witness,
+        rwedf_witness=None if rwedf is not None else rwedf_failure_witness(family, profile),
         bimodal=bimodal,
-        e_hat=ehat,
-        r_bound=bound,
+        e_hat=Fraction(top, k * m),
+        r_bound=r_bound(n, m, total),
         # e_hat = top / (K * m) meets (m - 1) * T / (m * (n - 1))
         r_optimal=top * (n - 1) == (m - 1) * total * k,
         param_identity_ok=param_ok,
         ell_below_m=ell_below_m,
         m2_structure=m2,
         key_prop=key_prop,
+        wedf_weights=profile.weights,
+        wedf=_constant_value(profile.weighted, profile.weight_scale) if profile.weights else None,
     )
-    if profile.weights is not None:
-        report.wedf_weights = profile.weights
-        report.wedf = _constant_value(profile.weighted, profile.weight_scale)
-    return report

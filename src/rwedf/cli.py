@@ -54,7 +54,7 @@ class CliError(Exception):
 def _parse_group(text: str) -> FiniteGroup:
     try:
         desc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise CliError(f"bad group descriptor: {exc}", 2)
     try:
         return group_from_descriptor(desc)
@@ -92,7 +92,7 @@ def _load_family(path):
         return read_family(path)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", 2)
-    except (json.JSONDecodeError, ValueError, TypeError, KeyError) as exc:
+    except (json.JSONDecodeError, ValueError, TypeError, KeyError, RecursionError) as exc:
         raise CliError(f"{path}: {exc}", 2)
 
 

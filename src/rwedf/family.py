@@ -46,10 +46,10 @@ from .errors import BadWeight, IdentityDelta, ProfileTooLarge
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _member_differences,
     closure,
     difference_count_blocks,
     difference_counts,
-    self_difference_counts,
 )
 
 # Most cells m * (n - 1) a dense count matrix may have (256 MB of int64).  The
@@ -394,8 +394,7 @@ def e_hat(family: DisjointFamily, profile: Optional[DifferenceProfile] = None) -
         raise ValueError("e_hat needs a group with at least one non-identity element")
     if profile is None:
         profile = difference_profile(family)
-    k, sums = reciprocal_sums(profile)
-    return Fraction(max(sums), k * family.m)
+    return Fraction(max(profile.reciprocal), profile.scale * family.m)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -409,8 +408,14 @@ def r_bound(n: int, m: int, total: int) -> Fraction:
 
 
 def internal_differences(group: FiniteGroup, members: Sequence[int]) -> Tuple[int, ...]:
-    """Sorted distinct differences a * b^-1 over ordered pairs within one set."""
-    return tuple(np.flatnonzero(self_difference_counts(group, members)).tolist())
+    """Sorted distinct differences a * b^-1 over ordered pairs of distinct members.
+
+    One membership step, as in ``closure``: the pairs a = b give only the
+    identity, so it is dropped.  A member outside 0..n-1 raises ValueError.
+    """
+    reached = _member_differences(group, sorted(set(members)))
+    reached[0] = False
+    return tuple(np.flatnonzero(reached).tolist())
 
 
 def internal_difference_group(group: FiniteGroup, members: Sequence[int]) -> Subgroup:

@@ -474,9 +474,8 @@ def _group_of(desc: dict) -> FiniteGroup:
     if kind == "cyclic":
         return CyclicGroup(_int_param(desc, "n"))
     if kind == "product":
-        factors = [group_from_descriptor(d) for d in _list_param(desc, "factors")]
-        if len(factors) < 2:
-            raise NotAGroup("product descriptor needs at least two factors")
+        _check_product_shape(desc)
+        factors = [group_from_descriptor(d) for d in desc["factors"]]
         g = factors[0]
         for h in factors[1:]:
             g = DirectProductGroup(g, h)
@@ -493,6 +492,27 @@ def _group_of(desc: dict) -> FiniteGroup:
             raise BadDescriptor("a cayley_table descriptor needs a list of integer rows")
         return CayleyTableGroup(table)
     raise BadDescriptor(f"unknown group kind {kind!r}")
+
+
+def _check_product_shape(desc: dict) -> None:
+    """Refuse a product descriptor before any factor is built, and without recursion.
+
+    Every product in it needs at least two factors, and it may hold at most
+    log2(MAX_ORDER) = 20 factors in all that are not products, nested factors
+    included: 21 non-trivial ones already pass MAX_ORDER.  With at least two
+    factors a product, no product nests deeper than that either.
+    """
+    most = MAX_ORDER.bit_length() - 1
+    leaves, products = 0, [desc]
+    while products:
+        factors = _list_param(products.pop(), "factors")
+        if len(factors) < 2:
+            raise NotAGroup("product descriptor needs at least two factors")
+        nested = [d for d in factors if isinstance(d, dict) and d.get("kind") == "product"]
+        products += nested
+        leaves += len(factors) - len(nested)
+        if leaves > most:
+            raise BadDescriptor(f"product descriptor has more than {most} factors in all")
 
 
 def _complement_is_cheaper(n: int, span: int, families: int, squares: int) -> bool:
@@ -514,7 +534,9 @@ def difference_count_blocks(
     Yields the rows of the (len(sets), n) count matrix in order, at most
     max(1, BLOCK_CELLS // n) rows a block.  Cell (i, d) counts the pairs
     (a, b) with a in sets[i] and a * b^-1 = d, where b ranges over the other
-    sets, or with within=True over sets[i] without a.  With span > 0 the
+    sets, or with within=True over sets[i] without a (only
+    ``self_difference_counts`` asks for that, for the difference-set
+    counters).  With span > 0 the
     sets' elements, in order, fall into families of span elements each, and b
     ranges over a's family only: the rows of many families of one total are
     counted in one pass.  The sets of a family must be pairwise disjoint.
@@ -636,8 +658,16 @@ def difference_counts(
 
 
 def self_difference_counts(group: FiniteGroup, members: Iterable[int]) -> np.ndarray:
-    """How often each element arises as a * b^-1 over distinct members a, b."""
-    return difference_counts(group, [sorted(set(members))], within=True)[0]
+    """How often each element arises as a * b^-1 over distinct members a, b.
+
+    It runs the kernel's within route, which serves only the difference-set
+    counters that need these multiplicities; which differences occur at all is
+    one membership step (``_member_differences``).  A member outside 0..n-1
+    raises ValueError.
+    """
+    members = sorted(set(members))
+    _check_range(group, members)
+    return difference_counts(group, [members], within=True)[0]
 
 
 @dataclass(frozen=True)
@@ -660,12 +690,33 @@ class Subgroup:
         return x in set(self.carrier)
 
 
+def _check_range(group: FiniteGroup, members: Sequence[int]) -> None:
+    """ValueError when the least or the greatest of ascending members lies outside 0..n-1."""
+    if len(members) and not (0 <= members[0] and members[-1] < group.order):
+        bad = members[0] if members[0] < 0 else members[-1]
+        raise ValueError(f"element {bad} out of range for order {group.order}")
+
+
+def _member_differences(group: FiniteGroup, members: Sequence[int]) -> np.ndarray:
+    """A boolean mask over G of every a * b^-1 with a, b in the ascending members, a = b included.
+
+    The one membership step of ``_closure``, ``is_subgroup`` and
+    ``internal_differences``: PAIR_CHUNK pairs a step (at least one a a
+    step), and a member outside 0..n-1 raises ValueError before any pair.
+    """
+    _check_range(group, members)
+    elems = np.asarray(members, dtype=np.int64)
+    reached = np.zeros(group.order, dtype=bool)
+    rows = max(1, PAIR_CHUNK // max(len(elems), 1))
+    for lo in range(0, len(elems), rows):
+        reached[group.diff_array(elems[lo : lo + rows, None], elems)] = True
+    return reached
+
+
 def closure(group: FiniteGroup, generators: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing the generators (BFS over right multiplication)."""
     gens = sorted(set(generators))
-    for g in gens:
-        if not 0 <= g < group.order:
-            raise ValueError(f"generator {g} out of range for order {group.order}")
+    _check_range(group, gens)
     return _closure(group, np.array([0, *gens], dtype=np.int64), gens)
 
 
@@ -673,8 +724,9 @@ def _closure(group: FiniteGroup, start: np.ndarray, gens: Sequence[int]) -> Subg
     """<gens> from start, members of <gens> and 0.
 
     While a set S of members holds at most SMALL_CLOSURE pairs, it becomes
-    S * S^-1 in one step: that keeps S (S holds 0), doubles the length of the
-    words reached, and adds nothing only when S is a subgroup.  A larger S
+    S * S^-1 by the membership step (``_member_differences``): that keeps S
+    (S holds 0), doubles the length of the words reached, and adds nothing
+    only when S is a subgroup, which is ``is_subgroup``'s test.  A larger S
     grows as a BFS over right multiplication: each level takes the frontier
     times every generator, and times its own first few members, which lie in
     <gens> too, so a long cycle takes about log2 of its length levels.  The
@@ -686,7 +738,7 @@ def _closure(group: FiniteGroup, start: np.ndarray, gens: Sequence[int]) -> Subg
     inside[list(gens)] = True
     members = np.flatnonzero(inside)
     while len(members) ** 2 <= SMALL_CLOSURE:
-        inside[group.diff_array(members[:, None], members)] = True
+        inside = _member_differences(group, members)
         grown = np.flatnonzero(inside)
         if 2 * len(grown) > group.order:  # <gens> holds them, and no proper subgroup does
             return Subgroup(group, tuple(range(group.order)), tuple(gens))
@@ -707,13 +759,15 @@ def _closure(group: FiniteGroup, start: np.ndarray, gens: Sequence[int]) -> Subg
 
 
 def is_subgroup(group: FiniteGroup, carrier: Iterable[int]) -> bool:
-    """Whether the elements form a subgroup: they hold 0 and every a * b^-1 among them."""
+    """Whether the elements form a subgroup: they hold 0 and every a * b^-1 among them.
+
+    One membership step (``_member_differences``), as in ``_closure``: with 0
+    among them every member a = a * 0^-1 is reached, so they are closed
+    exactly when nothing else is.  A member outside 0..n-1 raises ValueError.
+    """
     members = sorted(set(carrier))
-    if not members or members[0] != 0:
-        return False
-    inside = np.zeros(group.order, dtype=bool)
-    inside[members] = True
-    return not self_difference_counts(group, members)[~inside].any()
+    reached = _member_differences(group, members)
+    return bool(members) and members[0] == 0 and np.count_nonzero(reached) == len(members)
 
 
 def _carrier_of(group: FiniteGroup, subgroup) -> Tuple[int, ...]:

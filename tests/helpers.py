@@ -154,16 +154,20 @@ def reference_counts(family):
 
 
 def reference_classification(family, weights=None):
-    """The profile-read keys of classify(family, weights).to_json_dict(), check by
-    check over the whole count matrix, as classify read them before the profile
-    was streamed."""
+    """Every key of classify(family, weights).to_json_dict() but n, m and sizes,
+    check by check over the whole count matrix, as classify read them before the
+    profile was streamed."""
     rows = [row[1:] for row in reference_counts(family)]
     m, n, sizes = family.m, family.n, family.sizes
+    total = sum(sizes)
     cols = list(zip(*rows))
     equal = m >= 2 and len(set(sizes)) == 1
     plain = [sum(col) for col in cols]
     recip = [sum(Fraction(c, k) for c, k in zip(col, sizes)) for col in cols]
     constant = len(set(recip)) == 1
+    ell = recip[0] if constant else None
+    trivial = m == 1 or sizes == (1,) * n
+    bound = Fraction((m - 1) * total, m * (n - 1))
     between = [(i, d + 1, c) for i, row in enumerate(rows) for d, c in enumerate(row)
                if c and c != sizes[i]]
     nonzero = [sum(1 for c in col if c) for col in cols]
@@ -178,6 +182,14 @@ def reference_classification(family, weights=None):
         "bimodal": not between,
         "bimodal_witness": list(between[0]) if between else None,
         "e_hat": frac_str(max(recip) / m),
+        "r_bound": frac_str(bound),
+        "r_optimal": max(recip) / m == bound,
+        "trivial": trivial,
+        # (m - 1) T = (n - 1) ell: each column of an RWEDF sums to ell
+        "param_identity_ok": ell is None or (n - 1) * ell == (m - 1) * total,
+        "ell_below_m": None if ell is None else trivial or ell < m,
+        "m2_structure": ("not-applicable" if m != 2 or ell is None
+                         else "EDF" if sizes[0] == sizes[1] else "GSEDF"),
         "key_prop": ([nonzero[0], m - nonzero[0]]
                      if not between and len(set(nonzero)) == 1 else None),
     }

@@ -172,6 +172,12 @@ def test_internal_differences():
     z12 = CyclicGroup(12)
     assert internal_difference_group(z12, (3, 6, 9)).carrier == (0, 3, 6, 9)
     assert internal_difference_group(z12, (7,)).carrier == (0,)
+    # out-of-range members are refused, not read mod n
+    z7 = CyclicGroup(7)
+    with pytest.raises(ValueError, match="element 9 out of range for order 7"):
+        internal_differences(z7, (0, 9))
+    with pytest.raises(ValueError, match="element -1 out of range for order 7"):
+        internal_difference_group(z7, (-1, 3))
 
 
 def test_internal_difference_group_minimality():

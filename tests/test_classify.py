@@ -182,6 +182,9 @@ def test_difference_set_checks():
     assert check_difference_set(z7, range(7)) == 7
     assert check_difference_set(z7, (3,)) == 0
     assert check_difference_set(z7, ()) == 0
+    # 11 is refused, not read as 4 (which would make a (7, 3, 1) set)
+    with pytest.raises(ValueError, match="element 11 out of range for order 7"):
+        check_difference_set(z7, (1, 2, 11))
 
 
 def test_partial_difference_set_checks():
@@ -192,6 +195,9 @@ def test_partial_difference_set_checks():
     assert check_partial_difference_set(z13, (5,)) is None
     with pytest.raises(ValueError):
         check_partial_difference_set(DihedralGroup(5), (1, 2))
+    for members, bad in (((1, 13), 13), ((-1, 1), -1)):
+        with pytest.raises(ValueError, match=f"element {bad} out of range for order 13"):
+            check_partial_difference_set(z13, members)
 
 
 def test_cyclotomic_pair_is_edf():

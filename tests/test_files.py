@@ -352,10 +352,25 @@ def test_cli_search_bad_cap_or_budget_exits_2(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+def _nested_product(depth):
+    desc = {"kind": "cyclic", "n": 2}
+    for _ in range(depth):
+        desc = {"kind": "product", "factors": [{"kind": "cyclic", "n": 2}, desc]}
+    return json.dumps(desc)
+
+
+# more than 20 factors in all, by nesting and by width; built factor by factor, each would
+# overrun the stack
+NESTED_PRODUCT = _nested_product(400)
+WIDE_PRODUCT = json.dumps({"kind": "product", "factors": [{"kind": "cyclic", "n": 2}]
+                           + [{"kind": "cyclic", "n": 1}] * 1200})
+
+
 @pytest.mark.parametrize(
     "desc",
-    ['[1, 2]', '{"kind": "cyclic", "n": 7.5}', '{"kind": "cyclic", "n": true}'],
-    ids=["list", "float-order", "bool-order"],
+    ['[1, 2]', '{"kind": "cyclic", "n": 7.5}', '{"kind": "cyclic", "n": true}',
+     NESTED_PRODUCT, WIDE_PRODUCT],
+    ids=["list", "float-order", "bool-order", "nested-product", "wide-product"],
 )
 def test_cli_bad_descriptor_exits_2(tmp_path, capsys, desc):
     with pytest.raises(BadDescriptor):
@@ -367,6 +382,18 @@ def test_cli_bad_descriptor_exits_2(tmp_path, capsys, desc):
     path.write_text('{"group": %s, "sets": [[0]]}' % desc)
     code, _, err = run(capsys, "verify", str(path))
     assert code == 2 and "error:" in err
+
+
+def test_cli_json_nested_past_the_stack_exits_2(tmp_path, capsys):
+    # the JSON decoder itself runs out of stack here, before any descriptor is read
+    desc = "[" * 5000
+    code, _, err = run(capsys, "search", "--group", desc, "--sizes", "1",
+                       "--out", str(tmp_path / "hits.jsonl"))
+    assert code == 2 and "error: bad group descriptor" in err and "Traceback" not in err
+    path = tmp_path / "fam.json"
+    path.write_text('{"group": %s, "sets": [[0]]}' % desc)
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2 and "error:" in err and "Traceback" not in err
 
 
 def test_cli_group_too_large_exits_2(tmp_path, capsys):

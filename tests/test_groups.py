@@ -21,6 +21,7 @@ from rwedf import (
     left_cosets,
 )
 from rwedf.constructions import f21_group
+from rwedf.groups import is_subgroup
 
 
 def battery():
@@ -211,6 +212,10 @@ def test_closure_examples():
     assert closure(d10, [1, 5]).order == 10
     with pytest.raises(ValueError):
         closure(z12, [12])
+    # a member outside 0..n-1 is refused, not wrapped round or used as an index
+    for carrier, bad in (((0, 12), 12), ((-1, 0), -1)):
+        with pytest.raises(ValueError, match=f"element {bad} out of range for order 12"):
+            is_subgroup(z12, carrier)
 
 
 def test_subgroup_star_and_contains():
@@ -295,6 +300,11 @@ def test_max_order_guard(desc):
 def test_max_order_is_inclusive():
     assert group_from_descriptor({"kind": "cyclic", "n": MAX_ORDER}).order == MAX_ORDER
     assert ElementaryAbelianGroup(2, 20).order == MAX_ORDER
+    # 20 factors, the most a product may have, as describe() nests them
+    z2_20 = CyclicGroup(2)
+    for _ in range(19):
+        z2_20 = DirectProductGroup(z2_20, CyclicGroup(2))
+    assert group_from_descriptor(z2_20.describe()).order == MAX_ORDER
     assert HeisenbergGroup(101).order == 101**3
     with pytest.raises(NotAGroup):
         ElementaryAbelianGroup(-3, 10**12)

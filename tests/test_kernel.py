@@ -431,6 +431,7 @@ def _witness_after_a_block_boundary():
 
 BLOCK_CASES = [(label, fam, weights) for label, fam, weights in all_fixtures()] + [
     ("whole-group", DisjointFamily.of(CyclicGroup(6), range(6)), None),
+    ("one-set", DisjointFamily.of(CyclicGroup(7), (1, 3)), None),
     ("n=2", DisjointFamily.of(CyclicGroup(2), (0,), (1,)), None),
     ("n=2-weighted", DisjointFamily.of(CyclicGroup(2), (0,), (1,)),
      (Fraction(1, 3), Fraction(1))),

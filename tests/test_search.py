@@ -1105,9 +1105,13 @@ def test_census_order_guard(monkeypatch):
     with pytest.raises(GroupTooLarge):
         census._census_scale(41)
     big = CyclicGroup(2**20)
-    with pytest.raises(GroupTooLarge):
+    with pytest.raises(GroupTooLarge, match="DENSE_CELL_LIMIT"):
         rwedf_census(big)
     assert "diff_rows" not in vars(big)  # refused before the table is built
+    # every order from 21 up is refused by the cell limit, and says so
+    with pytest.raises(GroupTooLarge,
+                       match=r"2\^41 x 40 = 87960930222080 cells, past DENSE_CELL_LIMIT"):
+        rwedf_census(CyclicGroup(41))
     # the subset table of the whole group: 2^21 x 20 cells pass DENSE_CELL_LIMIT
     z21 = CyclicGroup(21)
     with pytest.raises(GroupTooLarge, match="DENSE_CELL_LIMIT"):
