@@ -16,7 +16,8 @@ whole group's table would pass DENSE_CELL_LIMIT.  ``cross_check_every = s``
 still classifies floor(families / s) genuine, distinct families: the
 translates that stand at the crossed positions.  A block's crossed families
 are built in numpy: each position becomes a (row, shift) pair by one divmod,
-one gather from the group's diff_array table translates the members, and one
+one gather from the group's difference table (``diff_rows``, which the orbit
+sweep already holds, made an array once) translates the members, and one
 sort on (set, element) orders them.  They go through ``classify_many`` in
 batches of CROSS_CHECK_BATCH, in census order, across blocks and supports, and
 each report is compared, in integers, with what the block's own scoring found.
@@ -277,8 +278,7 @@ def rwedf_census(group: FiniteGroup, cross_check_every: int = 0) -> CensusStats:
     crossed: List[DisjointFamily] = []
     expected: List[Tuple[bool, int, int, int, bool]] = []
     if every:
-        elements = np.arange(n)
-        translate = group.diff_array(elements[:, None], elements)  # [x, h] = x * h^-1
+        translate = np.array(diff, dtype=np.int64)  # [x, h] = x * h^-1
     for members, shifts in _support_orbits(diff):
         stats.supports += 1
         s, w = len(members), len(shifts)

@@ -8,7 +8,9 @@ read or written, or memory that runs out.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -35,6 +37,7 @@ from .files import (
     family_to_dict,
     frac_str,
     parse_frac,
+    parse_json,
     profile_to_csv,
     read_family,
     write_families_jsonl,
@@ -53,11 +56,7 @@ class CliError(Exception):
 
 def _parse_group(text: str) -> FiniteGroup:
     try:
-        desc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise CliError(f"bad group descriptor: {exc}", 2)
-    try:
-        return group_from_descriptor(desc)
+        return group_from_descriptor(parse_json(text))
     except GroupTooLarge as exc:
         raise CliError(str(exc), 2)
     except (ValueError, KeyError, TypeError) as exc:
@@ -92,7 +91,7 @@ def _load_family(path):
         return read_family(path)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", 2)
-    except (json.JSONDecodeError, ValueError, TypeError, KeyError, RecursionError) as exc:
+    except (ValueError, TypeError, KeyError) as exc:
         raise CliError(f"{path}: {exc}", 2)
 
 
@@ -103,17 +102,18 @@ def cmd_verify(args) -> int:
     if args.weights:
         weights = _parse_frac_list(args.weights, "--weights")
     report = classify(family, weights)
-    # built before anything is printed or written: a matrix over its cell budget exits 2 here
-    csv = profile_to_csv(count_matrix(family)) if args.profile_csv else None
+    # written before anything is printed: a matrix over its cell budget, or an
+    # unwritable path, exits 2 with stdout empty
+    if args.profile_csv:
+        csv = profile_to_csv(count_matrix(family))
+        with open(args.profile_csv, "w") as fh:
+            fh.write(csv)
     data = report.to_json_dict()
     if args.json:
         print(json.dumps(data, indent=2))
     else:
         for key, value in data.items():
             print(f"{key} = {value}")
-    if csv is not None:
-        with open(args.profile_csv, "w") as fh:
-            fh.write(csv)
     expect = (metadata or {}).get("expect")
     if expect is not None:
         if not isinstance(expect, dict):
@@ -221,6 +221,18 @@ def cmd_construct(args) -> int:
 
 # search
 
+def _check_writable(path) -> None:
+    """Raise the OSError that opening path to write would, without making or truncating it."""
+    folder = os.path.dirname(os.path.abspath(path))
+    code = (errno.ENOENT if not os.path.exists(folder)
+            else errno.ENOTDIR if not os.path.isdir(folder)
+            else errno.EISDIR if os.path.isdir(path)
+            else 0 if os.access(path if os.path.exists(path) else folder, os.W_OK)
+            else errno.EACCES)
+    if code:
+        raise OSError(code, os.strerror(code), path)
+
+
 def cmd_search(args) -> int:
     group = _parse_group(args.group)
     sizes = tuple(_parse_int_list(args.sizes, "--sizes"))
@@ -236,6 +248,7 @@ def cmd_search(args) -> int:
             target_ell=target_ell, dedup=args.dedup, node_budget=args.budget,
             result_cap=args.cap,
         )
+        _check_writable(args.out)  # before the walk, not after it
         result = enumerate_families(spec)
         code = 0
     except BudgetExceeded as exc:

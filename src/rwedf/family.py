@@ -49,7 +49,6 @@ from .groups import (
     _member_differences,
     closure,
     difference_count_blocks,
-    difference_counts,
 )
 
 # Most cells m * (n - 1) a dense count matrix may have (256 MB of int64).  The
@@ -182,7 +181,11 @@ def count_matrix(family: DisjointFamily) -> np.ndarray:
             f"dense profile of {family.m} x {family.n - 1} = {cells} cells exceeds "
             f"DENSE_CELL_LIMIT {DENSE_CELL_LIMIT}"
         )
-    matrix = difference_counts(family.group, family.sets)[:, 1:]
+    matrix = np.empty((family.m, family.n - 1), dtype=np.int64)
+    row = 0
+    for block in difference_count_blocks(family.group, family.sets):
+        matrix[row : row + len(block)] = block[:, 1:]  # before the next block overwrites it
+        row += len(block)
     matrix.setflags(write=False)
     return matrix
 

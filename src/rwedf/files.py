@@ -58,6 +58,14 @@ def family_to_dict(
 FAMILY_KEYS = ("group", "sets", "weights", "metadata")
 
 
+def parse_json(text: str):
+    """json.loads, with a document nested past the decoder's stack refused as ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("JSON nested too deep to decode") from exc
+
+
 def family_from_dict(data) -> Tuple[DisjointFamily, Optional[Tuple[Fraction, ...]], Optional[dict]]:
     if not isinstance(data, dict):
         raise ValueError("family file must hold a JSON object")
@@ -102,7 +110,7 @@ def write_family(
 
 def read_family(path) -> Tuple[DisjointFamily, Optional[Tuple[Fraction, ...]], Optional[dict]]:
     with open(path) as fh:
-        return family_from_dict(json.load(fh))
+        return family_from_dict(parse_json(fh.read()))
 
 
 def family_to_jsonl_line(family: DisjointFamily) -> str:
@@ -116,12 +124,8 @@ def write_families_jsonl(path, families: Sequence[DisjointFamily]) -> None:
 
 
 def read_families_jsonl(path) -> List[DisjointFamily]:
-    out = []
     with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                out.append(family_from_dict(json.loads(line))[0])
-    return out
+        return [family_from_dict(parse_json(line))[0] for line in fh if line.strip()]
 
 
 def profile_to_csv(matrix: np.ndarray) -> str:

@@ -87,7 +87,8 @@ class FiniteGroup:
     law is derived from it, each as a Python int: ``inv(b)`` is 0 * b^-1,
     ``mul(a, b)`` is a * inv(b)^-1, and ``diff`` and ``order_of`` follow.
     Composition is written multiplicatively; for the additive groups in this
-    package mul is addition.
+    package mul is addition.  Every kind states ``abelian`` itself, as a
+    class attribute or in its constructor.
     """
 
     kind = "abstract"
@@ -115,21 +116,14 @@ class FiniteGroup:
         return range(self.order)
 
     @cached_property
-    def abelian(self) -> bool:
-        """Whether the whole product table is symmetric; kinds that know say so in O(1)."""
-        idx = np.arange(self.order, dtype=np.int64)
-        table = self.diff_array(idx[:, None], self.diff_array(0, idx))
-        return bool((table == table.T).all())
-
-    @cached_property
     def diff_rows(self) -> List[List[int]]:
-        """diff_rows[a][b] == a * b^-1 as Python ints, for scalar-indexed hot loops."""
-        idx = np.arange(self.order, dtype=np.int64)
-        step = max(1, PAIR_CHUNK // self.order)
-        rows: List[List[int]] = []
-        for lo in range(0, self.order, step):
-            rows += self.diff_array(idx[lo : lo + step, None], idx).tolist()
-        return rows
+        """diff_rows[a][b] == a * b^-1 as Python ints, for scalar-indexed hot loops.
+
+        The member pass (``_member_difference_keys``) over all of G, one
+        ``tolist`` a chunk of max(1, PAIR_CHUNK // n) rows.
+        """
+        chunks = _member_difference_keys(self, np.arange(self.order, dtype=np.int64))
+        return [row for keys in chunks for row in keys.tolist()]
 
     def automorphism_subgroup(self) -> List[List[int]]:
         """A cheap subgroup A of Aut(G) as permutation lists, the identity first.
@@ -416,6 +410,7 @@ class CayleyTableGroup(FiniteGroup):
         self._table_np = np.array(rows, dtype=np.int64)
         self._validate()
         self._inv_np = np.nonzero(self._table_np == 0)[1]  # row a holds 0 at column a^-1
+        self.abelian = bool((self._table_np == self._table_np.T).all())
 
     def _validate(self) -> None:
         n = self.order
@@ -527,16 +522,15 @@ def _complement_is_cheaper(n: int, span: int, families: int, squares: int) -> bo
 
 
 def difference_count_blocks(
-    group: FiniteGroup, sets: Sequence[Sequence[int]], within: bool = False, span: int = 0
+    group: FiniteGroup, sets: Sequence[Sequence[int]], span: int = 0
 ) -> Iterator[np.ndarray]:
-    """Ordered pairs counted by left difference, as int64 blocks of consecutive rows.
+    """Cross pairs counted by left difference, as int64 blocks of consecutive rows.
 
     Yields the rows of the (len(sets), n) count matrix in order, at most
     max(1, BLOCK_CELLS // n) rows a block.  Cell (i, d) counts the pairs
-    (a, b) with a in sets[i] and a * b^-1 = d, where b ranges over the other
-    sets, or with within=True over sets[i] without a (only
-    ``self_difference_counts`` asks for that, for the difference-set
-    counters).  With span > 0 the
+    (a, b) with a in sets[i], b in another set and a * b^-1 = d.  The pairs
+    within one set are the member pass's (``_member_difference_keys``), not
+    this kernel's.  With span > 0 the
     sets' elements, in order, fall into families of span elements each, and b
     ranges over a's family only: the rows of many families of one total are
     counted in one pass.  The sets of a family must be pairwise disjoint.
@@ -544,8 +538,7 @@ def difference_count_blocks(
     what must outlive the step.
 
     Two routes count the other sets; they differ only in the peers b of each
-    a.  The cross route visits the other sets' members (with within=True, the
-    other members of a's set, and it is the only route).  The complement
+    a.  The cross route visits the other sets' members.  The complement
     route rests on this: for each a and d exactly one b in G has
     a * b^-1 = d.  So with S the support of a's family and C = G \\ S,
 
@@ -573,8 +566,8 @@ def difference_count_blocks(
     owner = np.repeat(np.arange(m, dtype=np.int64), sizes)
     row_sizes = np.array(sizes, dtype=np.int64)
     span = span or len(elems)
-    by_complement = (not within and span > 0 and
-                     _complement_is_cheaper(n, span, len(elems) // span, int(row_sizes @ row_sizes)))
+    by_complement = span > 0 and _complement_is_cheaper(
+        n, span, len(elems) // span, int(row_sizes @ row_sizes))
     if by_complement:
         own_size = np.repeat(row_sizes, sizes)  # per element: its set's size and first place
         own_start = np.repeat(np.array(starts[:-1], dtype=np.int64), sizes)
@@ -586,7 +579,7 @@ def difference_count_blocks(
         step = np.add.at
 
     def cross_keys(lo, hi, home, a, offset):
-        """Keys of a's pairs with the other sets of its family, or with its own set when within."""
+        """Keys of a's pairs with the other sets of its family."""
         rows = owner[lo:hi, None]
         if hi <= home + span:
             peers, peer_rows = elems[None, home : home + span], owner[None, home : home + span]
@@ -597,10 +590,9 @@ def difference_count_blocks(
         for blo in range(0, span, b_step):
             b = peers[:, blo : blo + b_step]
             cols = peer_rows[:, blo : blo + b_step]
-            keep = (rows == cols) & (a != b) if within else rows != cols
             keys = group.diff_array(a, b)
             keys += offset
-            yield keys[keep]
+            yield keys[rows != cols]
 
     def complement_keys(lo, hi, home, a, offset):
         """Keys of a's pairs with its own set, a included, and with its family's complement."""
@@ -645,29 +637,20 @@ def difference_count_blocks(
         yield counts.reshape(last - first, n)
 
 
-def difference_counts(
-    group: FiniteGroup, sets: Sequence[Sequence[int]], within: bool = False
-) -> np.ndarray:
-    """The whole (len(sets), n) count matrix: the blocks of difference_count_blocks, stacked."""
-    counts = np.empty((len(sets), group.order), dtype=np.int64)
-    row = 0
-    for block in difference_count_blocks(group, sets, within):
-        counts[row : row + len(block)] = block
-        row += len(block)
-    return counts
-
-
 def self_difference_counts(group: FiniteGroup, members: Iterable[int]) -> np.ndarray:
     """How often each element arises as a * b^-1 over distinct members a, b.
 
-    It runs the kernel's within route, which serves only the difference-set
-    counters that need these multiplicities; which differences occur at all is
-    one membership step (``_member_differences``).  A member outside 0..n-1
-    raises ValueError.
+    The member pass (``_member_difference_keys``), counted: its pairs a = b
+    give only the identity, so column 0 is set to 0.  Only the difference-set
+    counters need these multiplicities; which differences occur at all is
+    the membership step's mask (``_member_differences``).  A member outside
+    0..n-1 raises ValueError.
     """
-    members = sorted(set(members))
-    _check_range(group, members)
-    return difference_counts(group, [members], within=True)[0]
+    counts = np.zeros(group.order, dtype=np.int64)
+    for keys in _member_difference_keys(group, sorted(set(members))):
+        np.add.at(counts, keys, 1)
+    counts[0] = 0
+    return counts
 
 
 @dataclass(frozen=True)
@@ -697,19 +680,32 @@ def _check_range(group: FiniteGroup, members: Sequence[int]) -> None:
         raise ValueError(f"element {bad} out of range for order {group.order}")
 
 
+def _member_difference_keys(group: FiniteGroup, ascending: Sequence[int]) -> Iterator[np.ndarray]:
+    """Every a * b^-1 with a, b in the ascending members, a = b included, as row chunks.
+
+    The one pass over the pairs of a single set: a chunk is
+    ``diff_array(rows, members)`` for the next max(1, PAIR_CHUNK // k) of the
+    k members as rows, so it holds at most PAIR_CHUNK pairs, or one row.  A
+    member outside 0..n-1 raises ValueError before any pair.  It serves the
+    membership mask, the self-counts and ``diff_rows``.
+    """
+    _check_range(group, ascending)
+    elems = np.asarray(ascending, dtype=np.int64)
+    rows = max(1, PAIR_CHUNK // max(len(elems), 1))
+    for lo in range(0, len(elems), rows):
+        yield group.diff_array(elems[lo : lo + rows, None], elems)
+
+
 def _member_differences(group: FiniteGroup, members: Sequence[int]) -> np.ndarray:
     """A boolean mask over G of every a * b^-1 with a, b in the ascending members, a = b included.
 
     The one membership step of ``_closure``, ``is_subgroup`` and
-    ``internal_differences``: PAIR_CHUNK pairs a step (at least one a a
-    step), and a member outside 0..n-1 raises ValueError before any pair.
+    ``internal_differences``: the member pass (``_member_difference_keys``),
+    marked.  A member outside 0..n-1 raises ValueError before any pair.
     """
-    _check_range(group, members)
-    elems = np.asarray(members, dtype=np.int64)
     reached = np.zeros(group.order, dtype=bool)
-    rows = max(1, PAIR_CHUNK // max(len(elems), 1))
-    for lo in range(0, len(elems), rows):
-        reached[group.diff_array(elems[lo : lo + rows, None], elems)] = True
+    for keys in _member_difference_keys(group, members):
+        reached[keys] = True
     return reached
 
 

@@ -26,6 +26,7 @@ from rwedf import (
     write_families_jsonl,
     write_family,
 )
+from rwedf import cli
 from rwedf.cli import main
 from rwedf.constructions import f21_group
 from rwedf.simulate import play_best_response
@@ -193,6 +194,17 @@ def test_jsonl_round_trip(tmp_path):
     assert [f.group.describe() for f in back] == [f.group.describe() for f in fams]
     path.write_text(path.read_text() + "\n")  # trailing blank line is fine
     assert len(read_families_jsonl(path)) == 3
+
+
+@pytest.mark.parametrize("reader, text", [
+    (read_family, '{"group": %s, "sets": [[0]]}' % ("[" * 5000)),
+    (read_families_jsonl, family_to_jsonl_line(pair_z7()) + "\n" + "[" * 5000 + "\n"),
+], ids=["family", "jsonl"])
+def test_readers_refuse_json_nested_past_the_stack(tmp_path, reader, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="nested too deep"):
+        reader(path)
 
 
 def test_profile_csv_golden():
@@ -510,7 +522,7 @@ def test_cli_verify_order_one_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["verify", "construct", "search"])
-def test_cli_unwritable_output_exits_2(tmp_path, capsys, command):
+def test_cli_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, command):
     target = str(tmp_path / "missing" / "out")
     argv = {
         "verify": ["verify", str(_pair_z7_file(tmp_path)), "--profile-csv", target],
@@ -518,8 +530,13 @@ def test_cli_unwritable_output_exits_2(tmp_path, capsys, command):
         "search": ["search", "--group", '{"kind": "cyclic", "n": 5}', "--sizes", "2,1",
                    "--out", target],
     }[command]
-    code, _, err = run(capsys, *argv)
+    walks = []
+    monkeypatch.setattr(cli, "enumerate_families", lambda spec: walks.append(spec))
+    code, out, err = run(capsys, *argv)
     assert code == 2 and _one_line_error(err) and "No such file or directory" in err
+    if command == "verify":
+        assert out == ""  # the CSV is written before the report is printed
+    assert walks == []  # search refuses the path before the walk
 
 
 def test_cli_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):

@@ -38,6 +38,7 @@ def battery():
         DihedralGroup(5),
         HeisenbergGroup(3),
         f21_group(),
+        CayleyTableGroup(full_table(DirectProductGroup(CyclicGroup(2), CyclicGroup(3)))),
     ]
 
 

@@ -1,9 +1,10 @@
 """The numpy pair-counting kernel against scalar reference loops.
 
 Every reference here is written with the scalar group law of
-``helpers.scalar_diff`` only, so it shares no code with ``diff_array`` or
-``difference_counts``.  The streamed profile's classification is checked
-against the dense reference in ``helpers`` at many block and chunk sizes.
+``helpers.scalar_diff`` only, so it shares no code with ``diff_array``, the
+pair kernel or the member pass.  The streamed profile's classification is
+checked against the dense reference in ``helpers`` at many block and chunk
+sizes.
 The kernel's two routes, cross pairs and complement, are each forced in turn
 (``forced``), whichever one the pair counts would pick.
 """
@@ -27,6 +28,7 @@ from rwedf import (
     ElementaryAbelianGroup,
     HeisenbergGroup,
     check_difference_set,
+    check_partial_difference_set,
     check_rwedf,
     check_wedf,
     classify,
@@ -46,7 +48,7 @@ from rwedf.classify import rwedf_failure_witness
 from rwedf import family as family_module
 from rwedf import groups
 from rwedf.constructions import f21_group, heisenberg_partition
-from rwedf.groups import difference_count_blocks, is_subgroup
+from rwedf.groups import difference_count_blocks, is_subgroup, self_difference_counts
 from rwedf.simulate import _Board
 
 from helpers import KERNEL_POOL, all_fixtures, bimodal_z12, reference_classification, scalar_diff
@@ -60,6 +62,17 @@ def ref_self_counts(g, members):
             if a != b:
                 counts[scalar_diff(g, a, b)] += 1
     return counts
+
+
+def ref_partial_difference_set(members, counts):
+    """(lambda, mu) from the self-counts, split by membership; None when either varies."""
+    if len(members) <= 1:
+        return None
+    inside = {c for d, c in enumerate(counts) if d and d in members}
+    outside = {c for d, c in enumerate(counts) if d and d not in members}
+    if len(inside) > 1 or len(outside) > 1:
+        return None
+    return (inside.pop() if inside else 0), (outside.pop() if outside else 0)
 
 
 def ref_weighted_sums(family, weights):
@@ -300,9 +313,14 @@ def test_self_differences_match_pair_loop(fam, chunk):
     lam = counts[1] if g.order > 1 else 0
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groups, "PAIR_CHUNK", chunk)
+        got = self_difference_counts(g, members)
+        assert got.dtype == np.int64 and got.tolist() == counts
         assert internal_differences(g, members) == tuple(d for d, c in enumerate(counts) if c)
         expected = lam if all(c == lam for c in counts[1:]) else None
         assert check_difference_set(g, members) == expected
+        if g.abelian:
+            assert check_partial_difference_set(g, members) == (
+                ref_partial_difference_set(members, counts))
         assert is_subgroup(g, (0, *members)) == (
             closure(g, members).carrier == tuple(sorted({0, *members}))
         )
@@ -796,6 +814,6 @@ def test_the_route_follows_the_pair_counts(monkeypatch):
     classify_many([DisjointFamily.of(z7, range(7)), DisjointFamily.of(z7, (0,), (1,)),
                    DisjointFamily.of(z7, (3,), (5,))])
     assert taken == [((27, 26, 1, 52), True), ((7, 7, 1, 49), False), ((7, 2, 2, 4), False)]
-    # the differences within one set have a single route
+    # the differences within one set never reach the kernel
     assert is_subgroup(z7, range(7)) and internal_differences(z7, (0, 1, 3)) == (1, 2, 3, 4, 5, 6)
     assert len(taken) == 3
