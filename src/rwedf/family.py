@@ -216,8 +216,16 @@ class _ColumnSums:
         # the families lo..hi-1 have rows in this block
         lo = bisect_right(self.starts, first) - 1
         hi = bisect_left(self.starts, self.row)
-        if hi - lo == 1:  # a matrix product; reduceat over one family is slower
-            self.sums[lo] += coef @ counts
+        if hi - lo == 1:  # reduceat over one family is slower
+            # int64 @ has no BLAS path: on a 256 x 1023 block it takes ~670 us,
+            # einsum ~185 us and a plain column sum ~120 us.  Python ints keep
+            # @: einsum takes object arrays only from numpy 1.25.
+            if self.sums.dtype == object:
+                self.sums[lo] += coef @ counts
+            elif (coef == coef[0]).all():
+                self.sums[lo] += coef[0] * counts.sum(axis=0)
+            else:
+                self.sums[lo] += np.einsum("i,ij->j", coef, counts)
         else:
             cuts = [max(start - first, 0) for start in self.starts[lo:hi]]
             self.sums[lo:hi] += np.add.reduceat(coef[:, None] * counts, cuts, axis=0)

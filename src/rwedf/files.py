@@ -124,8 +124,17 @@ def write_families_jsonl(path, families: Sequence[DisjointFamily]) -> None:
 
 
 def read_families_jsonl(path) -> List[DisjointFamily]:
+    """The family on each non-blank line; a bad line raises ValueError naming the
+    file and the line's 1-based number."""
+    families = []
     with open(path) as fh:
-        return [family_from_dict(parse_json(line))[0] for line in fh if line.strip()]
+        for number, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    families.append(family_from_dict(parse_json(line))[0])
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {number}: {exc}") from exc
+    return families
 
 
 def profile_to_csv(matrix: np.ndarray) -> str:

@@ -15,8 +15,14 @@ in lexicographic order.  Each of these draws may be split into calls of any
 size without changing the stream, and the games split them TRIAL_CHUNK at a
 time.  A set of size 1 has one member to pick, so its cells draw nothing
 (``rng.integers(0, 1, size=c)`` uses no generator state either) and score
-count times that member's outcome.  Runs are reproducible bit-for-bit for a
-fixed seed, trial count, and family.
+count times that member's outcome.  The fixed-shift game knows every
+member's outcome before it draws a pick, so it draws no pick after the last
+cell whose set has more than one member and is mixed (some members win, some
+lose): each later cell's set all wins or all loses, and it scores count times
+that outcome.  Such draws could change neither the count nor an earlier draw.
+The random-shift game draws every pick of a multi-member cell.  Runs are
+reproducible bit-for-bit for a fixed seed, trial count, and family; the
+generator's final state is not part of that contract.
 
 Memory is O(trials + n), and no table over all (delta, set) or (delta, member)
 pairs is formed.  The random-shift game keeps one int64 key per trial and,
@@ -176,7 +182,15 @@ def play(family: DisjointFamily, delta: int, trials: int, seed: int) -> GameResu
         counts += np.bincount(sources, minlength=family.m)
     src = np.flatnonzero(counts)
     won = board.wins(delta, np.arange(family.total))
-    successes = board.tally(rng, src, counts[src], lambda cells, pos: won[pos])
+    all_win = np.logical_and.reduceat(won, board.start)
+    mixed = np.logical_or.reduceat(won, board.start) & ~all_win
+    # picks after the last mixed cell would only advance the stream: those
+    # cells score count times their set's one outcome and draw nothing
+    lead = np.flatnonzero(mixed[src])
+    cut = int(lead[-1]) + 1 if lead.size else 0
+    successes = board.tally(rng, src[:cut], counts[src[:cut]], lambda cells, pos: won[pos])
+    rest = src[cut:]
+    successes += int(counts[rest[all_win[rest]]].sum())
     # set i's wins add up to N_i(delta), so this is e_delta without a profile
     n_delta = np.bincount(board.member_set[won], minlength=family.m).tolist()
     k, coef = scaled_weights(family.sizes)

@@ -207,6 +207,21 @@ def test_readers_refuse_json_nested_past_the_stack(tmp_path, reader, text):
         reader(path)
 
 
+@pytest.mark.parametrize("bad, cause", [
+    ('{"group": 1}', "missing 'sets'"),
+    ("[" * 5000, "nested too deep"),
+], ids=["no-sets", "deep"])
+def test_jsonl_reader_names_the_bad_line(tmp_path, bad, cause):
+    path = tmp_path / "hits.jsonl"
+    good = family_to_jsonl_line(pair_z7())
+    path.write_text(f"{good}\n\n{good}\n{bad}\n{good}\n")  # line 2 is blank
+    with pytest.raises(ValueError) as info:
+        read_families_jsonl(path)
+    assert str(info.value) == f"{path}, line 4: {info.value.__cause__}"
+    assert isinstance(info.value.__cause__, ValueError)
+    assert cause in str(info.value.__cause__)
+
+
 def test_profile_csv_golden():
     fam = DisjointFamily.of(CyclicGroup(4), (0, 1), (2,))
     csv = profile_to_csv(difference_profile(fam).matrix)

@@ -23,8 +23,8 @@ from rwedf import (
     r_bound,
 )
 
-from helpers import (all_fixtures, mixed_z10, reference_play_successes,
-                     reference_random_delta_successes, star_d10, weighted_z8)
+from helpers import (all_fixtures, bimodal_z12, mixed_z10, reference_play_successes,
+                     reference_random_delta_successes, reference_wins, star_d10, weighted_z8)
 
 
 def test_seed_determinism():
@@ -158,6 +158,66 @@ def test_games_match_scalar_reference(monkeypatch, chunk):
                             == reference_play_successes(fam, delta, trials, seed)), (label, delta)
         best = play_best_response(fam, 500, seed=9)
         assert best.successes == reference_play_successes(fam, best.delta, 500, 9), label
+
+
+def _final_state(monkeypatch, game, *args):
+    """The state one call of game(*args) leaves the one generator it makes in."""
+    made = []
+    real = np.random.default_rng
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate.np.random, "default_rng",
+                      lambda seed: made.append(real(seed)) or made[-1])
+        game(*args)
+    (rng,) = made
+    return rng.bit_generator.state
+
+
+def _drawn_through(fam, trials, seed, last):
+    """The state after the sources, TRIAL_CHUNK at a time, then the picks of sets 0..last."""
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(fam.m, dtype=np.int64)
+    for lo in range(0, trials, simulate.TRIAL_CHUNK):
+        sources = rng.integers(0, fam.m, size=min(simulate.TRIAL_CHUNK, trials - lo))
+        counts += np.bincount(sources, minlength=fam.m)
+    for i in range(last + 1):
+        rng.integers(0, fam.sizes[i], size=counts[i])
+    return rng.bit_generator.state
+
+
+def _last_mixed(fam, delta):
+    """The last set whose members neither all win nor all lose at delta, or -1."""
+    return max((i for i, w in enumerate(reference_wins(fam, delta)) if 0 < w.sum() < len(w)),
+               default=-1)
+
+
+# Enough trials that every set has sources and the draws span chunk boundaries.
+STATE_TRIALS = 2 * simulate.TRIAL_CHUNK + 3
+
+
+def test_bimodal_game_draws_only_sources(monkeypatch):
+    for fam in (heisenberg_partition(3), bimodal_z12()):
+        for delta in range(1, fam.n):
+            assert _last_mixed(fam, delta) == -1
+            assert (_final_state(monkeypatch, play, fam, delta, STATE_TRIALS, 4)
+                    == _drawn_through(fam, STATE_TRIALS, 4, -1)), delta
+
+
+def test_game_ending_on_a_mixed_set_draws_every_pick(monkeypatch):
+    fam = f21_fixture()
+    assert _last_mixed(fam, 5) == fam.m - 1
+    assert (_final_state(monkeypatch, play, fam, 5, STATE_TRIALS, 4)
+            == _final_state(monkeypatch, reference_play_successes, fam, 5, STATE_TRIALS, 4))
+
+
+def test_picks_stop_at_the_last_mixed_set(monkeypatch):
+    # (2, 6) is uniform at every shift and follows a mixed set at all but 4,
+    # where every set is uniform
+    fam, _ = weighted_z8()
+    assert [_last_mixed(fam, delta) for delta in range(1, fam.n)] == [1, 1, 1, -1, 1, 1, 1]
+    for delta in range(1, fam.n):
+        state = _final_state(monkeypatch, play, fam, delta, STATE_TRIALS, 4)
+        assert state == _drawn_through(fam, STATE_TRIALS, 4, _last_mixed(fam, delta)), delta
+        assert state != _drawn_through(fam, STATE_TRIALS, 4, fam.m - 1), delta
 
 
 # Seeded successes pinned when both games were a loop over (delta, set) cells,
