@@ -207,6 +207,10 @@ class _ColumnSums:
         self.coef = np.array(coef, dtype=dtype)
         self.sums = np.zeros((len(starts) - 1, width), dtype=dtype)
         self.row = 0
+        # int64 @ has no BLAS path: on a 256 x 1023 block it takes ~670 us and a
+        # plain column sum ~120 us, which serves a family whose coefficients agree
+        self.equal = [dtype != object and len(set(coef[a:b])) <= 1
+                      for a, b in zip(starts, starts[1:])]
 
     def add(self, counts: np.ndarray) -> None:
         """Add the next len(counts) rows of N."""
@@ -217,15 +221,10 @@ class _ColumnSums:
         lo = bisect_right(self.starts, first) - 1
         hi = bisect_left(self.starts, self.row)
         if hi - lo == 1:  # reduceat over one family is slower
-            # int64 @ has no BLAS path: on a 256 x 1023 block it takes ~670 us,
-            # einsum ~185 us and a plain column sum ~120 us.  Python ints keep
-            # @: einsum takes object arrays only from numpy 1.25.
-            if self.sums.dtype == object:
-                self.sums[lo] += coef @ counts
-            elif (coef == coef[0]).all():
+            if self.equal[lo]:
                 self.sums[lo] += coef[0] * counts.sum(axis=0)
             else:
-                self.sums[lo] += np.einsum("i,ij->j", coef, counts)
+                self.sums[lo] += coef @ counts
         else:
             cuts = [max(start - first, 0) for start in self.starts[lo:hi]]
             self.sums[lo:hi] += np.add.reduceat(coef[:, None] * counts, cuts, axis=0)

@@ -182,8 +182,9 @@ def play(family: DisjointFamily, delta: int, trials: int, seed: int) -> GameResu
         counts += np.bincount(sources, minlength=family.m)
     src = np.flatnonzero(counts)
     won = board.wins(delta, np.arange(family.total))
-    all_win = np.logical_and.reduceat(won, board.start)
-    mixed = np.logical_or.reduceat(won, board.start) & ~all_win
+    wins = np.bincount(board.member_set[won], minlength=family.m)  # winners per set
+    all_win = wins == board.sizes
+    mixed = (wins > 0) & ~all_win
     # picks after the last mixed cell would only advance the stream: those
     # cells score count times their set's one outcome and draw nothing
     lead = np.flatnonzero(mixed[src])
@@ -192,7 +193,7 @@ def play(family: DisjointFamily, delta: int, trials: int, seed: int) -> GameResu
     rest = src[cut:]
     successes += int(counts[rest[all_win[rest]]].sum())
     # set i's wins add up to N_i(delta), so this is e_delta without a profile
-    n_delta = np.bincount(board.member_set[won], minlength=family.m).tolist()
+    n_delta = wins.tolist()
     k, coef = scaled_weights(family.sizes)
     analytic = Fraction(sum(c * w for c, w in zip(coef, n_delta)), k * family.m)
     return GameResult(
