@@ -85,17 +85,14 @@ def _support_orbits(diff: List[List[int]]) -> Iterator[Tuple[List[int], List[int
 
 
 def _census_scale(n: int) -> int:
-    """lcm(1..n), the scale of every census column sum; GroupTooLarge for n >= 41.
+    """lcm(1..n), the scale of every census column sum.
 
     A support of s <= n points meets each difference at most s times, so both
-    sides of the bound test stay below lcm(1..n) * n * (n-1), which must fit int64.
+    sides of the bound test stay below lcm(1..n) * n * (n-1).  ``rwedf_census``
+    refuses every order from 21 up before it asks for the scale, and
+    lcm(1..20) * 20 * 19 < 2^63, so the sums fit int64.
     """
-    scale = 1
-    for k in range(2, n + 1):
-        scale = lcm(scale, k)
-        if scale * n * (n - 1) >= 1 << 63:
-            raise GroupTooLarge(f"order {n} is too large for an int64 census (n <= 40)")
-    return scale
+    return lcm(*range(1, n + 1))
 
 
 def _subset_table(group: FiniteGroup, members: List[int], scale: int) -> np.ndarray:
@@ -257,12 +254,14 @@ def rwedf_census(group: FiniteGroup, cross_check_every: int = 0) -> CensusStats:
     compared with the block's own integer sums.  ``elapsed_s`` and
     ``cross_check_s`` of the result time the whole sweep and the cross-checks
     in it.  Orders from 21 up are refused: the whole group's subset table
-    would pass DENSE_CELL_LIMIT cells.
+    would pass DENSE_CELL_LIMIT cells.  A negative cross_check_every raises
+    ValueError.
     """
     began = perf_counter()
+    if cross_check_every < 0:
+        raise ValueError(f"cross_check_every must be 0 or positive, got {cross_check_every}")
     n = group.order
-    # the cell limit is checked first: it refuses every order from 21 up,
-    # long before the int64 scale does (from 41 up)
+    # the cell limit refuses every order from 21 up, which keeps the scaled sums in int64
     cells = (1 << n) * (n - 1)
     if cells > DENSE_CELL_LIMIT:
         # a count of thousands of digits cannot be printed; its exponent says enough

@@ -12,16 +12,17 @@ sums when weights are given, the rows' values when every row is constant, and
 the first count that breaks bimodality.  So classify, e_hat, e_delta and the
 best-response game hold O(m + n) numbers, not the matrix.
 
-The kernel counts a pass by whichever of two routes visits fewer pairs, by
-one integer comparison and no switch.  The cross route visits the
-T^2 - sum k_i^2 pairs between different sets.  The complement route uses
-the fact that each a and delta have exactly one b in G with
-a * b^-1 = delta: with S the support and C = G \\ S,
-N_i(delta) = k_i - #{(a, b) in A_i x A_i} - #{(a, z) in A_i x C} over the
-pairs with a * b^-1 = delta, the diagonal a = b included.  It visits
-T * (n - T) + sum k_i^2 pairs, a few thousand where the cross route
-visits millions on the partitions of G \\ {0}.  Either route fills one row
-block at a time, so a pass holds O(BLOCK_CELLS + n) numbers.
+The kernel counts every pass by one identity over the pairs with
+a * b^-1 = delta, the diagonal a = b included: with S the support and
+C = G \\ S, N_i(delta) = #{A_i x S} - #{A_i x A_i}
+= k_i - #{A_i x A_i} - #{A_i x C}, since each a and delta have exactly one
+b in G with a * b^-1 = delta.  Each step subtracts its rows' own-set pairs,
+then adds the pairs with S or subtracts those with C, whichever set is
+smaller, by one integer comparison and no switch: the support route visits
+T^2 + sum k_i^2 pairs and the complement route T * (n - T) + sum k_i^2, a
+few thousand where the support visits millions on the partitions of
+G \\ {0}.  Either route fills one row block at a time, so a pass holds
+O(BLOCK_CELLS + n) numbers.
 ``difference_profiles`` takes the same reductions for many families at once:
 the families of one group and one total are stacked, a row is a (family, set)
 pair, and one pass of the pair kernel counts them all; a single family is the

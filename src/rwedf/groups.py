@@ -86,6 +86,8 @@ class FiniteGroup:
     broadcasting; every pair-counting loop goes through it.  The scalar
     law is derived from it, each as a Python int: ``inv(b)`` is 0 * b^-1,
     ``mul(a, b)`` is a * inv(b)^-1, and ``diff`` and ``order_of`` follow.
+    Each goes through ``diff``, which raises ValueError for an element
+    outside 0..n-1: it is never read mod n.
     Composition is written multiplicatively; for the additive groups in this
     package mul is addition.  Every kind states ``abelian`` itself, as a
     class attribute or in its constructor.
@@ -103,7 +105,13 @@ class FiniteGroup:
         raise NotImplementedError
 
     def diff(self, a: int, b: int) -> int:
-        """Left difference a * b^-1; the one difference convention used throughout."""
+        """Left difference a * b^-1; the one difference convention used throughout.
+
+        ValueError when a or b lies outside 0..n-1.
+        """
+        for x in (a, b):
+            if not 0 <= x < self.order:
+                raise ValueError(f"element {x} out of range for order {self.order}")
         return int(self.diff_array(a, b))
 
     def inv(self, b: int) -> int:
@@ -510,15 +518,13 @@ def _check_product_shape(desc: dict) -> None:
             raise BadDescriptor(f"product descriptor has more than {most} factors in all")
 
 
-def _complement_is_cheaper(n: int, span: int, families: int, squares: int) -> bool:
-    """Whether counting by complement visits fewer pairs than counting the cross pairs.
+def _complement_is_cheaper(n: int, span: int) -> bool:
+    """Whether a family of span elements leaves fewer of the n elements outside it than in it.
 
-    For families of span elements each in a group of order n, whose sets'
-    squared sizes sum to squares, the cross pairs number
-    families * span^2 - squares and the complement route's pairs
-    families * span * (n - span) + squares.
+    Both routes visit the sum k_i^2 pairs within the sets; past those the
+    support route visits span peers an element and the complement route n - span.
     """
-    return families * span * (n - span) + squares < families * span * span - squares
+    return n - span < span
 
 
 def difference_count_blocks(
@@ -537,26 +543,25 @@ def difference_count_blocks(
     Every block is a view of one buffer that the next block overwrites: copy
     what must outlive the step.
 
-    Two routes count the other sets; they differ only in the peers b of each
-    a.  The cross route visits the other sets' members.  The complement
-    route rests on this: for each a and d exactly one b in G has
-    a * b^-1 = d.  So with S the support of a's family and C = G \\ S,
+    One identity serves both routes.  With S the support of a's family, over
+    the pairs with a * b^-1 = d, the diagonal a = b included,
 
-        N_i(d) = k_i - #{(a, b) in A_i x A_i : a * b^-1 = d}
-                     - #{(a, z) in A_i x C : a * z^-1 = d},
+        N_i(d) = #{A_i x S} - #{A_i x A_i} = k_i - #{A_i x A_i} - #{A_i x (G \\ S)},
 
-    the pairs within A_i taken with the diagonal, which also makes column 0
-    come out 0.  A family of total T costs T^2 - sum k_i^2 pairs by the
-    cross route and T * (n - T) + sum k_i^2 by the complement route, and
-    the call takes the route with fewer pairs over all its families
-    (``_complement_is_cheaper``).  By complement, a block is filled with its
-    rows' k_i and its pairs are subtracted, and the complements are built
-    for the block's families alone, so either route holds
-    O(BLOCK_CELLS + n) numbers, never the m x n matrix.
+    since each a and d have exactly one b in G with a * b^-1 = d; the
+    diagonal also makes column 0 come out 0.  So every step subtracts its
+    rows' pairs within their own sets, then either adds the pairs with S,
+    the rows starting at 0, or subtracts the pairs with G \\ S, the rows
+    starting at k_i.  A family of total T costs T^2 + sum k_i^2 pairs by
+    the support and T * (n - T) + sum k_i^2 by the complement, and the call
+    takes the route with fewer pairs (``_complement_is_cheaper``).  The peer
+    table, S or G \\ S of each family, is built for the block's families
+    alone, so either route holds O(BLOCK_CELLS + n) numbers, never the
+    m x n matrix.
 
-    The pairs are taken at most PAIR_CHUNK a step (at least one a a step),
-    and each step adds or subtracts 1 at (row of a - first row) * n +
-    diff_array(a, b) of its block, by ``ufunc.at``.
+    A step holds at most PAIR_CHUNK pairs or one a's, and adds or subtracts
+    1 at (row of a - first row) * n + diff_array(a, b) of its block, by
+    ``ufunc.at``.  When its a lie in one family they share one peer row.
     """
     n = group.order
     m = len(sets)
@@ -565,75 +570,42 @@ def difference_count_blocks(
     elems = np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=starts[-1])
     owner = np.repeat(np.arange(m, dtype=np.int64), sizes)
     row_sizes = np.array(sizes, dtype=np.int64)
-    span = span or len(elems)
-    by_complement = span > 0 and _complement_is_cheaper(
-        n, span, len(elems) // span, int(row_sizes @ row_sizes))
-    if by_complement:
-        own_size = np.repeat(row_sizes, sizes)  # per element: its set's size and first place
-        own_start = np.repeat(np.array(starts[:-1], dtype=np.int64), sizes)
-        a_step = max(1, PAIR_CHUNK // (max(sizes) + n - span))
-        step = np.subtract.at
-    else:
-        b_step = max(1, min(span, PAIR_CHUNK))
-        a_step = max(1, PAIR_CHUNK // b_step)
-        step = np.add.at
-
-    def cross_keys(lo, hi, home, a, offset):
-        """Keys of a's pairs with the other sets of its family."""
-        rows = owner[lo:hi, None]
-        if hi <= home + span:
-            peers, peer_rows = elems[None, home : home + span], owner[None, home : home + span]
-        else:
-            # a spans families, so span <= b_step: gather each a's own family
-            peer = (np.arange(lo, hi) // span * span)[:, None] + np.arange(span)
-            peers, peer_rows = elems[peer], owner[peer]
-        for blo in range(0, span, b_step):
-            b = peers[:, blo : blo + b_step]
-            cols = peer_rows[:, blo : blo + b_step]
-            keys = group.diff_array(a, b)
-            keys += offset
-            yield keys[rows != cols]
-
-    def complement_keys(lo, hi, home, a, offset):
-        """Keys of a's pairs with its own set, a included, and with its family's complement."""
-        k = own_size[lo:hi]
-        ends = np.cumsum(k)
-        own = np.arange(ends[-1]) + np.repeat(own_start[lo:hi] - ends + k, k)
-        keys = group.diff_array(np.repeat(a[:, 0], k), elems[own])
-        keys += np.repeat(offset[:, 0], k)
-        yield keys
-        if span < n:
-            if hi <= home + span:
-                outside = complements[None, home // span - first_family]
-            else:
-                outside = complements[np.arange(lo, hi) // span - first_family]
-            keys = group.diff_array(a, outside)
-            keys += offset
-            yield keys.ravel()
-
-    pair_keys = complement_keys if by_complement else cross_keys
+    own_size = np.repeat(row_sizes, sizes)  # per element: its set's size and first place
+    own_start = np.repeat(np.array(starts[:-1], dtype=np.int64), sizes)
+    span = span or max(len(elems), 1)  # with no elements any span serves
+    by_complement = _complement_is_cheaper(n, span)
+    peers_per_a = n - span if by_complement else span
+    a_step = max(1, PAIR_CHUNK // (max([1, *sizes]) + peers_per_a))
+    peer_step = np.subtract.at if by_complement else np.add.at
     rows_per_block = max(1, BLOCK_CELLS // max(n, 1))
     buffer = np.empty(min(m, rows_per_block) * n, dtype=np.int64)
     for first in range(0, m, rows_per_block):
         last = min(m, first + rows_per_block)
         counts = buffer[: (last - first) * n]
-        if not by_complement:
-            counts.fill(0)
-        else:
-            counts.reshape(last - first, n)[:] = row_sizes[first:last, None]
-            if span < n:  # G \ S of each family with rows in this block, (families, n - span)
-                first_family = starts[first] // span
-                support = elems[first_family * span : -(-starts[last] // span) * span]
-                support = support.reshape(-1, span)
-                outside = np.ones((len(support), n), dtype=bool)
-                outside[np.arange(len(support))[:, None], support] = False
-                complements = np.nonzero(outside)[1].reshape(len(support), n - span)
+        counts.reshape(last - first, n)[:] = row_sizes[first:last, None] if by_complement else 0
+        first_family = starts[first] // span
+        peers = elems[first_family * span : -(-starts[last] // span) * span].reshape(-1, span)
+        if by_complement:  # G \ S of each family with rows in this block, (families, n - span)
+            outside = np.ones((len(peers), n), dtype=bool)
+            outside[np.arange(len(peers))[:, None], peers] = False
+            peers = np.nonzero(outside)[1].reshape(len(peers), n - span)
         for lo in range(starts[first], starts[last], a_step):
             hi = min(lo + a_step, starts[last])
-            home = lo - lo % span  # where a[0]'s family starts
-            offset = (owner[lo:hi, None] - first) * n  # where each a's row starts in the block
-            for keys in pair_keys(lo, hi, home, elems[lo:hi, None], offset):
-                step(counts, keys, 1)
+            a = elems[lo:hi]
+            offset = (owner[lo:hi] - first) * n  # where each a's row starts in the block
+            k = own_size[lo:hi]
+            ends = np.cumsum(k)
+            own = np.arange(ends[-1]) + np.repeat(own_start[lo:hi] - ends + k, k)
+            keys = group.diff_array(np.repeat(a, k), elems[own])
+            keys += np.repeat(offset, k)
+            np.subtract.at(counts, keys, 1)
+            if hi <= lo - lo % span + span:  # one family
+                peer = peers[None, lo // span - first_family]
+            else:
+                peer = peers[np.arange(lo, hi) // span - first_family]
+            keys = group.diff_array(a[:, None], peer)
+            keys += offset[:, None]
+            peer_step(counts, keys.ravel(), 1)
         yield counts.reshape(last - first, n)
 
 

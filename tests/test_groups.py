@@ -9,6 +9,7 @@ from rwedf import (
     CyclicGroup,
     DihedralGroup,
     DirectProductGroup,
+    DisjointFamily,
     ElementaryAbelianGroup,
     GroupTooLarge,
     HeisenbergGroup,
@@ -22,6 +23,8 @@ from rwedf import (
 )
 from rwedf.constructions import f21_group
 from rwedf.groups import is_subgroup
+
+from helpers import KERNEL_POOL
 
 
 def battery():
@@ -217,6 +220,21 @@ def test_closure_examples():
     for carrier, bad in (((0, 12), 12), ((-1, 0), -1)):
         with pytest.raises(ValueError, match=f"element {bad} out of range for order 12"):
             is_subgroup(z12, carrier)
+
+
+@pytest.mark.parametrize("g", [*KERNEL_POOL, f21_group()], ids=repr)
+def test_scalar_law_refuses_an_element_out_of_range(g):
+    """diff, inv, mul, order_of and translate refuse -1 and n, never read them mod n."""
+    n = g.order
+    family = DisjointFamily.of(g, [0])
+    for bad in (-1, n):
+        calls = [lambda: g.diff(bad, 0), lambda: g.diff(0, bad), lambda: g.inv(bad),
+                 lambda: g.mul(bad, 0), lambda: g.mul(0, bad), lambda: g.order_of(bad),
+                 lambda: family.translate(bad)]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"element {bad} out of range for order {n}"):
+                call()
+    assert g.diff(n - 1, n - 1) == 0 and family.translate(n - 1).sets == ((n - 1,),)
 
 
 def test_subgroup_star_and_contains():

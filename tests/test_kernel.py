@@ -808,12 +808,30 @@ def test_the_route_follows_the_pair_counts(monkeypatch):
 
     monkeypatch.setattr(groups, "_complement_is_cheaper", recording)
     z7 = CyclicGroup(7)
-    # 13 pairs of G minus the identity: 624 cross pairs against 26 + 52
+    # 13 pairs of G minus the identity: 26 peers an element in the support, 1 outside
     difference_profile(heisenberg_partition(3))
-    # the whole group as one set has no cross pair; two singletons have 2 against 12
+    # the whole group as one set has no peer outside; two singletons have 2 in, 5 out
     classify_many([DisjointFamily.of(z7, range(7)), DisjointFamily.of(z7, (0,), (1,)),
                    DisjointFamily.of(z7, (3,), (5,))])
-    assert taken == [((27, 26, 1, 52), True), ((7, 7, 1, 49), False), ((7, 2, 2, 4), False)]
+    assert taken == [((27, 26), True), ((7, 7), True), ((7, 2), False)]
     # the differences within one set never reach the kernel
     assert is_subgroup(z7, range(7)) and internal_differences(z7, (0, 1, 3)) == (1, 2, 3, 4, 5, 6)
     assert len(taken) == 3
+
+
+@pytest.mark.parametrize("g", [CyclicGroup(8), DihedralGroup(4), HeisenbergGroup(3)], ids=repr)
+def test_the_route_turns_past_half_the_group(g, monkeypatch):
+    """A family of total n/2 takes the support route, one of n/2 + 1 the complement."""
+    taken = []
+
+    def recording(*args, real=groups._complement_is_cheaper):
+        taken.append(real(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(groups, "_complement_is_cheaper", recording)
+    n = g.order
+    for total, route in ((n // 2, False), (n // 2 + 1, True)):
+        members = random.Random(total).sample(range(n), total)
+        fam = DisjointFamily.of(g, members[:1], members[1:3], members[3:])
+        got = np.vstack([b.copy() for b in difference_count_blocks(g, fam.sets)])
+        assert taken[-1] is route and got.tolist() == ref_counts(fam)

@@ -973,6 +973,11 @@ def test_census_cross_check_count(group, every):
     assert stats.cross_failures == 0
 
 
+def test_census_refuses_a_negative_cross_check_interval():
+    with pytest.raises(ValueError, match="cross_check_every must be 0 or positive, got -7"):
+        rwedf_census(CyclicGroup(6), cross_check_every=-7)
+
+
 def rgs_reference(s):
     """Restricted growth strings of s points in lex order, filtered from itertools.product."""
     rows = []
@@ -1102,8 +1107,6 @@ def test_census_cross_check_time_holds_every_batch(monkeypatch):
 
 def test_census_order_guard(monkeypatch):
     assert census._census_scale(40) == lcm(*range(1, 41))
-    with pytest.raises(GroupTooLarge):
-        census._census_scale(41)
     big = CyclicGroup(2**20)
     with pytest.raises(GroupTooLarge, match="DENSE_CELL_LIMIT"):
         rwedf_census(big)
