@@ -99,12 +99,12 @@ def _load_family(path):
 
 def cmd_verify(args) -> int:
     family, weights, metadata = _load_family(args.path)
-    if args.weights:
+    if args.weights is not None:
         weights = _parse_frac_list(args.weights, "--weights")
     report = classify(family, weights)
     # written before anything is printed: a matrix over its cell budget, or an
     # unwritable path, exits 2 with stdout empty
-    if args.profile_csv:
+    if args.profile_csv is not None:
         csv = profile_to_csv(count_matrix(family))
         with open(args.profile_csv, "w") as fh:
             fh.write(csv)
@@ -237,9 +237,9 @@ def cmd_search(args) -> int:
     group = _parse_group(args.group)
     sizes = tuple(_parse_int_list(args.sizes, "--sizes"))
     require = frozenset(t for t in (args.require or "").split(",") if t)
-    weights = _parse_frac_list(args.weights, "--weights") if args.weights else None
+    weights = _parse_frac_list(args.weights, "--weights") if args.weights is not None else None
     try:
-        target_ell = parse_frac(args.ell) if args.ell else None
+        target_ell = parse_frac(args.ell) if args.ell is not None else None
     except ValueError as exc:
         raise CliError(f"bad --ell: {exc}", 2)
     try:
@@ -358,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--threads", type=int, default=1,
                         help="accepted and ignored: every command runs on one thread")
-    common.add_argument("--seed", type=int, default=0, help="random seed")
 
     parser = argparse.ArgumentParser(
         prog="rwedf",
@@ -402,6 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--random-delta", action="store_true",
                       help="uniform random shift per trial")
     p.add_argument("--trials", type=int, default=100_000)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("report", parents=[common], help="batch-classify many files")

@@ -27,6 +27,7 @@ from .groups import (
     FiniteGroup,
     HeisenbergGroup,
     Subgroup,
+    _carrier_of,
     bounded_power,
     check_order,
     is_prime,
@@ -114,7 +115,7 @@ def subgroup_star_family(group: FiniteGroup, subgroups: Sequence[Subgroup]) -> D
     covered = bytearray(group.order)
     sets: List[Tuple[int, ...]] = []
     for sub in subgroups:
-        star = sub.star()
+        star = tuple(x for x in _carrier_of(group, sub) if x != 0)
         if not star:
             raise ValueError("the trivial subgroup contributes an empty star")
         clash = next((x for x in star if covered[x]), None)

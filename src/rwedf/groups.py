@@ -739,13 +739,23 @@ def is_subgroup(group: FiniteGroup, carrier: Iterable[int]) -> bool:
 
 
 def _carrier_of(group: FiniteGroup, subgroup) -> Tuple[int, ...]:
+    """The ascending carrier of a subgroup of ``group``, given as a Subgroup or as elements.
+
+    Every carrier is range-checked.  Only a Subgroup built on this very group
+    object is trusted to be closed; any other carrier, a Subgroup of another
+    group object included, must pass ``is_subgroup``.
+    """
     if isinstance(subgroup, Subgroup):
-        return subgroup.carrier
-    members = tuple(sorted(set(subgroup)))
-    if 0 not in members:
-        raise ValueError("subgroup carrier must contain the identity 0")
-    if not is_subgroup(group, members):
-        raise ValueError("carrier is not closed under composition")
+        trusted, elements = subgroup.group is group, subgroup.carrier
+    else:
+        trusted, elements = False, subgroup
+    members = tuple(sorted(set(elements)))
+    _check_range(group, members)
+    if not trusted:
+        if 0 not in members:
+            raise ValueError("subgroup carrier must contain the identity 0")
+        if not is_subgroup(group, members):
+            raise ValueError("carrier is not closed under composition")
     return members
 
 

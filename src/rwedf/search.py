@@ -45,11 +45,10 @@ full walk with no symmetry: star_partition (the identity must stay outside
 the union), and wedf with different weights on equal-sized sets (translation
 can reorder those sets, and the weights attach by position).  Under wedf
 ``dedup="translation"`` keeps the least hit of each translation class, which
-need not be the least translate, and holds the keys of the classes met.  A
-star partition walk keeps no such record: a translate F * h^-1, h != 0, of a
-star partition holds h * h^-1 = 0, so no two hits share a class.
-Everywhere else dedup keeps the least key of each translation class in the
-orbit.
+need not be the least translate, and holds the keys of the classes met.  No
+two star partitions share a class, so ``_validate_spec`` turns dedup off for
+them on both paths.  Everywhere else dedup keeps the least key of each
+translation class in the orbit.
 """
 from __future__ import annotations
 
@@ -138,7 +137,9 @@ def _validate_spec(spec: SearchSpec) -> SearchSpec:
     identity (n-1)*ell = (m-1)*T fixes the only ell a family of these sizes
     can have, so ``target_ell`` must equal it and is set to it whenever rwedf
     is required: past this point the two are one requirement.  The dedup mode
-    is checked last.
+    is checked last, and is "none" under star_partition: a translate
+    F * h^-1, h != 0, of a star partition F holds h * h^-1 = 0, so it is not
+    one, and dedup could drop no hit.
     """
     n = spec.group.order
     if n > SEARCH_ORDER_LIMIT:
@@ -182,7 +183,8 @@ def _validate_spec(spec: SearchSpec) -> SearchSpec:
         ell = Fraction((len(sizes) - 1) * total, n - 1)
     if spec.dedup not in ("none", "translation"):
         raise InfeasibleParameters(f"unknown dedup mode {spec.dedup!r}")
-    return replace(spec, sizes=sizes, weights=weights, target_ell=ell)
+    dedup = "none" if "star_partition" in spec.require else spec.dedup
+    return replace(spec, sizes=sizes, weights=weights, target_ell=ell, dedup=dedup)
 
 
 @dataclass
@@ -270,6 +272,9 @@ def _translation_invariant(spec: SearchSpec) -> bool:
     return True
 
 
+_FREE, _BANNED = -1, -2  # the owner of an element in no set: free to place, or kept out
+
+
 class _Searcher:
     def __init__(self, spec: SearchSpec, caps: _Caps):
         g = spec.group
@@ -285,23 +290,23 @@ class _Searcher:
         # symmetric: walk one part of the tree per T x| A orbit and expand orbits at the hits
         self.symmetric = _translation_invariant(spec)
         self.star_cut = "star_partition" in spec.require
-        # a translate F * h^-1, h != 0, of a star partition F holds h * h^-1 = 0, so it
-        # is not one: dedup can drop no star partition
-        self.dedup = "none" if self.star_cut else spec.dedup
         self.autos = g.automorphism_subgroup() if self.symmetric else [list(range(self.n))]
         # the sets tied with set 0 for largest, each held to the symmetry test once full
         self.tied = sizes.count(sizes[0]) if self.symmetric else 0
         self.ties: List[Ties] = [[] for _ in range(self.tied)]  # per tied set
         self.images: Dict[Tuple[int, ...], Tuple[bool, Ties]] = {}  # (cut, ties) per set, this set 0
-        if self.symmetric or self.dedup == "translation":
+        if self.symmetric or spec.dedup == "translation":
             self.table = np.array(self.diff, dtype=np.int64)
             self.auto_array = np.array(self.autos, dtype=np.int64)
         self.found: List[Key] = []  # hits, orbits expanded
         self.seen: Set[Key] = set()  # a walk without symmetry: the translation classes met
         # mutable search state
         self.slots: List[List[int]] = [[] for _ in sizes]
-        self.owner = [-1] * self.n
-        self.placed: List[int] = []
+        # per element, the one placement record: the index of its set, _FREE, or
+        # _BANNED (the identity of a star partition, a bimodal coset's free elements)
+        self.owner = [_FREE] * self.n
+        if self.star_cut:
+            self.owner[0] = _BANNED
         # Counts N_i(d) are kept only for the flags that read them: the sedf and
         # gsedf cell caps and the bimodal leaf test.  Any other cell cap is
         # min(k_i, T - k_i), which no count passes (x * y^-1 = d fixes y given x).
@@ -315,13 +320,12 @@ class _Searcher:
         self.coset_cut = self.bimodal and g.abelian
         self.carriers: Dict[FrozenSet[int], Tuple[int, ...]] = {}  # closure per difference set
         self.stars: Dict[Tuple[int, ...], bool] = {}  # whether 0 and the set close to a subgroup
-        self.banned = 1 if self.star_cut else 0  # a star partition leaves out the identity
         # per set, the members of the later sets of its size: they all lie above its anchor
         self.after = [k * sizes[i + 1 :].count(k) for i, k in enumerate(sizes)]
 
     def run(self) -> None:
         try:
-            self._fill_set(0)
+            self._extend_set(0, self.sizes[0], 0)
         except _StopSearch:
             self.stats.complete = False
 
@@ -345,42 +349,41 @@ class _Searcher:
         diff = self.diff
         diff_x = diff[x]
         live = self.live
-        owner = self.owner
         cells = self.cells
         cell = self.caps.cell
         cols = self.cols
         n = self.n
         base_i = i * n
         cell_i = cell[i]
-        for y in self.placed:
-            j = owner[y]
-            if j == i:
-                continue
-            d1 = diff_x[y]
-            d2 = diff[y][x]
-            if cells:
-                c1 = base_i + d1
-                c2 = j * n + d2
-                live[c1] += 1
-                live[c2] += 1
-                if live[c1] > cell_i or live[c2] > cell[j]:
-                    return "cell"
-            for coef, limit, base in cols:
-                s1 = base + d1
-                s2 = base + d2
-                live[s1] += coef[i]
-                live[s2] += coef[j]
-                if live[s1] > limit or live[s2] > limit:
-                    return "column"
+        # the sets before i are full and the later ones empty: their members in
+        # placement order
+        for j, slot in enumerate(self.slots[:i]):
+            for y in slot:
+                d1 = diff_x[y]
+                d2 = diff[y][x]
+                if cells:
+                    c1 = base_i + d1
+                    c2 = j * n + d2
+                    live[c1] += 1
+                    live[c2] += 1
+                    if live[c1] > cell_i or live[c2] > cell[j]:
+                        return "cell"
+                for coef, limit, base in cols:
+                    s1 = base + d1
+                    s2 = base + d2
+                    live[s1] += coef[i]
+                    live[s2] += coef[j]
+                    if live[s1] > limit or live[s2] > limit:
+                        return "column"
         return None
 
     # -- completed-set cuts --------------------------------------------------
 
-    def _set_completion_ban(self, i: int) -> Optional[int]:
-        """Extra forbidden elements once set i is full, or None to cut the branch."""
+    def _set_completion_ban(self, i: int) -> Optional[List[int]]:
+        """The free elements to ban once set i is full, or None to cut the branch."""
         members = self.slots[i]
         diff = self.diff
-        extra = 0
+        ban: List[int] = []
         if self.star_cut:
             key = tuple(members)
             star = self.stars.get(key)
@@ -401,15 +404,15 @@ class _Searcher:
             a0 = members[0]
             a0_inv = diff[0][a0]
             coset = {diff[h][a0_inv] for h in carrier}
-            inside = set(members)
+            owner = self.owner
             for y in coset:
-                if y in inside:
-                    continue
-                if self.owner[y] >= 0:
+                j = owner[y]
+                if j == _FREE:
+                    ban.append(y)
+                elif 0 <= j < i:
                     self._cut("coset")  # an earlier set intrudes on this coset
                     return None
-                extra |= 1 << y
-        return extra
+        return ban
 
     def _image_sorts_first(self, i: int) -> bool:
         """Whether some sigma(B * a^-1), sigma in A and a in B = set i, sorts before set 0.
@@ -464,31 +467,30 @@ class _Searcher:
 
     # -- recursion -----------------------------------------------------------
 
-    def _fill_set(self, i: int) -> None:
-        if i == self.m:
-            self._emit()
-            return
-        size = self.sizes[i]
-        lo = 0
-        if i > 0 and self.sizes[i - 1] == size:
-            lo = self.slots[i - 1][0] + 1
-        self._extend_set(i, size, lo)
-
     def _extend_set(self, i: int, remaining: int, lo: int) -> None:
+        owner = self.owner
         if remaining == 0:
-            extra = self._set_completion_ban(i)
-            if extra is None:
+            ban = self._set_completion_ban(i)
+            if ban is None:
                 return
-            saved = self.banned
-            self.banned |= extra
-            self._fill_set(i + 1)
-            self.banned = saved
+            # only free elements are banned here and freed again below, so an
+            # element an outer set banned stays banned
+            for y in ban:
+                owner[y] = _BANNED
+            if i + 1 == self.m:
+                self._emit()
+            else:
+                size = self.sizes[i + 1]
+                # among equal-sized sets the anchors ascend
+                lo = self.slots[i][0] + 1 if self.sizes[i] == size else 0
+                self._extend_set(i + 1, size, lo)
+            for y in ban:
+                owner[y] = _FREE
             return
         slot = self.slots[i]
         stats = self.stats
         budget = self.spec.node_budget
-        owner, banned = self.owner, self.banned
-        free = [x for x in range(lo, self.n) if owner[x] < 0 and not banned >> x & 1]
+        free = [x for x in range(lo, self.n) if owner[x] == _FREE]
         # x needs free elements above it for the rest of its set and, as the
         # anchor, for the later sets of its size
         room = len(free) - remaining + 1
@@ -505,13 +507,11 @@ class _Searcher:
             self.live = live[:]
             broken = self._apply(x, i)
             if broken is None:
-                self.owner[x] = i
-                self.placed.append(x)
+                owner[x] = i
                 slot.append(x)
                 self._extend_set(i, remaining - 1, x + 1)
                 slot.pop()
-                self.placed.pop()
-                self.owner[x] = -1
+                owner[x] = _FREE
             else:
                 self._cut(broken)
             self.live = live
@@ -524,7 +524,7 @@ class _Searcher:
             for i, k in enumerate(self.sizes):
                 if any(c and c != k for c in live[i * n : (i + 1) * n]):
                     return
-        dedup = self.dedup
+        dedup = self.spec.dedup
         if not self.symmetric:
             if dedup == "translation":
                 if key in self.seen:
@@ -540,10 +540,6 @@ class _Searcher:
         cap = self.spec.result_cap
         if cap is not None and len(self.found) >= cap:
             raise _StopSearch
-
-
-def _flat_key(family: DisjointFamily) -> Tuple[int, ...]:
-    return tuple(x for s in family.sets for x in s)
 
 
 def _canonical(sets: List[List[int]]) -> Key:
@@ -648,7 +644,7 @@ def naive_enumerate(spec: SearchSpec) -> SearchResult:
 
     rec(0, 0)
     results = _passing(leaves, spec)
-    results.sort(key=_flat_key)
+    results.sort(key=lambda f: f.sets)  # every family has the same sizes: the flat order
     if spec.dedup == "translation":
         # keep the least hit of each translation class
         kept: List[DisjointFamily] = []

@@ -493,6 +493,34 @@ def test_cli_search_bad_input(tmp_path, capsys):
     assert code == 2 and "bad --ell" in err
 
 
+@pytest.mark.parametrize("argv, match", [
+    (["verify", "{family}", "--weights", ""], "not a rational"),
+    (["verify", "{family}", "--profile-csv", ""], "No such file"),
+    (["search", "--group", '{{"kind": "cyclic", "n": 9}}', "--sizes", "2,2", "--ell", "",
+      "--out", "{out}"], "not a rational"),
+    (["search", "--group", '{{"kind": "cyclic", "n": 9}}', "--sizes", "2,2", "--weights", "",
+      "--out", "{out}"], "not a rational"),
+], ids=["verify-weights", "verify-profile-csv", "search-ell", "search-weights"])
+def test_cli_empty_flag_value_exits_2(tmp_path, capsys, argv, match):
+    # an empty value is bad input, not a flag left out
+    out = tmp_path / "hits.jsonl"
+    argv = [a.format(family=_pair_z7_file(tmp_path), out=out) for a in argv]
+    code, text, err = run(capsys, *argv)
+    assert code == 2 and text == "" and _one_line_error(err) and match in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "fam.json"], ["construct", "m2_sedf", "2", "--out", "fam.json"],
+    ["search", "--group", '{"kind": "cyclic", "n": 5}', "--sizes", "2,2", "--out", "x.jsonl"],
+    ["report"],
+])
+def test_cli_seed_is_read_by_simulate_only(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--seed", "3"])
+    assert exc.value.code == 2 and "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
 def test_cli_simulate_modes(tmp_path, capsys):
     path = tmp_path / "fam.json"
     write_family(path, weighted_z8()[0])

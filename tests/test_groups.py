@@ -16,10 +16,12 @@ from rwedf import (
     MAX_ORDER,
     IdentityNotZero,
     NotAGroup,
+    Subgroup,
     closure,
     enumerate_subgroups,
     group_from_descriptor,
     left_cosets,
+    subgroup_star_family,
 )
 from rwedf.constructions import f21_group
 from rwedf.groups import is_subgroup
@@ -251,6 +253,23 @@ def test_left_cosets():
     d10 = DihedralGroup(5)
     rot = closure(d10, [1])
     assert left_cosets(d10, rot) == [(0, 1, 2, 3, 4), (5, 6, 7, 8, 9)]
+
+
+def test_subgroup_carriers_are_checked_against_the_group():
+    # a carrier from another group object, or one past n-1, is refused, not read
+    # mod n or used as an index; only a Subgroup built on the group itself is
+    # trusted to be closed
+    z4, z6 = CyclicGroup(4), CyclicGroup(6)
+    of_z8 = closure(CyclicGroup(8), [2])
+    with pytest.raises(ValueError, match="element 6 out of range"):
+        left_cosets(z4, of_z8)
+    with pytest.raises(ValueError, match="element 9 out of range"):
+        left_cosets(z6, Subgroup(z6, (0, 9)))
+    with pytest.raises(ValueError, match="element 6 out of range"):
+        subgroup_star_family(z4, [of_z8])
+    with pytest.raises(ValueError, match="not closed"):
+        left_cosets(z6, Subgroup(CyclicGroup(6), (0, 1)))
+    assert left_cosets(z4, closure(CyclicGroup(4), [2])) == [(0, 2), (1, 3)]
 
 
 def test_enumerate_subgroups_counts():

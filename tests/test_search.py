@@ -266,6 +266,27 @@ def test_star_partition_dedup_expands_no_translation_class(monkeypatch, group, s
     assert deduped.stats == plain.stats
 
 
+@pytest.mark.parametrize(
+    "group, sizes",
+    [(ElementaryAbelianGroup(3, 2), (2, 2, 2, 2)), (ElementaryAbelianGroup(2, 3), (3, 1, 1, 1, 1))],
+)
+def test_naive_star_partition_dedup_translates_nothing(monkeypatch, group, sizes):
+    # the oracle keeps every star partition under dedup as the walk does, and runs
+    # no translate loop to find that out
+    spec = SearchSpec(group=group, sizes=sizes, require=frozenset({"star_partition"}))
+    plain = naive_enumerate(spec)
+    calls = []
+
+    def counting(family, g, real=DisjointFamily.translate):
+        calls.append(g)
+        return real(family, g)
+
+    monkeypatch.setattr(DisjointFamily, "translate", counting)
+    deduped = naive_enumerate(replace(spec, dedup="translation"))
+    assert calls == []
+    assert [f.sets for f in deduped.families] == [f.sets for f in plain.families] != []
+
+
 def test_star_partition_walk_tests_each_set_once(monkeypatch):
     # the spreads of PG(3, 2): 1,876 completed sets, 371 of them distinct
     sets = []
@@ -497,6 +518,18 @@ def test_room_bound_with_banned_elements_matches_naive(group, sizes, require):
         assert res.stats.complete
 
 
+@pytest.mark.parametrize("sizes, nodes, cosets", [((2, 2, 1, 1), 86, 6), ((2, 2, 2, 1), 61, 13)])
+def test_coset_bans_nest(sizes, nodes, cosets):
+    # a set's coset bans only the elements still free, and frees only those, so an
+    # element an earlier set's coset banned stays banned; freeing it too walks
+    # 102 and 64 nodes
+    spec = SearchSpec(group=ElementaryAbelianGroup(3, 2), sizes=sizes,
+                      require=frozenset({"bimodal"}))
+    res = both(spec)
+    assert res.stats.complete and res.stats.nodes == nodes
+    assert res.stats.pruned_by["coset"] == cosets
+
+
 @pytest.mark.parametrize(
     "group, sizes",
     [
@@ -562,6 +595,22 @@ def test_bench_search_hits_match_perfbench_digests(monkeypatch, tmp_path):
         path = tmp_path / "hits.jsonl"
         write_families_jsonl(path, enumerate_families(spec).families)
         assert hits == count and workloads.hits_digest(path) == digest
+
+
+def test_perfbench_tracer_finds_every_binding(monkeypatch):
+    # perfbench/tracer.py wraps these bindings and stops a traced run at one the
+    # program no longer has; uninstall puts every original back
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    tracer = importlib.import_module("perfbench.tracer").Tracer()
+    try:
+        tracer.install()
+        wrapped = list(tracer._undo)
+        assert all(getattr(owner, attr) is not old for owner, attr, old in wrapped)
+    finally:
+        tracer.uninstall()
+    assert {"rwedf.search.classify", "rwedf.search.difference_profile",
+            "rwedf.search._translation_classes"} <= set(tracer.installed)
+    assert all(getattr(owner, attr) is old for owner, attr, old in wrapped)
 
 
 def test_symmetry_images_once_per_set_0(monkeypatch):
