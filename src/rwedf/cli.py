@@ -12,8 +12,7 @@ import errno
 import json
 import os
 import sys
-from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .classify import classify
 from .constructions import (
@@ -32,7 +31,7 @@ from .constructions import (
     two_prime_power_construction,
 )
 from .errors import BudgetExceeded, GroupTooLarge
-from .family import DisjointFamily, count_matrix
+from .family import count_matrix
 from .files import (
     family_to_dict,
     frac_str,
@@ -43,7 +42,7 @@ from .files import (
     write_families_jsonl,
     write_family,
 )
-from .groups import FiniteGroup, Subgroup, closure, group_from_descriptor
+from .groups import FiniteGroup, closure, group_from_descriptor
 from .search import SearchSpec, enumerate_families
 from .simulate import play, play_best_response, play_random_delta
 
@@ -63,27 +62,21 @@ def _parse_group(text: str) -> FiniteGroup:
         raise CliError(f"bad group descriptor: {exc}", 2)
 
 
-def _parse_int_list(text: str, what: str) -> List[int]:
+def _parse_list(text: str, what: str, read) -> tuple:
+    """Every item of a comma list through read: an empty item is read too, and refused."""
     try:
-        return [int(t) for t in text.split(",") if t.strip() != ""]
+        return tuple(read(t) for t in text.split(","))
     except ValueError as exc:
         raise CliError(f"bad {what}: {exc}", 2)
 
 
-def _parse_elements(text: str, what: str, group: FiniteGroup) -> List[int]:
+def _parse_elements(text: str, what: str, group: FiniteGroup) -> tuple:
     """A comma list of element indices of the group; one outside 0..n-1 is bad input."""
-    values = _parse_int_list(text, what)
+    values = _parse_list(text, what, int)
     for x in values:
         if not 0 <= x < group.order:
             raise CliError(f"bad {what}: element {x} is outside 0..{group.order - 1}", 2)
     return values
-
-
-def _parse_frac_list(text: str, what: str):
-    try:
-        return tuple(parse_frac(t) for t in text.split(","))
-    except ValueError as exc:
-        raise CliError(f"bad {what}: {exc}", 2)
 
 
 def _load_family(path):
@@ -100,7 +93,7 @@ def _load_family(path):
 def cmd_verify(args) -> int:
     family, weights, metadata = _load_family(args.path)
     if args.weights is not None:
-        weights = _parse_frac_list(args.weights, "--weights")
+        weights = _parse_list(args.weights, "--weights", parse_frac)
     report = classify(family, weights)
     # written before anything is printed: a matrix over its cell budget, or an
     # unwritable path, exits 2 with stdout empty
@@ -129,78 +122,63 @@ def cmd_verify(args) -> int:
 
 # construct
 
-def _built(args):
-    """Dispatch on the operation name; returns [(suffix, family)]."""
-    name = args.name
-    params = args.params
+# name -> (builder, what it reads): a count of integer parameters, or the list
+# flag it reads after --group ("" for --group alone)
+_CONSTRUCTIONS = {
+    "trivial_families": (trivial_families, ""),
+    "nonzero_singletons": (nonzero_singletons, ""),
+    "singletons_from_difference_set": (singletons_from_difference_set, "--set"),
+    "complement_pair": (complement_pair, "--set"),
+    "subgroup_star_family": (subgroup_star_family, "--subgroup"),
+    "cyclotomic_squares": (cyclotomic_squares, 1),
+    "m2_sedf": (m2_sedf, 1),
+    "m2_edf": (m2_edf, 1),
+    "m2_gsedf": (m2_gsedf, 2),
+    "two_prime_power_construction": (two_prime_power_construction, 4),
+    "desarguesian_star_partition": (desarguesian_star_partition, 3),
+    "heisenberg_partition": (heisenberg_partition, 1),
+    "f21_fixture": (f21_fixture, 0),
+}
 
-    def ints(count):
-        if len(params) != count:
-            raise CliError(f"{name} takes {count} integer parameter(s)", 2)
+
+def _built(args):
+    """What the named builder returns; a flag it does not read is refused, not dropped."""
+    name = args.name
+    if name not in _CONSTRUCTIONS:
+        raise CliError(f"unknown construction {name!r}", 2)
+    builder, reads = _CONSTRUCTIONS[name]
+    count = reads if isinstance(reads, int) else 0
+    if len(args.params) != count:
+        raise CliError(f"{name} takes {count} integer parameter(s)", 2)
+    needs = () if isinstance(reads, int) else ("--group", reads)
+    for flag, value in (("--group", args.group), ("--set", args.set),
+                        ("--subgroup", args.subgroup)):
+        if (value is None) == (flag in needs):
+            raise CliError(f"{name} {'needs' if value is None else 'does not read'} {flag}", 2)
+    if not needs:
         try:
-            return [int(p) for p in params]
+            params = [int(p) for p in args.params]
         except ValueError as exc:
             raise CliError(f"{name}: {exc}", 2)
-
-    def group_arg():
-        if not args.group:
-            raise CliError(f"{name} needs --group", 2)
-        return _parse_group(args.group)
-
-    def set_arg(group):
-        if not args.set:
-            raise CliError(f"{name} needs --set", 2)
-        return _parse_elements(args.set, "--set", group)
-
-    if name == "trivial_families":
-        ints(0)
-        whole, singles = trivial_families(group_arg())
-        return [(".whole", whole), (".singletons", singles)]
-    if name == "nonzero_singletons":
-        ints(0)
-        return [("", nonzero_singletons(group_arg()))]
-    if name == "singletons_from_difference_set":
-        ints(0)
-        group = group_arg()
-        return [("", singletons_from_difference_set(group, set_arg(group)))]
-    if name == "complement_pair":
-        ints(0)
-        group = group_arg()
-        return [("", complement_pair(group, set_arg(group)))]
-    if name == "cyclotomic_squares":
-        return [("", cyclotomic_squares(*ints(1)))]
-    if name == "m2_sedf":
-        return [("", m2_sedf(*ints(1)))]
-    if name == "m2_edf":
-        return [("", m2_edf(*ints(1)))]
-    if name == "m2_gsedf":
-        return [("", m2_gsedf(*ints(2)))]
-    if name == "subgroup_star_family":
-        ints(0)
-        group = group_arg()
-        if not args.subgroup:
-            raise CliError(f"{name} needs --subgroup (repeatable)", 2)
-        subs = [closure(group, _parse_elements(g, "--subgroup", group)) for g in args.subgroup]
-        return [("", subgroup_star_family(group, subs))]
-    if name == "two_prime_power_construction":
-        return [("", two_prime_power_construction(*ints(4)))]
-    if name == "desarguesian_star_partition":
-        return [("", desarguesian_star_partition(*ints(3)))]
-    if name == "heisenberg_partition":
-        return [("", heisenberg_partition(*ints(1)))]
-    if name == "f21_fixture":
-        ints(0)
-        return [("", f21_fixture())]
-    raise CliError(f"unknown construction {name!r}", 2)
+        return builder(*params)
+    group = _parse_group(args.group)
+    if reads == "--set":
+        return builder(group, _parse_elements(args.set, "--set", group))
+    if reads == "--subgroup":
+        return builder(group, [closure(group, _parse_elements(g, "--subgroup", group))
+                               for g in args.subgroup])
+    return builder(group)
 
 
 def cmd_construct(args) -> int:
     try:
-        outputs = _built(args)
+        built = _built(args)
     except GroupTooLarge as exc:
         raise CliError(str(exc), 2)
     except (ValueError, ArithmeticError) as exc:
         raise CliError(f"{args.name}: {exc}", 1)
+    outputs = (zip((".whole", ".singletons"), built) if args.name == "trivial_families"
+               else [("", built)])
     out = args.out
     stem = out[:-5] if out.endswith(".json") else out
     written = []
@@ -235,9 +213,11 @@ def _check_writable(path) -> None:
 
 def cmd_search(args) -> int:
     group = _parse_group(args.group)
-    sizes = tuple(_parse_int_list(args.sizes, "--sizes"))
-    require = frozenset(t for t in (args.require or "").split(",") if t)
-    weights = _parse_frac_list(args.weights, "--weights") if args.weights is not None else None
+    sizes = _parse_list(args.sizes, "--sizes", int)
+    require = (frozenset(_parse_list(args.require, "--require", str))
+               if args.require is not None else frozenset())
+    weights = (_parse_list(args.weights, "--weights", parse_frac)
+               if args.weights is not None else None)
     try:
         target_ell = parse_frac(args.ell) if args.ell is not None else None
     except ValueError as exc:

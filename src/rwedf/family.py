@@ -60,7 +60,7 @@ DENSE_CELL_LIMIT = 1 << 25
 
 @dataclass(frozen=True, slots=True)
 class DisjointFamily:
-    """An ordered family of pairwise disjoint, non-empty subsets of one group."""
+    """An ordered family of one or more pairwise disjoint, non-empty subsets of one group."""
 
     group: FiniteGroup
     sets: Tuple[Tuple[int, ...], ...]
@@ -70,6 +70,8 @@ class DisjointFamily:
     total: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.sets:
+            raise ValueError("a family needs at least one set")
         n = self.group.order
         used = bytearray(n)  # used[x]: x lies in a set already checked
         for i, members in enumerate(self.sets):

@@ -86,8 +86,9 @@ class FiniteGroup:
     broadcasting; every pair-counting loop goes through it.  The scalar
     law is derived from it, each as a Python int: ``inv(b)`` is 0 * b^-1,
     ``mul(a, b)`` is a * inv(b)^-1, and ``diff`` and ``order_of`` follow.
-    Each goes through ``diff``, which raises ValueError for an element
-    outside 0..n-1: it is never read mod n.
+    Each goes through ``diff``, which raises TypeError for an element that
+    is not an integer and ValueError for one outside 0..n-1: it is never
+    rounded or read mod n.
     Composition is written multiplicatively; for the additive groups in this
     package mul is addition.  Every kind states ``abelian`` itself, as a
     class attribute or in its constructor.
@@ -107,9 +108,12 @@ class FiniteGroup:
     def diff(self, a: int, b: int) -> int:
         """Left difference a * b^-1; the one difference convention used throughout.
 
-        ValueError when a or b lies outside 0..n-1.
+        TypeError when a or b is not an int or numpy integer (a bool is
+        refused too), ValueError when it lies outside 0..n-1.
         """
         for x in (a, b):
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                raise TypeError(f"element {x!r} is not an integer")
             if not 0 <= x < self.order:
                 raise ValueError(f"element {x} out of range for order {self.order}")
         return int(self.diff_array(a, b))

@@ -24,6 +24,7 @@ from rwedf import (
     play,
     profile_to_csv,
     r_bound,
+    singletons_from_difference_set,
     weighted_sum,
 )
 from rwedf import family as family_module
@@ -52,6 +53,16 @@ def test_family_validation():
     assert fam.sizes == (2, 1)
     assert fam.total == 3
     assert fam.support() == (0, 3, 5)
+
+
+def test_a_family_needs_a_set():
+    # a family of no sets has no source to draw: classify and play failed inside max and numpy
+    g = CyclicGroup(5)
+    builds = [lambda: DisjointFamily(g, ()), lambda: DisjointFamily.of(g),
+              lambda: singletons_from_difference_set(g, [])]
+    for build in builds:
+        with pytest.raises(ValueError, match="a family needs at least one set"):
+            build()
 
 
 def test_partition_predicates():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rwedf
 from rwedf import family as family_module
 from rwedf import groups
 from rwedf import (
@@ -13,6 +14,7 @@ from rwedf import (
     BadWeight,
     CyclicGroup,
     DisjointFamily,
+    closure,
     difference_profile,
     family_from_dict,
     family_to_dict,
@@ -500,9 +502,23 @@ def test_cli_search_bad_input(tmp_path, capsys):
       "--out", "{out}"], "not a rational"),
     (["search", "--group", '{{"kind": "cyclic", "n": 9}}', "--sizes", "2,2", "--weights", "",
       "--out", "{out}"], "not a rational"),
-], ids=["verify-weights", "verify-profile-csv", "search-ell", "search-weights"])
+    (["search", "--group", '{{"kind": "cyclic", "n": 9}}', "--sizes", "2,,2", "--out", "{out}"],
+     "bad --sizes"),
+    (["search", "--group", '{{"kind": "cyclic", "n": 9}}', "--sizes", "2,2,", "--out", "{out}"],
+     "bad --sizes"),
+    (["search", "--group", '{{"kind": "cyclic", "n": 9}}', "--sizes", "2,2", "--require", ",",
+      "--out", "{out}"], "unknown requirement flags"),
+    (["search", "--group", '{{"kind": "cyclic", "n": 9}}', "--sizes", "2,2", "--require", "",
+      "--out", "{out}"], "unknown requirement flags"),
+    (["construct", "complement_pair", "--group", '{{"kind": "cyclic", "n": 7}}',
+      "--set", "0,,1,3", "--out", "{out}"], "bad --set"),
+    (["construct", "subgroup_star_family", "--group", '{{"kind": "cyclic", "n": 12}}',
+      "--subgroup", "", "--out", "{out}"], "bad --subgroup"),
+], ids=["verify-weights", "verify-profile-csv", "search-ell", "search-weights",
+        "search-sizes-inner-item", "search-sizes-last-item", "search-require-items",
+        "search-require", "construct-set-item", "construct-subgroup"])
 def test_cli_empty_flag_value_exits_2(tmp_path, capsys, argv, match):
-    # an empty value is bad input, not a flag left out
+    # an empty value, or an empty item of a comma list, is bad input, not a flag left out
     out = tmp_path / "hits.jsonl"
     argv = [a.format(family=_pair_z7_file(tmp_path), out=out) for a in argv]
     code, text, err = run(capsys, *argv)
@@ -677,6 +693,74 @@ def test_cli_construct_element_outside_the_group_exits_2(tmp_path, capsys, argv,
     code, text, err = run(capsys, "construct", *argv, "--out", str(out))
     assert code == 2 and text == "" and _one_line_error(err) and where in err
     assert not out.exists()
+
+
+CYCLIC_7 = '{"kind": "cyclic", "n": 7}'
+# one valid call of each construction: its integer parameters and the --group,
+# --set and --subgroup values it reads (None for a flag it does not read)
+CONSTRUCT_CALLS = {
+    "trivial_families": ((), CYCLIC_7, None, None),
+    "nonzero_singletons": ((), CYCLIC_7, None, None),
+    "singletons_from_difference_set": ((), CYCLIC_7, "1,2,4", None),
+    "complement_pair": ((), F21, "0,3,9,1,8", None),
+    "subgroup_star_family": ((), CYCLIC_12, None, ["4", "3,6"]),
+    "cyclotomic_squares": ((13,), None, None, None),
+    "m2_sedf": ((2,), None, None, None),
+    "m2_edf": ((3,), None, None, None),
+    "m2_gsedf": ((2, 3), None, None, None),
+    "two_prime_power_construction": ((2, 1, 3, 1), None, None, None),
+    "desarguesian_star_partition": ((2, 2, 2), None, None, None),
+    "heisenberg_partition": ((3,), None, None, None),
+    "f21_fixture": ((), None, None, None),
+}
+CONSTRUCT_FLAGS = ("--group", "--set", "--subgroup")
+
+
+def _construct_argv(name, params, flags, out):
+    argv = ["construct", name, *map(str, params)]
+    for flag, value in zip(CONSTRUCT_FLAGS, flags):
+        for item in [value] if isinstance(value, str) else value or []:
+            argv += [flag, item]
+    return argv + ["--out", str(out)]
+
+
+@pytest.mark.parametrize("name", sorted(cli._CONSTRUCTIONS))
+def test_cli_construct_writes_what_the_builder_returns(tmp_path, capsys, name):
+    builder = cli._CONSTRUCTIONS[name][0]
+    assert builder is getattr(rwedf, name)
+    params, desc, members, generators = CONSTRUCT_CALLS[name]
+    out = tmp_path / "fam.json"
+    code, _, err = run(capsys, *_construct_argv(name, params, [desc, members, generators], out))
+    assert code == 0 and err == ""
+    args = list(params)
+    if desc is not None:
+        group = group_from_descriptor(json.loads(desc))
+        args = [group]
+        if members is not None:
+            args.append([int(x) for x in members.split(",")])
+        if generators is not None:
+            args.append([closure(group, [int(x) for x in g.split(",")]) for g in generators])
+    built = builder(*args)
+    written = ([(tmp_path / "fam.whole.json", built[0]),
+                (tmp_path / "fam.singletons.json", built[1])]
+               if name == "trivial_families" else [(out, built)])
+    for path, family in written:
+        write_family(tmp_path / "expected.json", family)
+        assert path.read_bytes() == (tmp_path / "expected.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(cli._CONSTRUCTIONS))
+def test_cli_construct_refuses_a_flag_it_does_not_read_or_lacks(tmp_path, capsys, name):
+    params, *flags = CONSTRUCT_CALLS[name]
+    other = {"--group": CYCLIC_12, "--set": "1,2", "--subgroup": ["3"]}
+    for i, flag in enumerate(CONSTRUCT_FLAGS):
+        changed = list(flags)
+        changed[i] = other[flag] if flags[i] is None else None
+        out = tmp_path / f"{flag[2:]}.json"
+        code, text, err = run(capsys, *_construct_argv(name, params, changed, out))
+        word = "does not read" if flags[i] is None else "needs"
+        assert code == 2 and text == "" and _one_line_error(err)
+        assert f"{name} {word} {flag}" in err and list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("delta", ["-1", "7", "99"])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -237,6 +239,21 @@ def test_scalar_law_refuses_an_element_out_of_range(g):
             with pytest.raises(ValueError, match=f"element {bad} out of range for order {n}"):
                 call()
     assert g.diff(n - 1, n - 1) == 0 and family.translate(n - 1).sets == ((n - 1,),)
+
+
+@pytest.mark.parametrize("g", [*KERNEL_POOL, f21_group()], ids=repr)
+def test_scalar_law_refuses_a_non_integer_element(g):
+    """A float or a bool is refused before the range check, never rounded or read as 0 or 1."""
+    family = DisjointFamily.of(g, [0])
+    for bad in (0.0, 1.5, g.order - 0.5, True, np.bool_(False)):
+        calls = [lambda: g.diff(bad, 0), lambda: g.diff(0, bad), lambda: g.inv(bad),
+                 lambda: g.mul(bad, 0), lambda: g.mul(0, bad), lambda: g.order_of(bad),
+                 lambda: family.translate(bad)]
+        for call in calls:
+            with pytest.raises(TypeError, match=re.escape(f"element {bad!r} is not an integer")):
+                call()
+    last = np.int64(g.order - 1)
+    assert g.diff(last, last) == 0 and family.translate(last).sets == ((g.order - 1,),)
 
 
 def test_subgroup_star_and_contains():

@@ -597,6 +597,16 @@ def test_bench_search_hits_match_perfbench_digests(monkeypatch, tmp_path):
         assert hits == count and workloads.hits_digest(path) == digest
 
 
+@pytest.mark.parametrize("workload", ["verify", "search", "census", "simulate"])
+def test_every_benchmark_job_passes_its_check(monkeypatch, tmp_path, workload):
+    # one run of each full perfbench job, checked against its frozen answer as
+    # perfbench checks it
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    workloads = importlib.import_module("perfbench.workloads")
+    jobs = workloads.setup(workload, tmp_path, 1)
+    assert jobs and [msg for job in jobs for msg in job.failures(job.call())] == []
+
+
 def test_perfbench_tracer_finds_every_binding(monkeypatch):
     # perfbench/tracer.py wraps these bindings and stops a traced run at one the
     # program no longer has; uninstall puts every original back
