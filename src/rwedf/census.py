@@ -13,36 +13,43 @@ rows: it holds at most about CENSUS_BLOCK mask and sum cells, so small
 supports come in few large blocks.  The blocks are column-major, so a row's
 reductions run over contiguous columns.  Orders from 21 up are refused, as the
 whole group's table would pass DENSE_CELL_LIMIT.  ``cross_check_every = s``
-still classifies floor(families / s) genuine, distinct families: the
-translates that stand at the crossed positions.  A block's crossed families
-are built in numpy: each position becomes a (row, shift) pair by one divmod,
-one gather from the group's difference table (``diff_rows``, which the orbit
-sweep already holds, made an array once) translates the members, and one
-sort on (set, element) orders them.  They go through ``classify_many`` in
-batches of CROSS_CHECK_BATCH, in census order, across blocks and supports, and
-each report is compared, in integers, with what the block's own scoring found.
+still checks floor(families / s) genuine, distinct families, the translates
+that stand at the crossed positions, on a second path: the pair kernel over
+the group law, which shares nothing with the subset-table scoring.  A block's
+crossed families are built in numpy and stay packed, as the kernel takes them:
+each position becomes a (row, shift) pair by one divmod, one gather from the
+group's difference table (``diff_rows``, which the orbit sweep already holds,
+made an array once) translates the members, and one sort on (set, element)
+gives the members in set order.  They are checked in batches of
+CROSS_CHECK_BATCH, in census order, across blocks and supports: each batch is
+checked in numpy as ``DisjointFamily`` checks a family, goes to the stack
+reducer (``family._stack_profiles``) once per total, and its integer verdict
+columns are compared, as whole arrays, with what the blocks' own scoring
+found.  No family, profile, report or Fraction object is made for them.
 ``CensusStats.elapsed_s`` and ``cross_check_s`` time the sweep and the part of
 it the cross-checks take.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 from math import lcm
 from time import perf_counter
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 
-from .classify import classify_many
 from .errors import GroupTooLarge
-from .family import DENSE_CELL_LIMIT, DisjointFamily
+from .family import DENSE_CELL_LIMIT, _check_packed, _stack_profiles
 from .groups import FiniteGroup
 
 CENSUS_BLOCK = 1 << 16  # most mask and sum cells of one block of census rows
-# Crossed census families classified in one batch: each holds about 1 KB of
-# Python objects (family, profile, report) until its batch is compared.
-CROSS_CHECK_BATCH = 128
+# Crossed census families checked in one batch.  Each holds at most about
+# 5n + 16 int64 cells until its batch is compared: its packed members, set
+# sizes and weights, the census's verdicts, the reducer's n - 1 reciprocal sums
+# and row tops, and the verdict columns.  That is under 120 cells for every
+# order the census takes (n <= 20), so 512 families stay within the
+# CENSUS_BLOCK cells of one census block.
+CROSS_CHECK_BATCH = 512
 
 
 @dataclass
@@ -187,13 +194,13 @@ def _set_partitions(table: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray,
 
 
 def _crossed_families(
-    group: FiniteGroup, moved: np.ndarray, rgs: np.ndarray, parts: Sequence[int]
-) -> List[DisjointFamily]:
-    """The families that put moved[c, i] in set rgs[c, i], for each row c of parts[c] sets.
+    group: FiniteGroup, moved: np.ndarray, rgs: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The families that put moved[c, i] in set rgs[c, i], packed: every set's size, and the members.
 
     One sort on (set, element) orders each row's members as its sets in turn,
-    one bincount gives every set's size, and the sets are cut from the
-    members of all rows at once.
+    which is the packed order the pair kernel takes, and one bincount gives
+    every set's size.
     """
     rows, s = rgs.shape
     labels = rgs.astype(np.int64)
@@ -202,38 +209,69 @@ def _crossed_families(
     keys %= group.order
     labels += np.arange(rows)[:, None] * s
     sizes = np.bincount(labels.ravel(), minlength=rows * s)
-    members = keys.ravel().tolist()
-    ends = np.cumsum(sizes[sizes > 0]).tolist()
-    sets = [tuple(members[a:b]) for a, b in zip([0, *ends], ends)]
-    cuts = list(accumulate(parts))
-    return [DisjointFamily(group, tuple(sets[a:b])) for a, b in zip([0, *cuts], cuts)]
+    return sizes[sizes > 0], keys.ravel()
 
 
-def _cross_check(
-    stats: CensusStats,
-    crossed: List[DisjointFamily],
-    expected: List[Tuple[bool, int, int, int, bool]],
-    scale: int,
-) -> None:
-    """Classify the crossed families in one batch, count the reports that disagree, and clear both.
+class Verdicts(NamedTuple):
+    """classify's rwedf, e_hat and r_optimal verdicts on packed families, as integer columns."""
 
-    expected[c] is what the census says of crossed[c], in integers: whether
-    its sums are constant, the first sum ell * scale, the largest sum best =
-    e_hat * scale * m, m, and whether e_hat meets the averaging bound.
+    rwedf: np.ndarray  # whether the reciprocal sums are constant
+    ell: np.ndarray  # the first reciprocal sum, ell * scale when they are
+    top: np.ndarray  # the largest reciprocal sum, e_hat * scale * m
+    scale: np.ndarray  # K = lcm of the family's sizes
+    r_optimal: np.ndarray  # whether e_hat meets the averaging bound
+
+
+def _cross_verdicts(
+    group: FiniteGroup, parts: np.ndarray, sizes: np.ndarray, elems: np.ndarray
+) -> Verdicts:
+    """The verdicts of the pair kernel on packed families: family f has parts[f] of the sets.
+
+    The families are checked as ``DisjointFamily`` checks one, in numpy, and
+    go to ``_stack_profiles`` once per total, in census order within it.
     """
-    stats.cross_checked += len(crossed)
-    for report, (flat, ell, best, m, meets) in zip(classify_many(crossed), expected):
-        rw, ehat, bound = report.rwedf, report.e_hat, report.r_bound
-        if flat:
-            ell_ok = rw is not None and rw.numerator * scale == ell * rw.denominator
-        else:
-            ell_ok = rw is None
-        ehat_ok = ehat.numerator * scale * m == best * ehat.denominator
-        optimal = ehat.numerator * bound.denominator == bound.numerator * ehat.denominator
-        if not (ell_ok and ehat_ok and optimal == meets):
-            stats.cross_failures += 1
-    crossed.clear()
-    expected.clear()
+    n = group.order
+    starts = np.zeros(len(parts) + 1, dtype=np.int64)
+    np.cumsum(parts, out=starts[1:])
+    totals = np.add.reduceat(sizes, starts[:-1])
+    verdicts = Verdicts(*(np.empty(len(parts), dtype=t) for t in (bool, np.int64, np.int64,
+                                                                  np.int64, bool)))
+    for total in np.flatnonzero(np.bincount(totals)).tolist():
+        chosen = totals == total
+        within = np.repeat(chosen, parts)
+        stack_parts, stack_sizes = parts[chosen], sizes[within]
+        stack_elems = elems[np.repeat(within, sizes)]
+        _check_packed(group, total, stack_parts, stack_sizes, stack_elems)
+        stack = _stack_profiles(group, total, stack_parts, stack_sizes, stack_elems)
+        sums = stack.reciprocal
+        top = sums.max(axis=1)
+        verdicts.rwedf[chosen] = (sums == sums[:, :1]).all(axis=1)
+        verdicts.ell[chosen] = sums[:, 0]
+        verdicts.top[chosen] = top
+        verdicts.scale[chosen] = stack.scale
+        # e_hat = top / (K * m) meets (m - 1) * T / (m * (n - 1))
+        verdicts.r_optimal[chosen] = top * (n - 1) == (stack_parts - 1) * total * stack.scale
+    return verdicts
+
+
+def _cross_check(stats: CensusStats, group: FiniteGroup, batch: List[Tuple[np.ndarray, ...]],
+                 scale: int) -> None:
+    """Take the pair kernel's verdicts on a batch, count the families where they disagree, and clear it.
+
+    Each entry of the batch holds packed families (each one's set count, every
+    set's size, the members) and what the census says of each, in integers:
+    whether its sums are constant, the first sum ell * scale, the largest sum
+    best = e_hat * scale * m, and whether e_hat meets the averaging bound.  A
+    sum is at most m <= n times its scale, and scale and K are at most
+    lcm(1..20), so every cross product stays below 20 * lcm(1..20)^2 < 2^63.
+    """
+    parts, sizes, elems, flat, ell, best, meets = (np.concatenate(c) for c in zip(*batch))
+    got = _cross_verdicts(group, parts, sizes, elems)
+    agree = (got.rwedf == flat) & (got.top * scale == best * got.scale) & (got.r_optimal == meets)
+    agree &= ~flat | (got.ell * scale == ell * got.scale)
+    stats.cross_checked += len(parts)
+    stats.cross_failures += len(parts) - int(np.count_nonzero(agree))
+    batch.clear()
 
 
 def rwedf_census(group: FiniteGroup, cross_check_every: int = 0) -> CensusStats:
@@ -247,17 +285,24 @@ def rwedf_census(group: FiniteGroup, cross_check_every: int = 0) -> CensusStats:
     partitions it every way, and counts each partition once per distinct
     translate of the support (n / |Stab(U)| times).  With cross_check_every =
     s > 0, the census family at every s-th position, floor(families / s) of
-    them, is re-checked through the classify pipeline (``classify_many``, in
-    batches of CROSS_CHECK_BATCH families in census order): a partition
-    weighted w stands at w consecutive positions, one per translate, and the
-    translate at the crossed position is the family checked.  Each report is
-    compared with the block's own integer sums.  ``elapsed_s`` and
+    them, is checked again on a second path, the pair kernel over the group
+    law: a partition weighted w stands at w consecutive positions, one per
+    translate, and the translate at the crossed position is the family
+    checked.  The exception is the group of order 1, whose one family is
+    counted but never crossed, as classification needs n >= 2.  The crossed
+    families go packed, in batches of CROSS_CHECK_BATCH in census order, to
+    the stack reducer of ``difference_profiles``, and its verdicts (whether
+    the reciprocal sums are constant, ell, e_hat and the R-optimal test) are
+    compared in integers with the block's own sums.  ``elapsed_s`` and
     ``cross_check_s`` of the result time the whole sweep and the cross-checks
     in it.  Orders from 21 up are refused: the whole group's subset table
-    would pass DENSE_CELL_LIMIT cells.  A negative cross_check_every raises
+    would pass DENSE_CELL_LIMIT cells.  A cross_check_every that is not an int
+    or numpy integer (a bool included) raises TypeError, and a negative one
     ValueError.
     """
     began = perf_counter()
+    if isinstance(cross_check_every, bool) or not isinstance(cross_check_every, (int, np.integer)):
+        raise TypeError(f"cross_check_every {cross_check_every!r} is not an integer")
     if cross_check_every < 0:
         raise ValueError(f"cross_check_every must be 0 or positive, got {cross_check_every}")
     n = group.order
@@ -272,10 +317,10 @@ def rwedf_census(group: FiniteGroup, cross_check_every: int = 0) -> CensusStats:
         )
     scale = _census_scale(n)
     diff = group.diff_rows
-    every = cross_check_every if n > 1 else 0
+    every = int(cross_check_every) if n > 1 else 0
     stats = CensusStats()
-    crossed: List[DisjointFamily] = []
-    expected: List[Tuple[bool, int, int, int, bool]] = []
+    batch: List[Tuple[np.ndarray, ...]] = []  # crossed families not yet checked, in census order
+    held = 0  # the families in batch
     if every:
         translate = np.array(diff, dtype=np.int64)  # [x, h] = x * h^-1
     for members, shifts in _support_orbits(diff):
@@ -300,21 +345,20 @@ def rwedf_census(group: FiniteGroup, cross_check_every: int = 0) -> CensusStats:
             # the block's crossed positions, in census order, at most a batch at a time
             crossing = np.arange(start - start % every + every, stats.families + 1, every)
             while len(crossing):
-                room = CROSS_CHECK_BATCH - len(crossed)
+                room = CROSS_CHECK_BATCH - held
                 # each position as a (row, shift) pair
                 r, t = np.divmod(crossing[:room] - start - 1, w)
                 crossing = crossing[room:]
-                parts = m[r].tolist()
-                crossed += _crossed_families(
-                    group, translate[points, moves[t][:, None]], rgs[r], parts)
-                expected += zip(constant[r].tolist(), sums[r, 0].tolist(), best[r].tolist(),
-                                parts, meets_bound[r].tolist())
-                if len(crossed) == CROSS_CHECK_BATCH:
-                    _cross_check(stats, crossed, expected, scale)
+                sizes, elems = _crossed_families(group, translate[points, moves[t][:, None]], rgs[r])
+                batch.append((m[r], sizes, elems, constant[r], sums[r, 0], best[r], meets_bound[r]))
+                held += len(r)
+                if held == CROSS_CHECK_BATCH:
+                    _cross_check(stats, group, batch, scale)
+                    held = 0
             stats.cross_check_s += perf_counter() - checking
-    if crossed:
+    if batch:
         checking = perf_counter()
-        _cross_check(stats, crossed, expected, scale)
+        _cross_check(stats, group, batch, scale)
         stats.cross_check_s += perf_counter() - checking
     stats.elapsed_s = perf_counter() - began
     return stats

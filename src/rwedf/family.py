@@ -26,13 +26,16 @@ O(BLOCK_CELLS + n) numbers.
 ``difference_profiles`` takes the same reductions for many families at once:
 the families of one group and one total are stacked, a row is a (family, set)
 pair, and one pass of the pair kernel counts them all; a single family is the
-stack of one.  The dense matrix (``count_matrix``) is built on demand for the
+stack of one.  A stack goes packed, as the set sizes and every member as
+int64 in set order, to the one stack reducer (``_stack_profiles``), which
+returns each reduction as an array over the stack's families and makes no
+Python object per family; the census's cross-checks call it on their packed
+rows directly.  The dense matrix (``count_matrix``) is built on demand for the
 per-cell reads (``row``, ``cell``, ``column_sum``, ``weighted_sum``) and the
 CSV export, and refused past DENSE_CELL_LIMIT cells.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -50,6 +53,7 @@ from .groups import (
     _member_differences,
     closure,
     difference_count_blocks,
+    packed,
 )
 
 # Most cells m * (n - 1) a dense count matrix may have (256 MB of int64).  The
@@ -125,6 +129,36 @@ class DisjointFamily:
         return tuple(sorted(self.sets, key=lambda s: (-len(s), s)))
 
 
+def _check_packed(
+    group: FiniteGroup, total: int, parts: np.ndarray, sizes: np.ndarray, elems: np.ndarray
+) -> None:
+    """ValueError unless each packed family is one that ``DisjointFamily`` accepts.
+
+    Family f has parts[f] sets of the given sizes, with their members in turn
+    in elems, and every family holds total elements.  The checks of
+    ``DisjointFamily.__post_init__``, in numpy over all the families at once:
+    every family has a set and every set a member, every member lies in
+    0..n-1, each set is strictly increasing, and the sets of each family are
+    pairwise disjoint, by a sort of each family's members and a neighbour
+    comparison.
+    """
+    starts = np.zeros(len(parts) + 1, dtype=np.int64)
+    np.cumsum(parts, out=starts[1:])
+    if (parts < 1).any() or (sizes < 1).any():
+        raise ValueError("a packed family has an empty set, or no set")
+    if (np.add.reduceat(sizes, starts[:-1]) != total).any() or len(elems) != len(parts) * total:
+        raise ValueError(f"a packed family does not hold {total} elements")
+    if elems.min() < 0 or elems.max() >= group.order:
+        raise ValueError(f"a packed element lies outside 0..{group.order - 1}")
+    rising = np.diff(elems) > 0
+    rising[np.cumsum(sizes[:-1]) - 1] = True  # each set may start below the last one's end
+    if not rising.all():
+        raise ValueError("a packed set is not strictly increasing")
+    members = np.sort(elems.reshape(-1, total), axis=1)
+    if (members[:, 1:] == members[:, :-1]).any():
+        raise ValueError("a packed family has overlapping sets")
+
+
 def delta_column(n: int, delta: int) -> int:
     """Profile column delta - 1 of a shift in 1..n-1; no other delta wraps round to a column."""
     if delta == 0:
@@ -186,7 +220,7 @@ def count_matrix(family: DisjointFamily) -> np.ndarray:
         )
     matrix = np.empty((family.m, family.n - 1), dtype=np.int64)
     row = 0
-    for block in difference_count_blocks(family.group, family.sets):
+    for block in difference_count_blocks(family.group, *packed(family.sets)):
         matrix[row : row + len(block)] = block[:, 1:]  # before the next block overwrites it
         row += len(block)
     matrix.setflags(write=False)
@@ -203,17 +237,13 @@ class _ColumnSums:
     over Python ints otherwise, chosen once before the first block.
     """
 
-    def __init__(self, coef: Sequence[int], width: int, most: int, starts: Sequence[int]):
+    def __init__(self, coef: np.ndarray, width: int, most: int, starts: np.ndarray):
         self.starts = starts
-        rows = max(b - a for a, b in zip(starts, starts[1:]))
-        dtype = np.int64 if max(coef) * max(most, 1) * rows < 2**62 else object
-        self.coef = np.array(coef, dtype=dtype)
-        self.sums = np.zeros((len(starts) - 1, width), dtype=dtype)
+        rows = int(np.diff(starts).max())
+        wide = int(coef.max()) * max(most, 1) * rows >= 2**62
+        self.coef = coef.astype(object if wide else np.int64, copy=False)
+        self.sums = np.zeros((len(starts) - 1, width), dtype=self.coef.dtype)
         self.row = 0
-        # int64 @ has no BLAS path: on a 256 x 1023 block it takes ~670 us and a
-        # plain column sum ~120 us, which serves a family whose coefficients agree
-        self.equal = [dtype != object and len(set(coef[a:b])) <= 1
-                      for a, b in zip(starts, starts[1:])]
 
     def add(self, counts: np.ndarray) -> None:
         """Add the next len(counts) rows of N."""
@@ -221,20 +251,22 @@ class _ColumnSums:
         self.row += len(counts)
         coef = self.coef[first : self.row]
         # the families lo..hi-1 have rows in this block
-        lo = bisect_right(self.starts, first) - 1
-        hi = bisect_left(self.starts, self.row)
+        lo = int(self.starts.searchsorted(first, side="right")) - 1
+        hi = int(self.starts.searchsorted(self.row))
         if hi - lo == 1:  # reduceat over one family is slower
-            if self.equal[lo]:
+            # int64 @ has no BLAS path: on a 256 x 1023 block it takes ~670 us and
+            # a plain column sum ~120 us, which serves rows whose coefficients agree
+            if coef.dtype != object and coef.min() == coef.max():
                 self.sums[lo] += coef[0] * counts.sum(axis=0)
             else:
                 self.sums[lo] += coef @ counts
         else:
-            cuts = [max(start - first, 0) for start in self.starts[lo:hi]]
+            cuts = np.maximum(self.starts[lo:hi] - first, 0)
             self.sums[lo:hi] += np.add.reduceat(coef[:, None] * counts, cuts, axis=0)
 
-    def values(self) -> List[Tuple[int, ...]]:
-        """Each family's sums."""
-        return [tuple(row) for row in self.sums.tolist()]
+    def values(self) -> np.ndarray:
+        """Each family's sums, one row a family."""
+        return self.sums
 
 
 def difference_profile(
@@ -253,11 +285,10 @@ def difference_profiles(
     """The difference profile of each family, many families to one pass of the pair kernel.
 
     The families of one group and one total T are stacked, wherever they
-    stand in the list, at most max(1, BLOCK_CELLS // n) of them: a row of the
-    stacked count matrix is a (family, set) pair, and
-    ``difference_count_blocks`` with span T counts a pair only when both ends
-    lie in one family.  The weights, when given, are every family's: they are
-    checked again only for a family whose m differs from the last one
+    stand in the list, at most max(1, BLOCK_CELLS // n) of them: a stack is
+    packed (``_stack_profiles``), and each family's profile is its slice of
+    the stack's arrays.  The weights, when given, are every family's: they
+    are checked again only for a family whose m differs from the last one
     checked, and scaled once.  Only the group, the total and the block size
     decide the stacking: ``_ColumnSums`` picks int64 or Python ints from the
     rows of the whole stack, so a family whose sums may pass int64 takes its
@@ -268,9 +299,23 @@ def difference_profiles(
     stacks: Dict[Tuple[int, int], List[int]] = {}  # (group, total) -> places in the list
 
     def profile(stack: List[int]) -> None:
-        done = _stack_profiles([families[i] for i in stack], weighting)
-        for i, p in zip(stack, done):
-            profiles[i] = p
+        fams = [families[i] for i in stack]
+        sizes, elems = packed(list(chain.from_iterable(f.sets for f in fams)))
+        parts = [f.m for f in fams]
+        done = _stack_profiles(fams[0].group, fams[0].total, parts, sizes, elems, weighting)
+        scale, reciprocal, tops, constant, witnesses = (
+            column.tolist() for column in done[:5])
+        weighted = None if done.weighted is None else done.weighted.tolist()
+        weights, weight_scale = (None, None) if weighting is None else (
+            weighting.weights, weighting.scale)
+        starts = [0, *accumulate(parts)]
+        for f, i in enumerate(stack):
+            profiles[i] = DifferenceProfile(
+                fams[f], scale[f], tuple(reciprocal[f]),
+                tuple(tops[starts[f] : starts[f + 1]]) if constant[f] else None,
+                tuple(witnesses[f]) if witnesses[f][0] >= 0 else None,
+                weights, None if weighted is None else tuple(weighted[f]), weight_scale,
+            )
 
     for i, family in enumerate(families):
         if weights is not None and (weighting is None or family.m != len(weighting.weights)):
@@ -294,14 +339,49 @@ class _Weighting(NamedTuple):
     coef: Tuple[int, ...]
 
 
-def _stack_profiles(
-    families: Sequence[DisjointFamily], weighting: Optional[_Weighting]
-) -> List[DifferenceProfile]:
-    """One pass over the stacked count matrix of families of one group and one total.
+class StackProfiles(NamedTuple):
+    """The reductions of a stack of F families, as arrays over its families and its rows (sets)."""
 
-    Each block is reduced and dropped, so the pass holds O(BLOCK_CELLS + rows
-    + families * n) numbers.  Row i of a family sums to k_i * (T - k_i) over
-    the n - 1 columns and no count exceeds k_i (a and delta fix b).  So:
+    scale: np.ndarray  # (F,) K = lcm of each family's sizes
+    reciprocal: np.ndarray  # (F, n - 1) K * sum_i N_i(delta) / k_i
+    tops: np.ndarray  # (rows,) each row's largest count
+    constant: np.ndarray  # (F,) whether every row of the family is constant
+    # (F, 3) the first (set index, delta, count) whose count is neither 0 nor
+    # the set's size, in row then delta order; -1 throughout where none is
+    witnesses: np.ndarray
+    weighted: Optional[np.ndarray]  # (F, n - 1) D * sum_i w_i * N_i(delta), with weights
+
+
+def _family_scales(sizes: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """K = lcm of each family's set sizes, family f's sizes at starts[f]:starts[f + 1].
+
+    Every K divides the lcm of the stack's distinct sizes, so when that fits
+    int64 one lcm reduction serves; otherwise each K is a Python int.  (The
+    distinct sizes come from a bincount: ``np.unique`` imports numpy.ma, about
+    0.4 MB of resident memory, on first use.)
+    """
+    if lcm(*np.flatnonzero(np.bincount(sizes)).tolist()) < 2**63:
+        return np.lcm.reduceat(sizes, starts[:-1])
+    bounds = starts.tolist()
+    return np.array([lcm(*sizes[a:b].tolist()) for a, b in zip(bounds, bounds[1:])], dtype=object)
+
+
+def _stack_profiles(
+    group: FiniteGroup,
+    total: int,
+    parts: Sequence[int],
+    sizes: Sequence[int],
+    elems: np.ndarray,
+    weighting: Optional[_Weighting] = None,
+) -> StackProfiles:
+    """One pass over the stacked count matrix of packed families of one group and one total.
+
+    Family f has parts[f] sets, the sets have the given sizes and their
+    members come in ``elems``, as the pair kernel takes them; every family
+    holds total elements.  Each block is reduced and dropped, so the pass
+    holds O(BLOCK_CELLS + rows + families * n) numbers, and no Python object
+    is made per family.  Row i of a family sums to k_i * (T - k_i) over the
+    n - 1 columns and no count exceeds k_i (a and delta fix b).  So:
 
     - the row is constant exactly when its largest count times n - 1 equals
       that sum, which fails whenever n - 1 does not divide it;
@@ -310,71 +390,50 @@ def _stack_profiles(
       k_i: a block is searched for bimodal witnesses only when it has more
       non-zero counts than its rows' T - k_i.
     """
-    group, total, width = families[0].group, families[0].total, families[0].n - 1
-    # K and K / k_i once per distinct sizes tuple of the stack
-    known: Dict[Tuple[int, ...], Tuple[int, Tuple[int, ...]]] = {}
-    shapes = []
-    for family in families:
-        shape = known.get(family.sizes)
-        if shape is None:
-            shape = known[family.sizes] = scaled_weights(family.sizes)
-        shapes.append(shape)
-    sizes = list(chain.from_iterable(family.sizes for family in families))
-    ms = [family.m for family in families]
-    starts = [0, *accumulate(ms)]
-    coefs = [list(chain.from_iterable(coef for _, coef in shapes))]
+    width = group.order - 1
+    row_sizes = np.asarray(sizes, dtype=np.int64)
+    parts = np.asarray(parts, dtype=np.int64)
+    families = len(parts)
+    starts = np.zeros(families + 1, dtype=np.int64)
+    parts.cumsum(out=starts[1:])
+    scale = _family_scales(row_sizes, starts)
+    most = int(row_sizes.max())
+    coefs = [scale.repeat(parts) // row_sizes]
     if weighting is not None:
-        coefs.append(weighting.coef * len(families))
-    sums = [_ColumnSums(coef, width, max(sizes), starts) for coef in coefs]
-    row_sizes = np.array(sizes, dtype=np.int64)
-    tops = np.empty(len(sizes), dtype=np.int64)
-    witnesses: List[Optional[Tuple[int, int, int]]] = [None] * len(families)
-    missing = len(families)
+        coefs.append(np.tile(np.array(weighting.coef, dtype=object), families))
+    sums = [_ColumnSums(coef, width, most, starts) for coef in coefs]
+    tops = np.empty(len(row_sizes), dtype=np.int64)
+    witnesses = np.full((families, 3), -1, dtype=np.int64)
+    missing = families
     first = 0
-    sets = list(chain.from_iterable(family.sets for family in families))
-    for block in difference_count_blocks(group, sets, span=total):
+    for block in difference_count_blocks(group, row_sizes, elems, span=total):
         counts = block[:, 1:]
         last = first + len(counts)
         for column_sums in sums:
             column_sums.add(counts)
         np.maximum.reduce(counts, axis=1, initial=0, out=tops[first:last])
         if missing:
-            least = (last - first) * total - sum(sizes[first:last])
+            least = (last - first) * total - int(row_sizes[first:last].sum())
             if np.count_nonzero(counts) != least:
                 between = counts % row_sizes[first:last, None] != 0
                 # the first such count of each family, in row then delta order
-                rows = np.flatnonzero(between.any(axis=1))
+                rows = between.any(axis=1).nonzero()[0]
                 owners = np.searchsorted(starts, rows + first, side="right") - 1
                 lead = np.ones(len(rows), dtype=bool)
                 np.not_equal(owners[1:], owners[:-1], out=lead[1:])
+                # a family whose witness an earlier block found keeps it
+                lead &= witnesses[owners, 0] < 0
                 rows, owners = rows[lead], owners[lead]
                 cols = between[rows].argmax(axis=1)
-                found = zip(owners.tolist(), rows.tolist(), cols.tolist(),
-                            counts[rows, cols].tolist())
-                for f, r, d, count in found:
-                    if witnesses[f] is None:
-                        witnesses[f] = (first + r - starts[f], d + 1, count)
-                        missing -= 1
+                witnesses[owners, 0] = first + rows - starts[owners]
+                witnesses[owners, 1] = cols + 1
+                witnesses[owners, 2] = counts[rows, cols]
+                missing -= len(owners)
         first = last
     constant = np.logical_and.reduceat(
-        tops * width == row_sizes * (total - row_sizes), starts[:-1]
-    ).tolist()
-    row_tops = tops.tolist()
-    reciprocal = sums[0].values()
-    if weighting is None:
-        weights = scale = None
-        weighted = [None] * len(families)
-    else:
-        weights, scale = weighting.weights, weighting.scale
-        weighted = sums[1].values()
-    return [
-        DifferenceProfile(
-            family, shape[0], reciprocal[f],
-            tuple(row_tops[starts[f] : starts[f + 1]]) if constant[f] else None,
-            witnesses[f], weights, weighted[f], scale,
-        )
-        for f, (family, shape) in enumerate(zip(families, shapes))
-    ]
+        tops * width == row_sizes * (total - row_sizes), starts[:-1])
+    return StackProfiles(scale, sums[0].values(), tops, constant, witnesses,
+                         sums[1].values() if weighting is not None else None)
 
 
 def scaled_weights(sizes: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import chain
 from math import gcd
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -531,21 +531,28 @@ def _complement_is_cheaper(n: int, span: int) -> bool:
     return n - span < span
 
 
+def packed(sets: Sequence[Sequence[int]]) -> Tuple[List[int], np.ndarray]:
+    """The pair kernel's input for sets held as tuples: their sizes, and their members as int64 in set order."""
+    sizes = [len(s) for s in sets]
+    return sizes, np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=sum(sizes))
+
+
 def difference_count_blocks(
-    group: FiniteGroup, sets: Sequence[Sequence[int]], span: int = 0
+    group: FiniteGroup, sizes: Sequence[int], elems: np.ndarray, span: int = 0
 ) -> Iterator[np.ndarray]:
     """Cross pairs counted by left difference, as int64 blocks of consecutive rows.
 
-    Yields the rows of the (len(sets), n) count matrix in order, at most
-    max(1, BLOCK_CELLS // n) rows a block.  Cell (i, d) counts the pairs
-    (a, b) with a in sets[i], b in another set and a * b^-1 = d.  The pairs
-    within one set are the member pass's (``_member_difference_keys``), not
-    this kernel's.  With span > 0 the
-    sets' elements, in order, fall into families of span elements each, and b
-    ranges over a's family only: the rows of many families of one total are
-    counted in one pass.  The sets of a family must be pairwise disjoint.
-    Every block is a view of one buffer that the next block overwrites: copy
-    what must outlive the step.
+    The sets come packed: ``sizes`` holds each set's size and ``elems`` the
+    members of every set in turn, as int64 (``packed`` makes the pair from
+    tuples).  Yields the rows of the (len(sizes), n) count matrix in order,
+    at most max(1, BLOCK_CELLS // n) rows a block.  Cell (i, d) counts the
+    pairs (a, b) with a in set i, b in another set and a * b^-1 = d.  The
+    pairs within one set are the member pass's (``_member_difference_keys``),
+    not this kernel's.  With span > 0 the elements, in order, fall into
+    families of span elements each, and b ranges over a's family only: the
+    rows of many families of one total are counted in one pass.  The sets of
+    a family must be pairwise disjoint.  Every block is a view of one buffer
+    that the next block overwrites: copy what must outlive the step.
 
     One identity serves both routes.  With S the support of a's family, over
     the pairs with a * b^-1 = d, the diagonal a = b included,
@@ -568,18 +575,17 @@ def difference_count_blocks(
     ``ufunc.at``.  When its a lie in one family they share one peer row.
     """
     n = group.order
-    m = len(sets)
-    sizes = [len(s) for s in sets]
-    starts = [0, *accumulate(sizes)]
-    elems = np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=starts[-1])
-    owner = np.repeat(np.arange(m, dtype=np.int64), sizes)
-    row_sizes = np.array(sizes, dtype=np.int64)
-    own_size = np.repeat(row_sizes, sizes)  # per element: its set's size and first place
-    own_start = np.repeat(np.array(starts[:-1], dtype=np.int64), sizes)
+    row_sizes = np.asarray(sizes, dtype=np.int64)
+    m = len(row_sizes)
+    starts = np.zeros(m + 1, dtype=np.int64)
+    row_sizes.cumsum(out=starts[1:])
+    owner = np.repeat(np.arange(m, dtype=np.int64), row_sizes)
+    own_size = np.repeat(row_sizes, row_sizes)  # per element: its set's size and first place
+    own_start = np.repeat(starts[:-1], row_sizes)
     span = span or max(len(elems), 1)  # with no elements any span serves
     by_complement = _complement_is_cheaper(n, span)
     peers_per_a = n - span if by_complement else span
-    a_step = max(1, PAIR_CHUNK // (max([1, *sizes]) + peers_per_a))
+    a_step = max(1, PAIR_CHUNK // (int(row_sizes.max(initial=1)) + peers_per_a))
     peer_step = np.subtract.at if by_complement else np.add.at
     rows_per_block = max(1, BLOCK_CELLS // max(n, 1))
     buffer = np.empty(min(m, rows_per_block) * n, dtype=np.int64)
@@ -587,14 +593,15 @@ def difference_count_blocks(
         last = min(m, first + rows_per_block)
         counts = buffer[: (last - first) * n]
         counts.reshape(last - first, n)[:] = row_sizes[first:last, None] if by_complement else 0
-        first_family = starts[first] // span
-        peers = elems[first_family * span : -(-starts[last] // span) * span].reshape(-1, span)
+        begin, end = int(starts[first]), int(starts[last])
+        first_family = begin // span
+        peers = elems[first_family * span : -(-end // span) * span].reshape(-1, span)
         if by_complement:  # G \ S of each family with rows in this block, (families, n - span)
             outside = np.ones((len(peers), n), dtype=bool)
             outside[np.arange(len(peers))[:, None], peers] = False
             peers = np.nonzero(outside)[1].reshape(len(peers), n - span)
-        for lo in range(starts[first], starts[last], a_step):
-            hi = min(lo + a_step, starts[last])
+        for lo in range(begin, end, a_step):
+            hi = min(lo + a_step, end)
             a = elems[lo:hi]
             offset = (owner[lo:hi] - first) * n  # where each a's row starts in the block
             k = own_size[lo:hi]

@@ -48,7 +48,7 @@ from rwedf.classify import rwedf_failure_witness
 from rwedf import family as family_module
 from rwedf import groups
 from rwedf.constructions import f21_group, heisenberg_partition
-from rwedf.groups import difference_count_blocks, is_subgroup, self_difference_counts
+from rwedf.groups import difference_count_blocks, is_subgroup, packed, self_difference_counts
 from rwedf.simulate import _Board
 
 from helpers import KERNEL_POOL, all_fixtures, bimodal_z12, reference_classification, scalar_diff
@@ -488,7 +488,7 @@ def test_blocks_stack_to_the_count_matrix(monkeypatch):
             for rows in range(1, 6):
                 monkeypatch.setattr(groups, "BLOCK_CELLS", rows * fam.n)
                 with forced(route):
-                    blocks = [b.copy() for b in difference_count_blocks(fam.group, fam.sets)]
+                    blocks = [b.copy() for b in difference_count_blocks(fam.group, *packed(fam.sets))]
                 assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
                 assert np.vstack(blocks).tolist() == expected, (label, route, rows)
 
@@ -748,7 +748,7 @@ def test_span_counts_each_family_apart(monkeypatch, rows, chunk):
     expected = [row for fam in stack for row in ref_counts(DisjointFamily.of(g, *fam))]
     for route in ROUTES:
         with forced(route):
-            got = np.vstack([b.copy() for b in difference_count_blocks(g, sets, span=6)])
+            got = np.vstack([b.copy() for b in difference_count_blocks(g, *packed(sets), span=6)])
         assert got.tolist() == expected, route
 
 
@@ -787,10 +787,10 @@ def test_both_routes_match_pair_loop_at_every_total(g, monkeypatch):
                     # the families of one total, each counted alone and all stacked
                     stack = [fam for fam in fams if fam.total == total]
                     for fam in stack:
-                        blocks = difference_count_blocks(g, fam.sets)
+                        blocks = difference_count_blocks(g, *packed(fam.sets))
                         assert np.vstack([b.copy() for b in blocks]).tolist() == counts[fam]
                     sets = [s for fam in stack for s in fam.sets]
-                    blocks = difference_count_blocks(g, sets, span=total)
+                    blocks = difference_count_blocks(g, *packed(sets), span=total)
                     expected = [row for fam in stack for row in counts[fam]]
                     assert np.vstack([b.copy() for b in blocks]).tolist() == expected
                 reports = classify_many(list(classes))
@@ -833,5 +833,5 @@ def test_the_route_turns_past_half_the_group(g, monkeypatch):
     for total, route in ((n // 2, False), (n // 2 + 1, True)):
         members = random.Random(total).sample(range(n), total)
         fam = DisjointFamily.of(g, members[:1], members[1:3], members[3:])
-        got = np.vstack([b.copy() for b in difference_count_blocks(g, fam.sets)])
+        got = np.vstack([b.copy() for b in difference_count_blocks(g, *packed(fam.sets))])
         assert taken[-1] is route and got.tolist() == ref_counts(fam)

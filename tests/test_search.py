@@ -1,10 +1,11 @@
 import hashlib
 import importlib
 import random
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import lcm
 from pathlib import Path
 
@@ -23,7 +24,6 @@ from rwedf import (
     InfeasibleParameters,
     SearchSpec,
     classify,
-    classify_many,
     enumerate_families,
     enumerate_star_partitions,
     group_from_descriptor,
@@ -32,7 +32,8 @@ from rwedf import (
     write_families_jsonl,
 )
 from rwedf import census, search
-from rwedf.family import count_matrix
+from rwedf.classify import ClassificationReport
+from rwedf.family import DifferenceProfile, _check_packed, count_matrix
 
 from helpers import (
     HALF,
@@ -986,17 +987,25 @@ def test_census_cross_checks_every_genuine_family_split_rows(monkeypatch, block,
     assert batches == [batch] * (21146 // batch) + [21146 % batch] * (21146 % batch > 0)
 
 
+def packed_sets(parts, sizes, elems):
+    """The sets of each packed family, as tuples of member tuples, in order."""
+    members = iter(elems.tolist())
+    sets = iter([tuple(islice(members, k)) for k in sizes.tolist()])
+    return [tuple(islice(sets, m)) for m in parts.tolist()]
+
+
 def check_every_genuine_family(monkeypatch, group, families):
-    """Cross-check every family of the census; return the sizes of the batches classified."""
+    """Cross-check every family of the census; return the sizes of the batches checked."""
     checked = []
     batches = []
 
-    def recording_classify_many(batch, *args, **kwargs):
-        checked.extend(family.canonical_key() for family in batch)
-        batches.append(len(batch))
-        return classify_many(batch, *args, **kwargs)
+    def recording_verdicts(group, parts, sizes, elems, real=census._cross_verdicts):
+        checked.extend(DisjointFamily(group, sets).canonical_key()
+                       for sets in packed_sets(parts, sizes, elems))
+        batches.append(len(parts))
+        return real(group, parts, sizes, elems)
 
-    monkeypatch.setattr(census, "classify_many", recording_classify_many)
+    monkeypatch.setattr(census, "_cross_verdicts", recording_verdicts)
     stats = rwedf_census(group, cross_check_every=1)
     every = []
     reference_census(group, record=every)
@@ -1010,14 +1019,14 @@ def check_every_genuine_family(monkeypatch, group, families):
 def test_census_cross_check_catches_a_wrong_report(monkeypatch):
     perturbed = []
 
-    def perturbing_classify_many(batch, *args, **kwargs):
-        reports = classify_many(batch, *args, **kwargs)
-        if reports and not perturbed:
-            reports[-1].e_hat += Fraction(1, 1000)
-            perturbed.append(batch[-1])
-        return reports
+    def perturbing_verdicts(group, parts, sizes, elems, real=census._cross_verdicts):
+        verdicts = real(group, parts, sizes, elems)
+        if len(parts) and not perturbed:
+            verdicts.top[-1] += 1  # e_hat of the batch's last family moves by 1 / (K * m)
+            perturbed.append(packed_sets(parts, sizes, elems)[-1])
+        return verdicts
 
-    monkeypatch.setattr(census, "classify_many", perturbing_classify_many)
+    monkeypatch.setattr(census, "_cross_verdicts", perturbing_verdicts)
     stats = rwedf_census(DihedralGroup(3), cross_check_every=5)
     assert len(perturbed) == 1
     assert stats.cross_checked == 876 // 5 and stats.cross_failures == 1
@@ -1035,6 +1044,89 @@ def test_census_cross_check_count(group, every):
 def test_census_refuses_a_negative_cross_check_interval():
     with pytest.raises(ValueError, match="cross_check_every must be 0 or positive, got -7"):
         rwedf_census(CyclicGroup(6), cross_check_every=-7)
+
+
+@pytest.mark.parametrize("every", [2.5, True, False, "3", None, Fraction(3)])
+def test_census_refuses_a_cross_check_interval_that_is_not_an_integer(every):
+    with pytest.raises(TypeError, match=re.escape(f"cross_check_every {every!r} is not an integer")):
+        rwedf_census(CyclicGroup(6), cross_check_every=every)
+
+
+def test_census_takes_a_numpy_integer_interval():
+    assert rwedf_census(CyclicGroup(6), cross_check_every=np.int64(7)) == rwedf_census(
+        CyclicGroup(6), cross_check_every=7)
+
+
+def test_census_of_the_trivial_group_crosses_nothing():
+    # classification needs n >= 2, so the one family of Z_1 is counted and never crossed
+    stats = rwedf_census(CyclicGroup(1), cross_check_every=1)
+    assert (stats.families, stats.rwedf, stats.cross_checked, stats.cross_failures) == (1, 1, 0, 0)
+
+
+@pytest.mark.parametrize("group", [DihedralGroup(3), CyclicGroup(6), ElementaryAbelianGroup(2, 3)],
+                         ids=repr)
+def test_census_verdicts_match_classify(monkeypatch, group):
+    # every crossed family's integer verdicts against classify's report of the same family
+    seen = []
+
+    def recording_verdicts(group, parts, sizes, elems, real=census._cross_verdicts):
+        verdicts = real(group, parts, sizes, elems)
+        seen.extend(zip(packed_sets(parts, sizes, elems), *(v.tolist() for v in verdicts)))
+        return verdicts
+
+    monkeypatch.setattr(census, "_cross_verdicts", recording_verdicts)
+    stats = rwedf_census(group, cross_check_every=1)
+    assert len(seen) == stats.cross_checked == stats.families and stats.cross_failures == 0
+    for sets, flat, ell, top, scale, optimal in seen:
+        report = classify(DisjointFamily(group, sets))
+        assert flat == (report.rwedf is not None), sets
+        if flat:
+            assert Fraction(ell, scale) == report.rwedf, sets
+        assert Fraction(top, scale * len(sets)) == report.e_hat, sets
+        assert optimal == report.r_optimal, sets
+
+
+def test_census_cross_checks_build_no_family_objects(monkeypatch):
+    # the crossed families reach the pair kernel packed: no family, profile or report
+    # object is made for them
+    made = []
+
+    def counting(cls):
+        real = cls.__init__
+
+        def init(self, *args, **kwargs):
+            made.append(cls.__name__)
+            real(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", init)
+
+    for cls in (DisjointFamily, DifferenceProfile, ClassificationReport):
+        counting(cls)
+    classify(DisjointFamily.of(CyclicGroup(5), (0,), (1, 2)))
+    assert made == ["DisjointFamily", "DifferenceProfile", "ClassificationReport"]
+    made.clear()
+    stats = rwedf_census(DihedralGroup(4), cross_check_every=7)
+    assert (stats.cross_checked, stats.cross_failures) == (3020, 0)
+    assert made == []
+
+
+@pytest.mark.parametrize("total, parts, sizes, elems, message", [
+    (3, [2], [1, 2], [0, 1, 2], None),
+    (3, [2], [1, 2], [0, 1, 6], "outside 0..5"),
+    (3, [2], [1, 2], [-1, 1, 2], "outside 0..5"),
+    (3, [2], [1, 2], [0, 2, 1], "not strictly increasing"),
+    (3, [2], [1, 2], [0, 2, 2], "not strictly increasing"),
+    (3, [2], [1, 2], [2, 1, 2], "overlapping"),
+    (2, [1, 2], [2, 1, 1], [0, 1, 3, 3], "overlapping"),
+    (3, [2], [3, 0], [0, 1, 2], "empty set"),
+    (3, [2, 1], [1, 2, 2], [0, 1, 2, 3, 4], "3 elements"),
+])
+def test_packed_families_are_checked(total, parts, sizes, elems, message):
+    args = (CyclicGroup(6), total, *(np.array(a, dtype=np.int64) for a in (parts, sizes, elems)))
+    if message is None:
+        _check_packed(*args)
+    else:
+        with pytest.raises(ValueError, match=message):
+            _check_packed(*args)
 
 
 def rgs_reference(s):
@@ -1088,7 +1180,7 @@ def test_census_cross_checks_block_size_free(monkeypatch, block):
     check_every_genuine_family(monkeypatch, DihedralGroup(3), 876)
 
 
-# sha256 of repr([family.sets, ...]) in the order the classifier saw them, from the
+# sha256 of repr([family.sets, ...]) in the order the cross-check saw them, from the
 # recursive census that came before the block sweep
 CROSS_CHECK_DIGESTS = [
     (CyclicGroup(6), 7, 125, "1c0b9b434972e14c8f2c52b0d3e5392efd3d45a4b1a43ed2d2de1a5fd5decfbd"),
@@ -1103,11 +1195,11 @@ def test_census_cross_check_positions_frozen(monkeypatch, block, group, every, c
     monkeypatch.setattr(census, "CENSUS_BLOCK", block)
     checked = []
 
-    def recording_classify_many(batch, *args, **kwargs):
-        checked.extend(family.sets for family in batch)
-        return classify_many(batch, *args, **kwargs)
+    def recording_verdicts(group, parts, sizes, elems, real=census._cross_verdicts):
+        checked.extend(packed_sets(parts, sizes, elems))
+        return real(group, parts, sizes, elems)
 
-    monkeypatch.setattr(census, "classify_many", recording_classify_many)
+    monkeypatch.setattr(census, "_cross_verdicts", recording_verdicts)
     stats = rwedf_census(group, cross_check_every=every)
     assert stats.cross_checked == len(checked) == count
     assert hashlib.sha256(repr(checked).encode()).hexdigest() == digest
@@ -1147,17 +1239,17 @@ def test_census_times_its_cross_checks():
 
 
 def test_census_cross_check_time_holds_every_batch(monkeypatch):
-    # a clock that moves one second in each classify_many batch and stands still otherwise
+    # a clock that moves one second in each batch's verdicts and stands still otherwise
     clock = [0.0]
     batches = []
 
-    def ticking_classify_many(batch, *args, **kwargs):
+    def ticking_verdicts(group, parts, sizes, elems, real=census._cross_verdicts):
         clock[0] += 1
-        batches.append(len(batch))
-        return classify_many(batch, *args, **kwargs)
+        batches.append(len(parts))
+        return real(group, parts, sizes, elems)
 
     monkeypatch.setattr(census, "perf_counter", lambda: clock[0])
-    monkeypatch.setattr(census, "classify_many", ticking_classify_many)
+    monkeypatch.setattr(census, "_cross_verdicts", ticking_verdicts)
     monkeypatch.setattr(census, "CROSS_CHECK_BATCH", 5)
     stats = rwedf_census(DihedralGroup(3), cross_check_every=2)
     assert batches == [5] * 87 + [3]
