@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import GroupTooLarge
 from .family import DENSE_CELL_LIMIT, _check_packed, _stack_profiles
-from .groups import FiniteGroup
+from .groups import FiniteGroup, check_integer
 
 CENSUS_BLOCK = 1 << 16  # most mask and sum cells of one block of census rows
 # Crossed census families checked in one batch.  Each holds at most about
@@ -301,8 +301,7 @@ def rwedf_census(group: FiniteGroup, cross_check_every: int = 0) -> CensusStats:
     ValueError.
     """
     began = perf_counter()
-    if isinstance(cross_check_every, bool) or not isinstance(cross_check_every, (int, np.integer)):
-        raise TypeError(f"cross_check_every {cross_check_every!r} is not an integer")
+    check_integer(cross_check_every, "cross_check_every")
     if cross_check_every < 0:
         raise ValueError(f"cross_check_every must be 0 or positive, got {cross_check_every}")
     n = group.order

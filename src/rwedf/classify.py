@@ -24,8 +24,8 @@ and one total in one kernel pass.
 Each predicate has one implementation, its public reader (``check_edf``,
 ``check_sedf``, ``check_gsedf``, ``check_rwedf``, ``rwedf_failure_witness``,
 ``is_bimodal``), and a report holds those readers' values over the shared
-profile; it derives only what no reader gives: e_hat and the R-optimal test
-from the largest reciprocal sum, and the structure checks on ell.
+profile, e_hat's and r_bound's among them; it derives only what no reader
+gives: the R-optimal test, e_hat == r_bound, and the structure checks on ell.
 """
 from __future__ import annotations
 
@@ -41,6 +41,7 @@ from .family import (
     check_weights,
     difference_profile,
     difference_profiles,
+    e_hat,
     is_bimodal,
     r_bound,
     BimodalVerdict,
@@ -256,10 +257,9 @@ def classify_many(
 def _report(family: DisjointFamily, profile: DifferenceProfile) -> ClassificationReport:
     """Each reader's verdict over the family's profile; wedf under the weights it was taken with."""
     m, n, total = family.m, family.n, family.total
-    k = profile.scale
     rwedf = check_rwedf(family, profile)
     bimodal = is_bimodal(family, profile)
-    top = max(profile.reciprocal)
+    worst, bound = e_hat(family, profile), r_bound(n, m, total)
     trivial = _is_trivial_shape(family)
 
     param_ok, ell_below_m, m2, key_prop = True, None, "not-applicable", None
@@ -285,10 +285,9 @@ def _report(family: DisjointFamily, profile: DifferenceProfile) -> Classificatio
         rwedf=rwedf,
         rwedf_witness=None if rwedf is not None else rwedf_failure_witness(family, profile),
         bimodal=bimodal,
-        e_hat=Fraction(top, k * m),
-        r_bound=r_bound(n, m, total),
-        # e_hat = top / (K * m) meets (m - 1) * T / (m * (n - 1))
-        r_optimal=top * (n - 1) == (m - 1) * total * k,
+        e_hat=worst,
+        r_bound=bound,
+        r_optimal=worst == bound,
         param_identity_ok=param_ok,
         ell_below_m=ell_below_m,
         m2_structure=m2,

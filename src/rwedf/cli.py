@@ -219,14 +219,9 @@ def cmd_search(args) -> int:
     weights = (_parse_list(args.weights, "--weights", parse_frac)
                if args.weights is not None else None)
     try:
-        target_ell = parse_frac(args.ell) if args.ell is not None else None
-    except ValueError as exc:
-        raise CliError(f"bad --ell: {exc}", 2)
-    try:
         spec = SearchSpec(
             group=group, sizes=sizes, require=require, weights=weights,
-            target_ell=target_ell, dedup=args.dedup, node_budget=args.budget,
-            result_cap=args.cap,
+            dedup=args.dedup, node_budget=args.budget, result_cap=args.cap,
         )
         _check_writable(args.out)  # before the walk, not after it
         result = enumerate_families(spec)
@@ -365,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True, help="group descriptor JSON")
     p.add_argument("--sizes", required=True, help="set sizes, non-increasing, e.g. 3,3,2")
     p.add_argument("--require", help="comma-separated flags, e.g. rwedf,bimodal")
-    p.add_argument("--ell", help="constant reciprocal sum to require, as p/q")
     p.add_argument("--weights", help="weights for the wedf flag")
     p.add_argument("--dedup", choices=("none", "translation"), default="none")
     p.add_argument("--budget", type=int, default=10**8, help="node budget")

@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, islice
 from math import lcm
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     _member_differences,
+    check_integer,
     closure,
     difference_count_blocks,
     packed,
@@ -118,15 +119,23 @@ class DisjointFamily:
 
     def translate(self, g: int) -> "DisjointFamily":
         """Right-translate every member by g; left differences are unchanged."""
-        flat = np.fromiter(chain.from_iterable(self.sets), dtype=np.int64, count=self.total)
-        moved = iter(self.group.diff_array(flat, self.group.inv(g)).tolist())
+        moved = iter(self.group.diff_array(packed(self.sets)[1], self.group.inv(g)).tolist())
         return DisjointFamily(
             self.group, tuple(tuple(sorted(islice(moved, k))) for k in self.sizes)
         )
 
-    def canonical_key(self) -> Tuple:
-        """Order-free fingerprint: sets sorted by (size desc, members)."""
-        return tuple(sorted(self.sets, key=lambda s: (-len(s), s)))
+    def canonical_key(self) -> Tuple[Tuple[int, ...], ...]:
+        """Order-free fingerprint: the sets in canonical order (``canonical_sets``)."""
+        return canonical_sets(self.sets)
+
+
+def canonical_sets(sets: Iterable[Iterable[int]]) -> Tuple[Tuple[int, ...], ...]:
+    """The canonical key of a family given as unsorted sets.
+
+    The stable sort by length, largest first, after the sort by members is the
+    canonical set order.
+    """
+    return tuple(sorted(sorted([tuple(sorted(s)) for s in sets]), key=len, reverse=True))
 
 
 def _check_packed(
@@ -160,7 +169,11 @@ def _check_packed(
 
 
 def delta_column(n: int, delta: int) -> int:
-    """Profile column delta - 1 of a shift in 1..n-1; no other delta wraps round to a column."""
+    """Profile column delta - 1 of a shift in 1..n-1; no other delta wraps round to a column.
+
+    A shift that is not an integer (``check_integer``) raises TypeError.
+    """
+    check_integer(delta, "delta")
     if delta == 0:
         raise IdentityDelta("delta must be a non-identity element")
     if not 1 <= delta < n:
@@ -447,11 +460,6 @@ def scaled_fractions(weights: Sequence[Fraction]) -> Tuple[int, Tuple[int, ...]]
     ws = [Fraction(w) for w in weights]
     d = lcm(*(w.denominator for w in ws))
     return d, tuple(int(w * d) for w in ws)
-
-
-def reciprocal_sums(profile: DifferenceProfile) -> Tuple[int, List[int]]:
-    """Integer-scaled reciprocal row sums: K and [K * sum_i N_i(delta)/k_i] per delta."""
-    return profile.scale, list(profile.reciprocal)
 
 
 def e_delta(family: DisjointFamily, profile: DifferenceProfile, delta: int) -> Fraction:

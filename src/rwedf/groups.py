@@ -32,6 +32,12 @@ SMALL_CLOSURE = 1 << 12
 BLOCK_CELLS = 1 << 18
 
 
+def check_integer(value, name: str = "element") -> None:
+    """TypeError unless value is an int or numpy integer; a bool is refused, so is 2.0."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} {value!r} is not an integer")
+
+
 def check_order(order: int) -> int:
     """The order itself; GroupTooLarge when it exceeds MAX_ORDER."""
     if order > MAX_ORDER:
@@ -112,8 +118,7 @@ class FiniteGroup:
         refused too), ValueError when it lies outside 0..n-1.
         """
         for x in (a, b):
-            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-                raise TypeError(f"element {x!r} is not an integer")
+            check_integer(x)
             if not 0 <= x < self.order:
                 raise ValueError(f"element {x} out of range for order {self.order}")
         return int(self.diff_array(a, b))
@@ -657,7 +662,13 @@ class Subgroup:
 
 
 def _check_range(group: FiniteGroup, members: Sequence[int]) -> None:
-    """ValueError when the least or the greatest of ascending members lies outside 0..n-1."""
+    """TypeError for a member that is not an integer, ValueError for ascending members outside 0..n-1.
+
+    An integer array passes by its dtype, with no work per element.
+    """
+    if not (isinstance(members, np.ndarray) and members.dtype.kind in "iu"):
+        for x in members:
+            check_integer(x)
     if len(members) and not (0 <= members[0] and members[-1] < group.order):
         bad = members[0] if members[0] < 0 else members[-1]
         raise ValueError(f"element {bad} out of range for order {group.order}")

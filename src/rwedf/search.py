@@ -14,10 +14,10 @@ when sedf, gsedf or bimodal is required, the live count N_i(d) of every set,
 and cuts a placement that lifts a count or a sum above its cap.  In a complete
 family the counts and sums add up to exactly (n-1) times each cap (see
 ``_build_caps``), so a leaf under every cap already passes edf, sedf, gsedf,
-rwedf (and ``target_ell``) and wedf.  bimodal is read off the live counts,
-and star_partition holds by construction: the identity is never placed, the
-sizes add up to n-1, and each completed set is cut unless it closes to a
-subgroup with the identity.  No leaf runs the classifier; the
+rwedf and wedf.  bimodal is read off the live counts, and star_partition
+holds by construction: the identity is never placed, the sizes add up to n-1,
+and each completed set is cut unless it closes to a subgroup with the
+identity.  No leaf runs the classifier; the
 naive generate-and-test path below does, and is the oracle for the search: it
 collects its leaves in order and classifies them with ``classify_many``.
 
@@ -65,6 +65,7 @@ from .classify import classify, classify_many
 from .errors import BudgetExceeded, GroupTooLarge, InfeasibleParameters
 from .family import (
     DisjointFamily,
+    canonical_sets,
     check_weights,
     difference_profile,
     scaled_fractions,
@@ -101,7 +102,6 @@ class SearchSpec:
     sizes: Tuple[int, ...]
     require: frozenset = frozenset()
     weights: Optional[Tuple[Fraction, ...]] = None
-    target_ell: Optional[Fraction] = None
     dedup: str = "none"  # "none" | "translation"
     node_budget: int = NODE_BUDGET
     result_cap: Optional[int] = None
@@ -133,11 +133,8 @@ class _StopSearch(Exception):
 def _validate_spec(spec: SearchSpec) -> SearchSpec:
     """The spec checked and normalised; both search paths read only this one.
 
-    ``sizes`` becomes a tuple and ``weights`` the validated weights.  The
-    identity (n-1)*ell = (m-1)*T fixes the only ell a family of these sizes
-    can have, so ``target_ell`` must equal it and is set to it whenever rwedf
-    is required: past this point the two are one requirement.  The dedup mode
-    is checked last, and is "none" under star_partition: a translate
+    ``sizes`` becomes a tuple and ``weights`` the validated weights.  The dedup
+    mode is checked last, and is "none" under star_partition: a translate
     F * h^-1, h != 0, of a star partition F holds h * h^-1 = 0, so it is not
     one, and dedup could drop no hit.
     """
@@ -161,7 +158,7 @@ def _validate_spec(spec: SearchSpec) -> SearchSpec:
     unknown = set(spec.require) - KNOWN_FLAGS
     if unknown:
         raise InfeasibleParameters(f"unknown requirement flags {sorted(unknown)}")
-    if n < 2 and (set(spec.require) - {"star_partition"} or spec.target_ell is not None):
+    if n < 2 and set(spec.require) - {"star_partition"}:
         raise InfeasibleParameters(
             "a group of order 1 has no non-identity differences to classify"
         )
@@ -172,19 +169,10 @@ def _validate_spec(spec: SearchSpec) -> SearchSpec:
         weights = check_weights(len(sizes), spec.weights)
     elif spec.weights is not None:
         raise InfeasibleParameters("weights are only read by the wedf flag")
-    ell = spec.target_ell
-    if ell is not None:
-        ell = Fraction(ell)
-        if (n - 1) * ell != (len(sizes) - 1) * total:
-            raise InfeasibleParameters(
-                f"(n-1)*ell = {(n - 1) * ell} but (m-1)*T = {(len(sizes) - 1) * total}"
-            )
-    elif "rwedf" in spec.require:
-        ell = Fraction((len(sizes) - 1) * total, n - 1)
     if spec.dedup not in ("none", "translation"):
         raise InfeasibleParameters(f"unknown dedup mode {spec.dedup!r}")
     dedup = "none" if "star_partition" in spec.require else spec.dedup
-    return replace(spec, sizes=sizes, weights=weights, target_ell=ell, dedup=dedup)
+    return replace(spec, sizes=sizes, weights=weights, dedup=dedup)
 
 
 @dataclass
@@ -200,7 +188,9 @@ def _build_caps(spec: SearchSpec) -> Optional[_Caps]:
     columns, so a column cap's sums add up to (n-1)*limit, and a row whose
     cells are capped at k_i*(T-k_i)/(n-1) is constant.  Staying under every
     cap therefore makes each capped row and column sum constant: the caps
-    alone decide edf, sedf, gsedf, rwedf (``target_ell``) and wedf.
+    alone decide edf, sedf, gsedf, rwedf and wedf.  Summed over the n-1
+    columns, a constant reciprocal sum ell gives (n-1)*ell = (m-1)*T, so rwedf
+    asks for the one ell the sizes allow.
     """
     n = spec.group.order
     sizes = spec.sizes
@@ -223,7 +213,7 @@ def _build_caps(spec: SearchSpec) -> Optional[_Caps]:
     coefs = []
     if "edf" in req:
         coefs.append((1,) * m)
-    if spec.target_ell is not None:
+    if "rwedf" in req:
         coefs.append(scaled_weights(sizes)[1])
     if "wedf" in req:
         coefs.append(scaled_fractions(spec.weights)[1])
@@ -240,14 +230,13 @@ def _build_caps(spec: SearchSpec) -> Optional[_Caps]:
 def _passing(families: List[DisjointFamily], spec: SearchSpec) -> List[DisjointFamily]:
     """The oracle's leaf filter: classify the families and keep those that meet every flag."""
     req = spec.require
-    ell = spec.target_ell
     if "star_partition" in req:
         families = [f for f in families if _is_star_partition(f)]
-    if not req - {"star_partition"} and ell is None:
+    if not req - {"star_partition"}:
         return families
     return [
         f for f, report in zip(families, classify_many(families, spec.weights))
-        if (ell is None or report.rwedf == ell)
+        if ("rwedf" not in req or report.rwedf is not None)
         and ("bimodal" not in req or report.bimodal.holds)
         and ("edf" not in req or report.edf is not None)
         and ("sedf" not in req or report.sedf is not None)
@@ -461,7 +450,7 @@ class _Searcher:
             for a, sigma in ties:
                 if a == 0 and sigma is identity:
                     continue  # key itself
-                if _canonical([[sigma[diff[x][a]] for x in s] for s in key]) < key:
+                if canonical_sets([[sigma[diff[x][a]] for x in s] for s in key]) < key:
                     return False
         return True
 
@@ -540,15 +529,6 @@ class _Searcher:
         cap = self.spec.result_cap
         if cap is not None and len(self.found) >= cap:
             raise _StopSearch
-
-
-def _canonical(sets: List[List[int]]) -> Key:
-    """The canonical key of a family given as unsorted sets.
-
-    The stable sort by length, largest first, after the sort by members is the
-    canonical set order.
-    """
-    return tuple(sorted(sorted([tuple(sorted(s)) for s in sets]), key=len, reverse=True))
 
 
 def _translation_classes(table: np.ndarray, autos: np.ndarray, key: Key, dedup: str) -> List[Key]:

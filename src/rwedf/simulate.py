@@ -34,14 +34,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import sqrt
 from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .family import (DisjointFamily, delta_column, difference_profile, r_bound,
-                     reciprocal_sums, scaled_weights)
+from .family import DisjointFamily, delta_column, difference_profile, r_bound, scaled_weights
+from .groups import packed
 
 # Trials drawn or scored, and cells scored, per step, so every temporary stays
 # about 128 KB at any trial count.  Steps of 2^18 made 100,000-trial games about
@@ -72,10 +71,9 @@ class _Board:
 
     def __init__(self, family: DisjointFamily):
         self.group = family.group
-        self.sizes = np.fromiter(family.sizes, dtype=np.int64, count=family.m)
+        sizes, self.members = packed(family.sets)
+        self.sizes = np.array(sizes, dtype=np.int64)
         self.start = np.cumsum(self.sizes) - self.sizes
-        self.members = np.fromiter(chain.from_iterable(family.sets), dtype=np.int64,
-                                   count=family.total)
         self.member_set = np.repeat(np.arange(family.m), self.sizes)
         self.owner = np.full(family.n, -1, dtype=np.int64)
         self.owner[self.members] = self.member_set
@@ -242,5 +240,5 @@ def play_best_response(family: DisjointFamily, trials: int, seed: int) -> GameRe
         raise ValueError("need at least one trial")
     if family.n < 2:
         raise ValueError("no non-identity element to shift by")
-    _, sums = reciprocal_sums(difference_profile(family))
+    sums = difference_profile(family).reciprocal
     return play(family, sums.index(max(sums)) + 1, trials, seed)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,7 @@ from rwedf import (
     weighted_sum,
 )
 from rwedf import family as family_module
-from rwedf.family import reciprocal_sums, scaled_weights
+from rwedf.family import scaled_weights
 
 from helpers import all_fixtures, bimodal_z12, mixed_z10, star_d10, weighted_z8
 
@@ -149,12 +150,33 @@ def test_delta_outside_the_group_is_refused(fam):
         read(n - 1)
 
 
+SHIFT_READERS = {
+    "cell": lambda fam, prof, d: prof.cell(0, d),
+    "column_sum": lambda fam, prof, d: prof.column_sum(d),
+    "e_delta": lambda fam, prof, d: e_delta(fam, prof, d),
+    "weighted_sum": lambda fam, prof, d: weighted_sum(fam, prof, (1,) * fam.m, d),
+    "play": lambda fam, prof, d: play(fam, d, trials=10, seed=0),
+}
+
+
+@pytest.mark.parametrize("delta", [True, 2.0, 2.5, "3"], ids=repr)
+@pytest.mark.parametrize("reader", SHIFT_READERS)
+def test_shift_must_be_an_integer(reader, delta):
+    # True would read column 0 and 2.0 index like 2: neither is rounded
+    fam, _ = weighted_z8()
+    prof = difference_profile(fam)
+    read = SHIFT_READERS[reader]
+    with pytest.raises(TypeError, match=rf"delta {re.escape(repr(delta))} is not an integer"):
+        read(fam, prof, delta)
+    assert read(fam, prof, np.int64(2)) == read(fam, prof, 2)
+
+
 def test_scaled_weights_and_sums():
     assert scaled_weights((3, 3, 2)) == (6, (2, 2, 3))
     fam, _ = weighted_z8()
-    k, sums = reciprocal_sums(difference_profile(fam))
-    assert k == 6
-    assert sums == [14, 14, 14, 12, 14, 14, 14]
+    prof = difference_profile(fam)
+    assert prof.scale == 6
+    assert prof.reciprocal == (14, 14, 14, 12, 14, 14, 14)
 
 
 def test_e_delta_and_e_hat():
@@ -251,7 +273,7 @@ def test_dense_matrix_cell_budget(monkeypatch):
     assert isinstance(ProfileTooLarge("x"), ValueError)
     # the whole-family reads never build the matrix
     assert e_hat(fam, prof) == Fraction(7, 9) and e_delta(fam, prof, 4) == Fraction(2, 3)
-    assert reciprocal_sums(prof) == (6, [14, 14, 14, 12, 14, 14, 14])
+    assert (prof.scale, prof.reciprocal) == (6, (14, 14, 14, 12, 14, 14, 14))
     assert is_bimodal(fam, prof).holds is False
     assert "matrix" not in vars(prof)
 

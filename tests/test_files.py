@@ -1,6 +1,9 @@
+import argparse
 import importlib
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -439,8 +442,8 @@ def test_cli_group_too_large_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [("--require", "rwedf"), ("--require", "sedf"), ("--ell", "0")],
-    ids=["rwedf", "sedf", "ell"],
+    [("--require", "rwedf"), ("--require", "sedf"), ("--require", "wedf", "--weights", "1")],
+    ids=["rwedf", "sedf", "wedf"],
 )
 def test_cli_search_order_one_group_exits_2(tmp_path, capsys, flags):
     code, _, err = run(capsys, "search", "--group", '{"kind": "cyclic", "n": 1}',
@@ -491,15 +494,16 @@ def test_cli_search_bad_input(tmp_path, capsys):
     assert code == 2 and "non-increasing" in err
     code, _, err = run(capsys, *base, "--sizes", "3,3", "--require", "sparkle")
     assert code == 2
-    code, _, err = run(capsys, *base, "--sizes", "3,3", "--ell", "x")
-    assert code == 2 and "bad --ell" in err
+    # the identity (n-1)*ell = (m-1)*T fixes ell: --require rwedf asks for it, and no flag names it
+    with pytest.raises(SystemExit) as exc:
+        main([*base, "--sizes", "2,2,1,1", "--ell", "2"])
+    assert exc.value.code == 2 and "unrecognized arguments: --ell" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, match", [
     (["verify", "{family}", "--weights", ""], "not a rational"),
     (["verify", "{family}", "--profile-csv", ""], "No such file"),
-    (["search", "--group", '{{"kind": "cyclic", "n": 9}}', "--sizes", "2,2", "--ell", "",
-      "--out", "{out}"], "not a rational"),
+    (["search", "--group", "", "--sizes", "2,2", "--out", "{out}"], "bad group descriptor"),
     (["search", "--group", '{{"kind": "cyclic", "n": 9}}', "--sizes", "2,2", "--weights", "",
       "--out", "{out}"], "not a rational"),
     (["search", "--group", '{{"kind": "cyclic", "n": 9}}', "--sizes", "2,,2", "--out", "{out}"],
@@ -514,7 +518,7 @@ def test_cli_search_bad_input(tmp_path, capsys):
       "--set", "0,,1,3", "--out", "{out}"], "bad --set"),
     (["construct", "subgroup_star_family", "--group", '{{"kind": "cyclic", "n": 12}}',
       "--subgroup", "", "--out", "{out}"], "bad --subgroup"),
-], ids=["verify-weights", "verify-profile-csv", "search-ell", "search-weights",
+], ids=["verify-weights", "verify-profile-csv", "search-group", "search-weights",
         "search-sizes-inner-item", "search-sizes-last-item", "search-require-items",
         "search-require", "construct-set-item", "construct-subgroup"])
 def test_cli_empty_flag_value_exits_2(tmp_path, capsys, argv, match):
@@ -524,6 +528,21 @@ def test_cli_empty_flag_value_exits_2(tmp_path, capsys, argv, match):
     code, text, err = run(capsys, *argv)
     assert code == 2 and text == "" and _one_line_error(err) and match in err
     assert not out.exists()
+
+
+def test_readme_names_every_flag_of_the_parser():
+    # the long options of every subcommand, and the --flags the README's
+    # "Command line" section names: a flag added, dropped or renamed in one
+    # but not the other fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    parsed = {flag for command in commands.values() for action in command._actions
+              for flag in action.option_strings if flag.startswith("--")} - {"--help"}
+    assert documented - parsed == set()
+    assert parsed - documented == set()
 
 
 @pytest.mark.parametrize("command", [
@@ -796,15 +815,15 @@ def test_cli_misspelt_weights_key_exits_2(tmp_path, capsys):
 HUGE_EXPONENT = "1e999999999"
 
 
-@pytest.mark.parametrize("where", ["verify --weights", "search --ell", "family file"])
+@pytest.mark.parametrize("where", ["verify --weights", "search --weights", "family file"])
 def test_cli_exponent_literal_exits_2(tmp_path, capsys, where):
     # Fraction would build a billion-digit integer for it; refused before any arithmetic
     path = _pair_z7_file(tmp_path)
     argv = {
         "verify --weights": ["verify", str(path), "--weights", f"1/2,{HUGE_EXPONENT}"],
-        "search --ell": ["search", "--group", '{"kind": "cyclic", "n": 7}', "--sizes", "2,1",
-                         "--require", "wedf", "--ell", HUGE_EXPONENT,
-                         "--out", str(tmp_path / "hits.jsonl")],
+        "search --weights": ["search", "--group", '{"kind": "cyclic", "n": 7}', "--sizes", "2,1",
+                             "--require", "wedf", "--weights", f"1/2,{HUGE_EXPONENT}",
+                             "--out", str(tmp_path / "hits.jsonl")],
         "family file": ["verify", str(path)],
     }[where]
     if where == "family file":

@@ -19,14 +19,18 @@ from rwedf import (
     IdentityNotZero,
     NotAGroup,
     Subgroup,
+    check_difference_set,
+    check_partial_difference_set,
     closure,
     enumerate_subgroups,
     group_from_descriptor,
+    internal_difference_group,
+    internal_differences,
     left_cosets,
     subgroup_star_family,
 )
 from rwedf.constructions import f21_group
-from rwedf.groups import is_subgroup
+from rwedf.groups import is_subgroup, self_difference_counts
 
 from helpers import KERNEL_POOL
 
@@ -254,6 +258,33 @@ def test_scalar_law_refuses_a_non_integer_element(g):
                 call()
     last = np.int64(g.order - 1)
     assert g.diff(last, last) == 0 and family.translate(last).sets == ((g.order - 1,),)
+
+
+MEMBER_LIST_READERS = {
+    "internal_differences": internal_differences,
+    "internal_difference_group": internal_difference_group,
+    "self_difference_counts": self_difference_counts,
+    "is_subgroup": lambda g, members: is_subgroup(g, [0, *members]),
+    "left_cosets": lambda g, members: left_cosets(g, [0, *members]),
+    "check_difference_set": check_difference_set,
+    "check_partial_difference_set": check_partial_difference_set,
+    "closure": closure,
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, 4.0, np.float64(4.0), True], ids=repr)
+@pytest.mark.parametrize("reader", MEMBER_LIST_READERS)
+def test_member_lists_must_be_integers(reader, bad):
+    """A member that is not an integer is refused, never truncated or used as an index."""
+    g = CyclicGroup(12)
+    call = MEMBER_LIST_READERS[reader]
+    with pytest.raises(TypeError, match=re.escape(f"element {bad!r} is not an integer")):
+        call(g, [6, bad])
+    # numpy integers pass, one by one or as an integer array
+    expected = call(g, [4, 8])
+    for good in ([np.int64(4), np.int64(8)], np.array([4, 8])):
+        got = call(g, good)
+        assert np.array_equal(got, expected) if isinstance(got, np.ndarray) else got == expected
 
 
 def test_subgroup_star_and_contains():

@@ -121,16 +121,6 @@ def test_translation_dedup():
         assert fam.canonical_key() == min(keys)
 
 
-def test_target_ell_filter():
-    spec = SearchSpec(group=CyclicGroup(10), sizes=(2, 2, 1, 1), target_ell=Fraction(2))
-    res = enumerate_families(spec)
-    assert len(res.families) == 40
-    with pytest.raises(InfeasibleParameters):
-        enumerate_families(
-            SearchSpec(group=CyclicGroup(10), sizes=(2, 2, 1, 1), target_ell=Fraction(3))
-        )
-
-
 @pytest.mark.parametrize("dedup", ["none", "translation"])
 @pytest.mark.parametrize(
     "group, sizes, require, weights",
@@ -142,17 +132,20 @@ def test_target_ell_filter():
     ],
 )
 def test_target_ell_is_the_rwedf_requirement(group, sizes, require, weights, dedup):
-    # (n-1)*ell = (m-1)*T leaves one ell, so a target at it asks what rwedf asks
+    # summed over the n-1 shifts, a constant reciprocal sum ell gives
+    # (n-1)*ell = (m-1)*T: the sizes leave one target ell, and the rwedf flag
+    # asks for exactly the families that reach it
     ell = Fraction((len(sizes) - 1) * sum(sizes), group.order - 1)
     by_flag = SearchSpec(group=group, sizes=sizes, require=require | {"rwedf"},
                          weights=weights, dedup=dedup)
-    by_ell = SearchSpec(group=group, sizes=sizes, require=require, weights=weights,
-                        target_ell=ell, dedup=dedup)
+    unfiltered = replace(by_flag, require=require)
     for run in (enumerate_families, naive_enumerate):
-        flagged, targeted = run(by_flag), run(by_ell)
-        assert flagged.families
-        assert [f.sets for f in targeted.families] == [f.sets for f in flagged.families]
-        assert targeted.stats == flagged.stats
+        families = run(unfiltered).families
+        reports = [classify(f) for f in families]
+        assert {r.rwedf for r in reports} <= {None, ell}
+        hits = run(by_flag).families
+        assert hits and [f.sets for f in hits] == [
+            f.sets for f, r in zip(families, reports) if r.rwedf is not None]
 
 
 def test_parallel_matches_serial():
@@ -168,7 +161,7 @@ def test_parallel_matches_serial():
 # unique and tied largest sets alike take the symmetry cut on the largest block
 SYMMETRIC_CASES = [
     (CyclicGroup(9), (4, 2), dict(require=frozenset({"rwedf"})), 27, 3),
-    (CyclicGroup(7), (2, 2, 2), dict(target_ell=Fraction(2)), 21, 3),
+    (CyclicGroup(7), (2, 2, 2), dict(require=frozenset({"rwedf"})), 21, 3),
     (DihedralGroup(4), (4, 2, 1, 1), dict(require=frozenset({"bimodal"})), 28, 7),
     (DihedralGroup(5), (2, 2, 2), dict(require=frozenset({"bimodal"})), 50, 10),
     (
@@ -364,7 +357,8 @@ def test_leaves_run_no_classifier(monkeypatch):
 @pytest.mark.parametrize(
     "kwargs",
     [dict(require=frozenset({flag})) for flag in ("rwedf", "bimodal", "edf", "sedf", "gsedf")]
-    + [dict(require=frozenset({"wedf"}), weights=(1,)), dict(target_ell=Fraction(0))],
+    + [dict(require=frozenset({"wedf"}), weights=(1,)),
+       dict(require=frozenset({"rwedf", "star_partition"}))],
 )
 def test_order_one_group_refuses_classifying_flags(kwargs):
     spec = SearchSpec(group=CyclicGroup(1), sizes=(1,), **kwargs)
@@ -461,10 +455,8 @@ HOLOMORPH_CASES = [
 ]
 
 
-def holomorph_flags(group, sizes):
-    m, total, n = len(sizes), sum(sizes), group.order
-    flags = [dict(), dict(target_ell=Fraction((m - 1) * total, n - 1)),
-             dict(require=frozenset({"wedf"}), weights=(HALF,) * m)]
+def holomorph_flags(sizes):
+    flags = [dict(), dict(require=frozenset({"wedf"}), weights=(HALF,) * len(sizes))]
     return flags + [dict(require=frozenset({flag}))
                     for flag in ("rwedf", "bimodal", "edf", "sedf", "gsedf")]
 
@@ -493,7 +485,7 @@ ROOM_CASES = [
 
 @pytest.mark.parametrize("group, sizes", HOLOMORPH_CASES + ROOM_CASES, ids=str)
 def test_holomorph_search_matches_naive(memo_oracle, group, sizes):
-    for kwargs in holomorph_flags(group, sizes):
+    for kwargs in holomorph_flags(sizes):
         for dedup in ("none", "translation"):
             res = both(SearchSpec(group=group, sizes=sizes, dedup=dedup, **kwargs))
             assert res.stats.complete
