@@ -22,10 +22,12 @@ group's difference table (``diff_rows``, which the orbit sweep already holds,
 made an array once) translates the members, and one sort on (set, element)
 gives the members in set order.  They are checked in batches of
 CROSS_CHECK_BATCH, in census order, across blocks and supports: each batch is
-checked in numpy as ``DisjointFamily`` checks a family, goes to the stack
-reducer (``family._stack_profiles``) once per total, and its integer verdict
-columns are compared, as whole arrays, with what the blocks' own scoring
-found.  No family, profile, report or Fraction object is made for them.
+checked in numpy as ``DisjointFamily`` checks a family and goes to the stack
+reducer (``family._stack_profiles``) once per total.  The reducer scales a
+family's sums by K = lcm of its sizes, which divides lcm(1..n), so its sums
+times lcm(1..n) / K must equal the block's own sums, row for row, in one
+exact int64 comparison of whole arrays.  No family, profile, report or
+Fraction object is made for them.
 ``CensusStats.elapsed_s`` and ``cross_check_s`` time the sweep and the part of
 it the cross-checks take.
 """
@@ -34,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import lcm
 from time import perf_counter
-from typing import Dict, Iterator, List, NamedTuple, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -43,12 +45,13 @@ from .family import DENSE_CELL_LIMIT, _check_packed, _stack_profiles
 from .groups import FiniteGroup, check_integer
 
 CENSUS_BLOCK = 1 << 16  # most mask and sum cells of one block of census rows
-# Crossed census families checked in one batch.  Each holds at most about
-# 5n + 16 int64 cells until its batch is compared: its packed members, set
-# sizes and weights, the census's verdicts, the reducer's n - 1 reciprocal sums
-# and row tops, and the verdict columns.  That is under 120 cells for every
-# order the census takes (n <= 20), so 512 families stay within the
-# CENSUS_BLOCK cells of one census block.
+# Crossed census families checked in one batch.  Each holds about 7n int64
+# cells until its batch is compared: its packed members, set sizes and weights
+# and the reducer's row tops (at most 4n, as a family of T <= n members has at
+# most T sets), and three rows of n - 1 sums (the census's, the reducer's and
+# the rescaled ones).  So 512 families hold at most about 72,000 cells (at
+# n = 20, the largest order the census takes), near the CENSUS_BLOCK cells of
+# one census block, and under 30,000 for the groups of order 8.
 CROSS_CHECK_BATCH = 512
 
 
@@ -212,30 +215,23 @@ def _crossed_families(
     return sizes[sizes > 0], keys.ravel()
 
 
-class Verdicts(NamedTuple):
-    """classify's rwedf, e_hat and r_optimal verdicts on packed families, as integer columns."""
-
-    rwedf: np.ndarray  # whether the reciprocal sums are constant
-    ell: np.ndarray  # the first reciprocal sum, ell * scale when they are
-    top: np.ndarray  # the largest reciprocal sum, e_hat * scale * m
-    scale: np.ndarray  # K = lcm of the family's sizes
-    r_optimal: np.ndarray  # whether e_hat meets the averaging bound
-
-
-def _cross_verdicts(
+def _kernel_sums(
     group: FiniteGroup, parts: np.ndarray, sizes: np.ndarray, elems: np.ndarray
-) -> Verdicts:
-    """The verdicts of the pair kernel on packed families: family f has parts[f] of the sets.
+) -> np.ndarray:
+    """The pair kernel's reciprocal sums of packed families, scaled by lcm(1..n) as the census's are.
 
-    The families are checked as ``DisjointFamily`` checks one, in numpy, and
-    go to ``_stack_profiles`` once per total, in census order within it.
+    Family f has parts[f] of the sets.  The families are checked as
+    ``DisjointFamily`` checks one, in numpy, and go to ``_stack_profiles`` once
+    per total, in census order within it.  The reducer scales family f's sums
+    by K = lcm of its sizes, which divides lcm(1..n), so each row is rescaled
+    by one exact integer factor, and stays within int64 as ``_census_scale``
+    bounds every census sum.
     """
-    n = group.order
+    scale = _census_scale(group.order)
     starts = np.zeros(len(parts) + 1, dtype=np.int64)
     np.cumsum(parts, out=starts[1:])
     totals = np.add.reduceat(sizes, starts[:-1])
-    verdicts = Verdicts(*(np.empty(len(parts), dtype=t) for t in (bool, np.int64, np.int64,
-                                                                  np.int64, bool)))
+    sums = np.empty((len(parts), group.order - 1), dtype=np.int64)
     for total in np.flatnonzero(np.bincount(totals)).tolist():
         chosen = totals == total
         within = np.repeat(chosen, parts)
@@ -243,34 +239,23 @@ def _cross_verdicts(
         stack_elems = elems[np.repeat(within, sizes)]
         _check_packed(group, total, stack_parts, stack_sizes, stack_elems)
         stack = _stack_profiles(group, total, stack_parts, stack_sizes, stack_elems)
-        sums = stack.reciprocal
-        top = sums.max(axis=1)
-        verdicts.rwedf[chosen] = (sums == sums[:, :1]).all(axis=1)
-        verdicts.ell[chosen] = sums[:, 0]
-        verdicts.top[chosen] = top
-        verdicts.scale[chosen] = stack.scale
-        # e_hat = top / (K * m) meets (m - 1) * T / (m * (n - 1))
-        verdicts.r_optimal[chosen] = top * (n - 1) == (stack_parts - 1) * total * stack.scale
-    return verdicts
+        sums[chosen] = stack.reciprocal * (scale // stack.scale)[:, None]
+    return sums
 
 
-def _cross_check(stats: CensusStats, group: FiniteGroup, batch: List[Tuple[np.ndarray, ...]],
-                 scale: int) -> None:
-    """Take the pair kernel's verdicts on a batch, count the families where they disagree, and clear it.
+def _cross_check(stats: CensusStats, group: FiniteGroup,
+                 batch: List[Tuple[np.ndarray, ...]]) -> None:
+    """Count the families of a batch whose census sums differ from the pair kernel's, and clear it.
 
     Each entry of the batch holds packed families (each one's set count, every
-    set's size, the members) and what the census says of each, in integers:
-    whether its sums are constant, the first sum ell * scale, the largest sum
-    best = e_hat * scale * m, and whether e_hat meets the averaging bound.  A
-    sum is at most m <= n times its scale, and scale and K are at most
-    lcm(1..20), so every cross product stays below 20 * lcm(1..20)^2 < 2^63.
+    set's size, the members) and the census's reciprocal sums of each, scaled
+    by lcm(1..n).  Right translation keeps the sums, so where the census is
+    right the two paths agree row for row, in one exact int64 comparison.
     """
-    parts, sizes, elems, flat, ell, best, meets = (np.concatenate(c) for c in zip(*batch))
-    got = _cross_verdicts(group, parts, sizes, elems)
-    agree = (got.rwedf == flat) & (got.top * scale == best * got.scale) & (got.r_optimal == meets)
-    agree &= ~flat | (got.ell * scale == ell * got.scale)
+    parts, sizes, elems, sums = (np.concatenate(c) for c in zip(*batch))
+    differ = (_kernel_sums(group, parts, sizes, elems) != sums).any(axis=1)
     stats.cross_checked += len(parts)
-    stats.cross_failures += len(parts) - int(np.count_nonzero(agree))
+    stats.cross_failures += int(np.count_nonzero(differ))
     batch.clear()
 
 
@@ -291,9 +276,9 @@ def rwedf_census(group: FiniteGroup, cross_check_every: int = 0) -> CensusStats:
     checked.  The exception is the group of order 1, whose one family is
     counted but never crossed, as classification needs n >= 2.  The crossed
     families go packed, in batches of CROSS_CHECK_BATCH in census order, to
-    the stack reducer of ``difference_profiles``, and its verdicts (whether
-    the reciprocal sums are constant, ell, e_hat and the R-optimal test) are
-    compared in integers with the block's own sums.  ``elapsed_s`` and
+    the stack reducer of ``difference_profiles``, and its reciprocal sums,
+    rescaled to lcm(1..n), must equal the block's own sums exactly: a family
+    where any sum differs is a cross failure.  ``elapsed_s`` and
     ``cross_check_s`` of the result time the whole sweep and the cross-checks
     in it.  Orders from 21 up are refused: the whole group's subset table
     would pass DENSE_CELL_LIMIT cells.  A cross_check_every that is not an int
@@ -349,15 +334,15 @@ def rwedf_census(group: FiniteGroup, cross_check_every: int = 0) -> CensusStats:
                 r, t = np.divmod(crossing[:room] - start - 1, w)
                 crossing = crossing[room:]
                 sizes, elems = _crossed_families(group, translate[points, moves[t][:, None]], rgs[r])
-                batch.append((m[r], sizes, elems, constant[r], sums[r, 0], best[r], meets_bound[r]))
+                batch.append((m[r], sizes, elems, sums[r]))
                 held += len(r)
                 if held == CROSS_CHECK_BATCH:
-                    _cross_check(stats, group, batch, scale)
+                    _cross_check(stats, group, batch)
                     held = 0
             stats.cross_check_s += perf_counter() - checking
     if batch:
         checking = perf_counter()
-        _cross_check(stats, group, batch, scale)
+        _cross_check(stats, group, batch)
         stats.cross_check_s += perf_counter() - checking
     stats.elapsed_s = perf_counter() - began
     return stats

@@ -85,6 +85,8 @@ class DisjointFamily:
             prev = -1
             clash = 0
             for x in members:
+                if type(x) is not int:
+                    check_integer(x)  # a numpy integer passes; a bool or float does not
                 if not 0 <= x < n:
                     raise ValueError(f"element {x} out of range in set {i}")
                 if x <= prev:
@@ -168,6 +170,17 @@ def _check_packed(
         raise ValueError("a packed family has overlapping sets")
 
 
+def set_index(m: int, i: int) -> int:
+    """Profile row i of a family of m sets, i in 0..m-1; no other index wraps round to a row.
+
+    An index that is not an integer (``check_integer``) raises TypeError.
+    """
+    check_integer(i, "set index")
+    if not 0 <= i < m:
+        raise ValueError(f"set index {i} is outside 0..{m - 1}")
+    return i
+
+
 def delta_column(n: int, delta: int) -> int:
     """Profile column delta - 1 of a shift in 1..n-1; no other delta wraps round to a column.
 
@@ -211,10 +224,12 @@ class DifferenceProfile:
         return count_matrix(self.family)
 
     def row(self, i: int) -> Tuple[int, ...]:
+        i = set_index(self.family.m, i)
         return tuple(self.matrix[i].tolist())
 
     def cell(self, i: int, delta: int) -> int:
-        return int(self.matrix[i, delta_column(self.family.n, delta)])
+        i, col = set_index(self.family.m, i), delta_column(self.family.n, delta)
+        return int(self.matrix[i, col])
 
     def column_sum(self, delta: int) -> int:
         return int(self.matrix[:, delta_column(self.family.n, delta)].sum())

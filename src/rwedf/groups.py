@@ -355,14 +355,6 @@ class HeisenbergGroup(FiniteGroup):
 
     (a, b, c) stands for the matrix with a top-middle, b top-right, c middle-right;
     index is a*p^2 + b*p + c.  For odd p every non-identity element has order p.
-
-    The law (a, b, c) * (d, e, f)^-1 = (a - d, b + (d f - e) - a f, c - f) is
-    table-driven.  d f - e, like each coordinate, is taken on the unbroadcast
-    operands.  Per pair, a gather at a*p + f gives -a f mod p; added to the
-    radix-3p spellings of (a, b) and of (-d, d f - e), it indexes a fold table
-    that reduces the first two coordinates mod p, and c + (-f mod p) indexes
-    one that reduces the third.  The tables, built on first use, hold
-    7 p^2 + 2p int64 cells.
     """
 
     kind = "heisenberg"
@@ -381,28 +373,22 @@ class HeisenbergGroup(FiniteGroup):
         p = self.p
         return (a % p) * p * p + (b % p) * p + (c % p)
 
-    @cached_property
-    def _tables(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(-a f mod p at a*p + f, the fold of the first two coordinates, the fold of the third)."""
-        p = self.p
-        r = np.arange(3 * p, dtype=np.int64) % p
-        neg_af = (-np.multiply.outer(r[:p], r[:p]) % p).ravel()
-        fold = (r[: 2 * p, None] * (p * p) + r * p).ravel()  # at t*3p + m: t*p^2 + m*p, mod p
-        return neg_af, fold, r[: 2 * p]
-
     def diff_array(self, x, y) -> np.ndarray:
+        # (a, b, c) * (d, e, f)^-1 = (a - d, b - e - (a - d) f, c - f)
         p = self.p
-        neg_af, fold, fold_last = self._tables
-        a, x = np.divmod(x, p * p)
-        b, c = np.divmod(x, p)
-        d, y = np.divmod(y, p * p)
-        e, f = np.divmod(y, p)
-        key = neg_af[np.add(a * p, f)]
-        key += a * (3 * p) + b
-        key += -d % p * (3 * p) + (d * f - e) % p
-        out = fold[key]
-        out += fold_last[np.add(c, -f % p)]
-        return out
+        x, c = np.divmod(x, p)
+        a, b = np.divmod(x, p)
+        y, f = np.divmod(y, p)
+        d, e = np.divmod(y, p)
+        top = np.subtract(a, d)
+        mid = b - e - top * f
+        mid %= p
+        top %= p
+        top *= p
+        top += mid
+        top *= p
+        top += (c - f) % p
+        return top
 
     def describe(self) -> dict:
         return {"kind": "heisenberg", "p": self.p}

@@ -171,6 +171,34 @@ def test_shift_must_be_an_integer(reader, delta):
     assert read(fam, prof, np.int64(2)) == read(fam, prof, 2)
 
 
+def refused(value, name, bound):
+    """pytest.raises for a value that is not an int or numpy integer, or lies outside its range."""
+    if type(value) is int:
+        return pytest.raises(ValueError, match=rf"{name} {value} .*{re.escape(bound)}")
+    return pytest.raises(TypeError, match=rf"{name} {re.escape(repr(value))} is not an integer")
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "0", -1, 6], ids=repr)
+def test_family_members_must_be_integers(bad):
+    # True was taken as the member 1, and 1.0 raised a raw bytearray TypeError
+    g = CyclicGroup(6)
+    with refused(bad, "element", "out of range in set 0"):
+        DisjointFamily(g, ((bad, 2), (3,)))
+    assert e_hat(DisjointFamily(g, ((np.int64(1), 2), (3,)))) == e_hat(
+        DisjointFamily(g, ((1, 2), (3,))))
+
+
+@pytest.mark.parametrize("index", [True, 1.0, "0", -1, 2], ids=repr)
+@pytest.mark.parametrize("reader", ["row", "cell"])
+def test_set_index_must_be_an_integer(reader, index):
+    # row(-1) wrapped round to the last set and row(True) returned the whole matrix
+    prof = difference_profile(DisjointFamily(CyclicGroup(6), ((0, 1), (3,))))
+    read = {"row": prof.row, "cell": lambda i: prof.cell(i, 2)}[reader]
+    with refused(index, "set index", "outside 0..1"):
+        read(index)
+    assert read(np.int64(1)) == read(1)
+
+
 def test_scaled_weights_and_sums():
     assert scaled_weights((3, 3, 2)) == (6, (2, 2, 3))
     fam, _ = weighted_z8()

@@ -991,13 +991,13 @@ def check_every_genuine_family(monkeypatch, group, families):
     checked = []
     batches = []
 
-    def recording_verdicts(group, parts, sizes, elems, real=census._cross_verdicts):
+    def recording_sums(group, parts, sizes, elems, real=census._kernel_sums):
         checked.extend(DisjointFamily(group, sets).canonical_key()
                        for sets in packed_sets(parts, sizes, elems))
         batches.append(len(parts))
         return real(group, parts, sizes, elems)
 
-    monkeypatch.setattr(census, "_cross_verdicts", recording_verdicts)
+    monkeypatch.setattr(census, "_kernel_sums", recording_sums)
     stats = rwedf_census(group, cross_check_every=1)
     every = []
     reference_census(group, record=every)
@@ -1011,16 +1011,37 @@ def check_every_genuine_family(monkeypatch, group, families):
 def test_census_cross_check_catches_a_wrong_report(monkeypatch):
     perturbed = []
 
-    def perturbing_verdicts(group, parts, sizes, elems, real=census._cross_verdicts):
-        verdicts = real(group, parts, sizes, elems)
+    def perturbing_sums(group, parts, sizes, elems, real=census._kernel_sums):
+        got = real(group, parts, sizes, elems)
         if len(parts) and not perturbed:
-            verdicts.top[-1] += 1  # e_hat of the batch's last family moves by 1 / (K * m)
+            got[-1, 0] += 1  # the batch's last family's first sum moves by 1 / lcm(1..n)
             perturbed.append(packed_sets(parts, sizes, elems)[-1])
-        return verdicts
+        return got
 
-    monkeypatch.setattr(census, "_cross_verdicts", perturbing_verdicts)
+    monkeypatch.setattr(census, "_kernel_sums", perturbing_sums)
     stats = rwedf_census(DihedralGroup(3), cross_check_every=5)
     assert len(perturbed) == 1
+    assert stats.cross_checked == 876 // 5 and stats.cross_failures == 1
+
+
+def test_census_cross_check_catches_a_wrong_least_sum(monkeypatch):
+    # a least sum of a non-constant family raised by 1 keeps its largest sum, its
+    # non-constancy and its R-optimal verdict: only the sums themselves show it
+    raised = []
+
+    def raising_stack(group, total, parts, sizes, elems, real=census._stack_profiles):
+        stack = real(group, total, parts, sizes, elems)
+        sums = stack.reciprocal
+        spread = sums.max(axis=1) - sums.min(axis=1)
+        if not raised and (spread >= 2).any():
+            f = int(np.argmax(spread >= 2))
+            sums[f, sums[f].argmin()] += 1
+            raised.append(f)
+        return stack
+
+    monkeypatch.setattr(census, "_stack_profiles", raising_stack)
+    stats = rwedf_census(DihedralGroup(3), cross_check_every=5)
+    assert len(raised) == 1
     assert stats.cross_checked == 876 // 5 and stats.cross_failures == 1
 
 
@@ -1058,24 +1079,28 @@ def test_census_of_the_trivial_group_crosses_nothing():
 @pytest.mark.parametrize("group", [DihedralGroup(3), CyclicGroup(6), ElementaryAbelianGroup(2, 3)],
                          ids=repr)
 def test_census_verdicts_match_classify(monkeypatch, group):
-    # every crossed family's integer verdicts against classify's report of the same family
+    # the verdicts read off every crossed family's kernel sums against classify's report
     seen = []
 
-    def recording_verdicts(group, parts, sizes, elems, real=census._cross_verdicts):
-        verdicts = real(group, parts, sizes, elems)
-        seen.extend(zip(packed_sets(parts, sizes, elems), *(v.tolist() for v in verdicts)))
-        return verdicts
+    def recording_sums(group, parts, sizes, elems, real=census._kernel_sums):
+        got = real(group, parts, sizes, elems)
+        seen.extend(zip(packed_sets(parts, sizes, elems), got.tolist()))
+        return got
 
-    monkeypatch.setattr(census, "_cross_verdicts", recording_verdicts)
+    monkeypatch.setattr(census, "_kernel_sums", recording_sums)
     stats = rwedf_census(group, cross_check_every=1)
     assert len(seen) == stats.cross_checked == stats.families and stats.cross_failures == 0
-    for sets, flat, ell, top, scale, optimal in seen:
+    n, scale = group.order, lcm(*range(1, group.order + 1))
+    for sets, sums in seen:
+        m, total, top = len(sets), sum(map(len, sets)), max(sums)
         report = classify(DisjointFamily(group, sets))
+        flat = len(set(sums)) == 1
         assert flat == (report.rwedf is not None), sets
         if flat:
-            assert Fraction(ell, scale) == report.rwedf, sets
-        assert Fraction(top, scale * len(sets)) == report.e_hat, sets
-        assert optimal == report.r_optimal, sets
+            assert Fraction(sums[0], scale) == report.rwedf, sets
+        assert Fraction(top, scale * m) == report.e_hat, sets
+        # e_hat = top / (scale * m) meets (m - 1) * T / (m * (n - 1))
+        assert (top * (n - 1) == (m - 1) * total * scale) == report.r_optimal, sets
 
 
 def test_census_cross_checks_build_no_family_objects(monkeypatch):
@@ -1187,11 +1212,11 @@ def test_census_cross_check_positions_frozen(monkeypatch, block, group, every, c
     monkeypatch.setattr(census, "CENSUS_BLOCK", block)
     checked = []
 
-    def recording_verdicts(group, parts, sizes, elems, real=census._cross_verdicts):
+    def recording_sums(group, parts, sizes, elems, real=census._kernel_sums):
         checked.extend(packed_sets(parts, sizes, elems))
         return real(group, parts, sizes, elems)
 
-    monkeypatch.setattr(census, "_cross_verdicts", recording_verdicts)
+    monkeypatch.setattr(census, "_kernel_sums", recording_sums)
     stats = rwedf_census(group, cross_check_every=every)
     assert stats.cross_checked == len(checked) == count
     assert hashlib.sha256(repr(checked).encode()).hexdigest() == digest
@@ -1231,17 +1256,17 @@ def test_census_times_its_cross_checks():
 
 
 def test_census_cross_check_time_holds_every_batch(monkeypatch):
-    # a clock that moves one second in each batch's verdicts and stands still otherwise
+    # a clock that moves one second in each batch's kernel sums and stands still otherwise
     clock = [0.0]
     batches = []
 
-    def ticking_verdicts(group, parts, sizes, elems, real=census._cross_verdicts):
+    def ticking_sums(group, parts, sizes, elems, real=census._kernel_sums):
         clock[0] += 1
         batches.append(len(parts))
         return real(group, parts, sizes, elems)
 
     monkeypatch.setattr(census, "perf_counter", lambda: clock[0])
-    monkeypatch.setattr(census, "_cross_verdicts", ticking_verdicts)
+    monkeypatch.setattr(census, "_kernel_sums", ticking_sums)
     monkeypatch.setattr(census, "CROSS_CHECK_BATCH", 5)
     stats = rwedf_census(DihedralGroup(3), cross_check_every=2)
     assert batches == [5] * 87 + [3]
