@@ -232,7 +232,8 @@ class DifferenceProfile:
         return int(self.matrix[i, col])
 
     def column_sum(self, delta: int) -> int:
-        return int(self.matrix[:, delta_column(self.family.n, delta)].sum())
+        col = delta_column(self.family.n, delta)
+        return int(self.matrix[:, col].sum())
 
 
 def count_matrix(family: DisjointFamily) -> np.ndarray:

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .family import DisjointFamily, check_weights
-from .groups import group_from_descriptor
+from .groups import FiniteGroup, group_from_descriptor
 
 
 def frac_str(x: Fraction) -> str:
@@ -113,14 +114,29 @@ def read_family(path) -> Tuple[DisjointFamily, Optional[Tuple[Fraction, ...]], O
         return family_from_dict(parse_json(fh.read()))
 
 
+def _line_format(group: FiniteGroup, sizes: Tuple[int, ...]) -> str:
+    """The ``str.format`` template of the JSONL line of a family of this group and
+    these set sizes: its members, in set order, fill the fields, and the line is
+    ``json.dumps(family_to_dict(family), separators=(",", ":"))``."""
+    head = json.dumps({"group": group.describe()}, separators=(",", ":"))[:-1]
+    sets = ",".join("[" + ",".join(["{}"] * k) + "]" for k in sizes)
+    return head.replace("{", "{{").replace("}", "}}") + ',"sets":[' + sets + "]}}"
+
+
 def family_to_jsonl_line(family: DisjointFamily) -> str:
-    return json.dumps(family_to_dict(family), separators=(",", ":"))
+    return _line_format(family.group, family.sizes).format(*chain.from_iterable(family.sets))
 
 
 def write_families_jsonl(path, families: Sequence[DisjointFamily]) -> None:
+    """One line a family; each run of families with one group object and one set
+    sizes tuple is written from one template."""
     with open(path, "w") as fh:
+        group, sizes, line = None, None, ""
         for fam in families:
-            fh.write(family_to_jsonl_line(fam) + "\n")
+            if fam.group is not group or fam.sizes != sizes:
+                group, sizes = fam.group, fam.sizes
+                line = _line_format(group, sizes) + "\n"
+            fh.write(line.format(*chain.from_iterable(fam.sets)))
 
 
 def read_families_jsonl(path) -> List[DisjointFamily]:

@@ -37,10 +37,21 @@ of the orbit is such a member, so the walk visits it.  Orderly generation
 (R. C. Read, "Every one a winner", 1978) then emits each orbit at its least
 key and keeps no record of what was seen: a leaf is the least key of its
 orbit unless one of the images whose set 0 ties with its own, recorded by
-the symmetry test, sorts before it.  At a least key the whole orbit is
-expanded at once in numpy (``_translation_classes``), so the hit list equals
-the full walk's and memory stays O(output); ``SearchStats.nodes`` counts the
-reduced tree.  Two requirements are not translation invariant and take the
+the symmetry test, sorts before it.  The walk does not test a leaf as it
+meets it.  It keeps the leaf's flat key and its ties, as (a, sigma index)
+pairs, in a pending batch, and ``_translation_classes`` takes the whole batch
+in numpy: it puts every tie image sigma(F * a^-1) in canonical form, drops
+each leaf that one of its images sorts before, and expands the whole orbit
+of each least key that is left, every automorphic image and translate.  A
+batch is flushed when its orbits could fill BLOCK_CELLS cells, at the end
+of the walk, before a BudgetExceeded collects the hits, and as soon as its
+leaves could reach ``result_cap`` (a leaf adds at most |A| * n keys, or |A|
+under translation dedup), so the walk stops at the same leaf and node as
+one that expanded each leaf when it met it.  The hits are kept as row
+chunks, sorted once, and the hit list equals the full walk's;
+memory stays O(output), and ``SearchStats.nodes`` counts the reduced tree.
+``SearchResult.families`` stays a list of ``DisjointFamily``, built once at
+the end.  Two requirements are not translation invariant and take the
 full walk with no symmetry: star_partition (the identity must stay outside
 the union), and wedf with different weights on equal-sized sets (translation
 can reorder those sets, and the weights attach by position).  Under wedf
@@ -54,7 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
@@ -65,13 +76,13 @@ from .classify import classify, classify_many
 from .errors import BudgetExceeded, GroupTooLarge, InfeasibleParameters
 from .family import (
     DisjointFamily,
-    canonical_sets,
     check_weights,
     difference_profile,
     scaled_fractions,
     scaled_weights,
 )
 from .groups import (
+    BLOCK_CELLS,
     PAIR_CHUNK,
     FiniteGroup,
     Subgroup,
@@ -92,8 +103,9 @@ NODE_BUDGET = 10**8  # the default node budget of the search and the star partit
 SEARCH_ORDER_LIMIT = 1024
 PRUNE_REASONS = ("cell", "column", "coset", "star", "symmetry", "infeasible")
 
-Key = Tuple[Tuple[int, ...], ...]  # a family's sets in canonical order
-Ties = List[Tuple[int, List[int]]]  # the (a, sigma) whose image sigma(B * a^-1) is set 0
+# the (a, index of sigma in the automorphism list) whose image sigma(B * a^-1)
+# is set 0, one row each
+Ties = np.ndarray
 
 
 @dataclass(frozen=True)
@@ -262,6 +274,7 @@ def _translation_invariant(spec: SearchSpec) -> bool:
 
 
 _FREE, _BANNED = -1, -2  # the owner of an element in no set: free to place, or kept out
+_NO_TIES = np.empty((0, 2), dtype=np.int64)
 
 
 class _Searcher:
@@ -282,13 +295,30 @@ class _Searcher:
         self.autos = g.automorphism_subgroup() if self.symmetric else [list(range(self.n))]
         # the sets tied with set 0 for largest, each held to the symmetry test once full
         self.tied = sizes.count(sizes[0]) if self.symmetric else 0
-        self.ties: List[Ties] = [[] for _ in range(self.tied)]  # per tied set
+        self.ties: List[Ties] = [_NO_TIES] * self.tied  # per tied set
         self.images: Dict[Tuple[int, ...], Tuple[bool, Ties]] = {}  # (cut, ties) per set, this set 0
         if self.symmetric or spec.dedup == "translation":
             self.table = np.array(self.diff, dtype=np.int64)
             self.auto_array = np.array(self.autos, dtype=np.int64)
-        self.found: List[Key] = []  # hits, orbits expanded
-        self.seen: Set[Key] = set()  # a walk without symmetry: the translation classes met
+        total = sum(sizes)
+        # The leaves met and not yet tested or expanded, as flat keys, with each
+        # one's ties per tied set.  A leaf adds at most leaf_rows hits, and its
+        # orbit fills |A| * n * T cells (T on a walk without symmetry); a batch
+        # holds leaves for at most BLOCK_CELLS cells.
+        self.pending: List[Tuple[int, ...]] = []
+        self.pending_ties: List[Ties] = []
+        if self.symmetric:
+            self.leaf_rows = len(self.autos) * (1 if spec.dedup == "translation" else self.n)
+            leaf_cells = len(self.autos) * self.n * total
+        else:
+            self.leaf_rows, leaf_cells = 1, total
+        self.batch = max(1, BLOCK_CELLS // leaf_cells)  # leaves a flush takes at most
+        # the hits as rows of flat keys, in chunks, and how many rows they hold,
+        # kept in the least dtype that holds every element
+        self.row_dtype = np.min_scalar_type(self.n - 1)
+        self.found: List[np.ndarray] = [np.empty((0, total), dtype=self.row_dtype)]
+        self.count = 0
+        self.seen: Set[Tuple[int, ...]] = set()  # a walk without symmetry: the classes met
         # mutable search state
         self.slots: List[List[int]] = [[] for _ in sizes]
         # per element, the one placement record: the index of its set, _FREE, or
@@ -320,9 +350,33 @@ class _Searcher:
 
     def families(self) -> List[DisjointFamily]:
         """The hits so far in canonical order, at most result_cap of them."""
-        # every key has the same sizes, so tuple order is the flat order
-        keys = sorted(self.found)[: self.spec.result_cap]
-        return [DisjointFamily(self.group, key) for key in keys]
+        self._flush()
+        rows = np.concatenate(self.found)
+        self.found = [rows]
+        # every key has the same sizes, so the flat order is the canonical order
+        order = np.lexsort(rows.T[::-1])[: self.spec.result_cap]
+        bounds = np.cumsum([0, *self.sizes]).tolist()
+        spans = list(zip(bounds, bounds[1:]))
+        step = max(1, BLOCK_CELLS // rows.shape[1])  # rows made Python lists at once
+        return [DisjointFamily(self.group, tuple([tuple(row[lo:hi]) for lo, hi in spans]))
+                for at in range(0, len(order), step)
+                for row in rows[order[at : at + step]].tolist()]
+
+    def _flush(self) -> None:
+        """Test and expand the pending leaves, adding their hit rows to ``found``."""
+        if not self.pending:
+            return
+        keys = np.array(self.pending, dtype=np.int64)
+        if self.symmetric:
+            lengths = [len(t) for t in self.pending_ties]
+            leaf = np.repeat(np.arange(len(lengths)) // self.tied, lengths)
+            ties = np.column_stack((leaf, np.concatenate(self.pending_ties)))
+            keys = _translation_classes(
+                self.table, self.auto_array, self.sizes, keys, self.spec.dedup, ties)
+        self.found.append(keys.astype(self.row_dtype))
+        self.count += len(keys)
+        self.pending.clear()
+        self.pending_ties.clear()
 
     def _cut(self, reason: str) -> None:
         self.stats.pruned_by[reason] += 1
@@ -410,8 +464,9 @@ class _Searcher:
         every member of its T x| A orbit, and each holds 0.  The member whose
         set 0 is the least image passes this test for each of its largest
         sets, so cutting every other branch still visits each orbit.  The
-        (a, sigma) whose image equals set 0 go to ``self.ties[i]``.  The answer
-        depends on set 0 and B alone, so it is kept per B until set 0 changes.
+        (a, sigma index) whose image equals set 0 go to ``self.ties[i]``, one
+        row each.  The answer depends on set 0 and B alone, so it is kept per
+        B until set 0 changes.
         """
         members = tuple(self.slots[i])
         if i == 0:
@@ -426,33 +481,16 @@ class _Searcher:
         """``_image_sorts_first`` for the set ``members``: (cut, ties), stopping at a cut."""
         first = tuple(self.slots[0])
         diff = self.diff
-        ties: Ties = []
+        ties = []
         for a in members:
             shifted = [diff[x][a] for x in members]
-            for sigma in self.autos:
+            for s, sigma in enumerate(self.autos):
                 image = tuple(sorted([sigma[y] for y in shifted]))
                 if image <= first:
                     if image < first:
-                        return True, ties
-                    ties.append((a, sigma))
-        return False, ties
-
-    def _least_in_orbit(self, key: Key) -> bool:
-        """Whether no member of key's T x| A orbit sorts before key.
-
-        Such a member's set 0 would hold 0, so it would be some sigma(B * a^-1)
-        with B a largest set and a in B; none of those sorts before set 0, so
-        only the images sigma(F * a^-1) of the recorded ties can sort first.
-        """
-        diff = self.diff
-        identity = self.autos[0]
-        for ties in self.ties:
-            for a, sigma in ties:
-                if a == 0 and sigma is identity:
-                    continue  # key itself
-                if canonical_sets([[sigma[diff[x][a]] for x in s] for s in key]) < key:
-                    return False
-        return True
+                        return True, _NO_TIES
+                    ties.append((a, s))
+        return False, np.array(ties, dtype=np.int64).reshape(-1, 2)
 
     # -- recursion -----------------------------------------------------------
 
@@ -506,59 +544,123 @@ class _Searcher:
             self.live = live
 
     def _emit(self) -> None:
-        key = tuple(tuple(s) for s in self.slots)
         if self.bimodal:
             # the one flag the caps leave open: every count is 0 or its set's size
             n, live = self.n, self.live
             for i, k in enumerate(self.sizes):
                 if any(c and c != k for c in live[i * n : (i + 1) * n]):
                     return
-        dedup = self.spec.dedup
-        if not self.symmetric:
-            if dedup == "translation":
-                if key in self.seen:
-                    return
-                self.seen.update(_translation_classes(self.table, self.auto_array, key, "none"))
+        key = tuple(chain.from_iterable(self.slots))
+        if self.symmetric:
+            # tested and expanded at the flush: the walk meets keys in ascending
+            # order, so no hit of a least key's orbit came before it
+            self.pending_ties += self.ties
+        elif self.spec.dedup == "translation":
+            if key in self.seen:
+                return
+            rows = _translation_classes(
+                self.table, self.auto_array, self.sizes, np.array([key], dtype=np.int64), "none")
+            self.seen.update(map(tuple, rows.tolist()))
             # the full walk meets keys in ascending order: key is the least hit of its class
-            self.found.append(key)
-        elif self._least_in_orbit(key):
-            # the walk meets keys in ascending order, so no hit of this orbit came before
-            self.found += _translation_classes(self.table, self.auto_array, key, dedup)
-        else:
-            return
+        self.pending.append(key)
         cap = self.spec.result_cap
-        if cap is not None and len(self.found) >= cap:
-            raise _StopSearch
+        # flush when the batch is full, or as soon as its leaves could reach the
+        # cap, so the walk stops at the leaf that reaches it
+        capped = cap is not None and self.count + len(self.pending) * self.leaf_rows >= cap
+        if capped or len(self.pending) >= self.batch:
+            self._flush()
+            if cap is not None and self.count >= cap:
+                raise _StopSearch
 
 
-def _translation_classes(table: np.ndarray, autos: np.ndarray, key: Key, dedup: str) -> List[Key]:
-    """The canonical keys of a family's orbit under right translations and ``autos``, ascending.
+def _translation_classes(
+    table: np.ndarray,
+    autos: np.ndarray,
+    sizes: Tuple[int, ...],
+    keys: np.ndarray,
+    dedup: str,
+    ties: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The canonical keys of the orbits of a batch of families, as rows.
 
-    ``table`` is the n x n array of x * h^-1 and ``autos`` an array of
-    automorphisms, one permutation a row.  Row h of ``translates`` (the rows
-    of F's members in ``table``, transposed) is the translate F * h^-1, and
-    sigma of those rows is the translation class of sigma(F).  With dedup "none" it gives every distinct key of the orbit,
-    with "translation" the least key of each translation class.  The
-    automorphisms go PAIR_CHUNK cells a step.
+    ``table`` is the n x n array of x * h^-1, ``autos`` an array of
+    automorphisms, one permutation a row, and ``keys`` the families, one
+    canonical flat key of set sizes ``sizes`` a row.  With ``ties``, rows of
+    (leaf, a, sigma index), a key is kept only when ``_least_keys`` finds it
+    the least of its orbit.  The result holds, key after kept key, the
+    ascending rows of its orbit under right translations and ``autos``: every
+    distinct key with dedup "none", the least key of each translation class
+    with "translation".  Row h of a key's ``translates`` (the rows of its
+    members in ``table``, transposed) is the translate F * h^-1, and sigma of
+    those rows is the translation class of sigma(F).  The (key, sigma) pairs
+    go PAIR_CHUNK cells a step.
     """
-    sizes = [len(s) for s in key]
+    if ties is not None:
+        keys = keys[_least_keys(table, autos, sizes, keys, ties)]
     n, total = len(table), sum(sizes)
-    translates = table[[x for s in key for x in s]].T
+    translates = table[keys].transpose(0, 2, 1)
+    pairs = len(keys) * len(autos)
     step = max(1, PAIR_CHUNK // (n * total))
-    parts = []
-    for lo in range(0, len(autos), step):
-        rows = _canonical_rows(autos[lo : lo + step][:, translates].reshape(-1, total), sizes, n)
+    parts, owners = [], []
+    for lo in range(0, pairs, step):
+        leaf, sigma = np.divmod(np.arange(lo, min(lo + step, pairs)), len(autos))
+        rows = autos[sigma[:, None, None], translates[leaf]].reshape(-1, total)
+        rows = _canonical_rows(rows, sizes, n)
         if dedup == "translation":
-            # sort by sigma, then by row: each sigma's least row opens its block of n
-            blocks = np.repeat(np.arange(len(rows) // n), n)
-            rows = rows[np.lexsort((*rows.T[::-1], blocks))[::n]]
-        parts.append(_distinct_rows(rows))
-    rows = parts[0] if len(parts) == 1 else _distinct_rows(np.concatenate(parts))
-    bounds = np.cumsum([0, *sizes]).tolist()
-    return [tuple(tuple(row[lo:hi]) for lo, hi in zip(bounds, bounds[1:])) for row in rows.tolist()]
+            rows, owner = _least_rows(rows.reshape(len(leaf), n, total), n), leaf
+        else:
+            owner = np.repeat(leaf, n)
+        parts.append(rows)
+        owners.append(owner)
+    if not parts:
+        return np.empty((0, total), dtype=np.int64)
+    rows, owner = np.concatenate(parts), np.concatenate(owners)
+    # the distinct rows of each key, keys in turn
+    order = np.lexsort((*rows.T[::-1], owner))
+    rows, owner = rows[order], owner[order]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1) | (owner[1:] != owner[:-1])
+    return rows[keep]
 
 
-def _canonical_rows(rows: np.ndarray, sizes: List[int], n: int) -> np.ndarray:
+def _least_rows(blocks: np.ndarray, n: int) -> np.ndarray:
+    """The least row of each block of a 3-D array of rows with entries below n.
+
+    Column by column, each block keeps the rows that hold its least value
+    among those still kept; the first row left is the least.
+    """
+    kept = np.ones(blocks.shape[:2], dtype=bool)
+    for col in np.moveaxis(blocks, 2, 0):
+        col = np.where(kept, col, n)
+        kept &= col == col.min(axis=1, keepdims=True)
+    return blocks[np.arange(len(blocks)), kept.argmax(axis=1)]
+
+
+def _least_keys(
+    table: np.ndarray, autos: np.ndarray, sizes: Tuple[int, ...], keys: np.ndarray,
+    ties: np.ndarray,
+) -> np.ndarray:
+    """Per key, whether no member of its T x| A orbit sorts before it.
+
+    Such a member's set 0 would hold 0, so it would be some sigma(B * a^-1)
+    with B a largest set and a in B; none of those sorts before set 0, so
+    only the images sigma(F * a^-1) of the key's ties, rows (key, a, sigma
+    index) of ``ties``, can sort first.  Each image is put in canonical form
+    and compared with its key at their first differing column.
+    """
+    leaf, a, sigma = ties.T
+    own = keys[leaf]
+    images = _canonical_rows(autos[sigma[:, None], table[own, a[:, None]]], sizes, len(table))
+    differ = images != own
+    col = differ.argmax(axis=1)
+    at = np.arange(len(ties))
+    before = differ[at, col] & (images[at, col] < own[at, col])
+    least = np.ones(len(keys), dtype=bool)
+    least[leaf[before]] = False
+    return least
+
+
+def _canonical_rows(rows: np.ndarray, sizes: Tuple[int, ...], n: int) -> np.ndarray:
     """Each row of a 2-D array, a family's sets in ``sizes`` order, in canonical form.
 
     One sort a row on (set size, descending; least member of the set; member):
@@ -567,16 +669,13 @@ def _canonical_rows(rows: np.ndarray, sizes: List[int], n: int) -> np.ndarray:
     disjoint sorted sets.  The keys stay below n^3.
     """
     largest_first = np.repeat(sizes[0] - np.array(sizes), sizes)
-    least = np.repeat(np.minimum.reduceat(rows, np.cumsum([0, *sizes[:-1]]), axis=1), sizes, axis=1)
-    return np.sort((largest_first * n + least) * n + rows, axis=1) % n
-
-
-def _distinct_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of a 2-D array, in lexicographic order."""
-    rows = rows[np.lexsort(rows.T[::-1])]
-    keep = np.ones(len(rows), dtype=bool)
-    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return rows[keep]
+    keys = np.repeat(np.minimum.reduceat(rows, np.cumsum([0, *sizes[:-1]]), axis=1), sizes, axis=1)
+    keys += largest_first * n
+    keys *= n
+    keys += rows
+    keys.sort(axis=1)
+    keys %= n
+    return keys
 
 
 def enumerate_families(spec: SearchSpec, workers: int = 1) -> SearchResult:

@@ -242,6 +242,16 @@ def reference_orbit_keys(g, autos, key, dedup):
     return sorted(keys)
 
 
+def least_in_orbit(g, autos, key, ties):
+    """Whether no image sigma(F * a^-1) of key's ties, (a, sigma index) pairs, sorts before key.
+
+    The search's tie test before it ran on arrays, one scalar canonical key an image.
+    """
+    diff = g.diff_rows
+    return all(canonical_key([[autos[s][diff[x][a]] for x in members] for members in key]) >= key
+               for a, s in ties)
+
+
 def reference_wins(family, delta):
     """Per set, 0/1 per member: does delta^-1 * x land in another set (scalar law)."""
     g = family.group

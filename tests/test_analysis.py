@@ -199,6 +199,18 @@ def test_set_index_must_be_an_integer(reader, index):
     assert read(np.int64(1)) == read(1)
 
 
+@pytest.mark.parametrize("delta", [True, 2.5, 0, -1, 6], ids=repr)
+@pytest.mark.parametrize("reader", ["cell", "column_sum"])
+def test_bad_shift_builds_no_matrix(reader, delta):
+    # column_sum read the matrix before it checked the shift, and cached it
+    prof = difference_profile(DisjointFamily(CyclicGroup(6), ((0, 1), (3,))))
+    read = {"cell": lambda d: prof.cell(0, d), "column_sum": prof.column_sum}[reader]
+    with pytest.raises((TypeError, ValueError)):
+        read(delta)
+    assert "matrix" not in vars(prof)
+    assert read(np.int64(2)) == read(2)
+
+
 def test_scaled_weights_and_sums():
     assert scaled_weights((3, 3, 2)) == (6, (2, 2, 3))
     fam, _ = weighted_z8()

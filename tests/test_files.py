@@ -1,6 +1,7 @@
 import argparse
 import importlib
 import json
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -36,7 +37,15 @@ from rwedf.cli import main
 from rwedf.constructions import f21_group
 from rwedf.simulate import play_best_response
 
-from helpers import HALF, mixed_z10, pair_z7, reference_counts, star_d10, weighted_z8
+from helpers import (
+    HALF,
+    KERNEL_POOL,
+    mixed_z10,
+    pair_z7,
+    reference_counts,
+    star_d10,
+    weighted_z8,
+)
 
 
 def test_frac_strings():
@@ -199,6 +208,52 @@ def test_jsonl_round_trip(tmp_path):
     assert [f.group.describe() for f in back] == [f.group.describe() for f in fams]
     path.write_text(path.read_text() + "\n")  # trailing blank line is fine
     assert len(read_families_jsonl(path)) == 3
+
+
+def random_families(group, seed, count):
+    """count random families of group, with one to three sets of random sizes each."""
+    rng = random.Random(seed)
+    families = []
+    for _ in range(count):
+        members = rng.sample(range(group.order), rng.randint(1, min(group.order, 7)))
+        cuts = sorted(rng.sample(range(1, len(members)), min(2, len(members) - 1)))
+        bounds = [0, *cuts, len(members)]
+        families.append(DisjointFamily.of(
+            group, *(members[lo:hi] for lo, hi in zip(bounds, bounds[1:]))))
+    return families
+
+
+def check_jsonl_lines(path, families):
+    lines = path.read_text().split("\n")
+    assert lines[-1] == ""  # every line ends in a newline
+    assert lines[:-1] == [json.dumps(family_to_dict(f), separators=(",", ":")) for f in families]
+    assert [family_to_jsonl_line(f) for f in families] == lines[:-1]
+    back = read_families_jsonl(path)
+    assert [(f.group.describe(), f.sets) for f in back] == [
+        (f.group.describe(), f.sets) for f in families]
+
+
+@pytest.mark.parametrize("group", KERNEL_POOL, ids=repr)
+def test_jsonl_lines_are_json_dumps(tmp_path, group):
+    # the writer fills one template per group and sizes; its lines are json.dumps's,
+    # on every group kind, F21's Cayley-table descriptor among them
+    families = random_families(group, group.order, 12)
+    path = tmp_path / "hits.jsonl"
+    write_families_jsonl(path, families)
+    check_jsonl_lines(path, families)
+
+
+def test_jsonl_lines_of_mixed_groups_and_sizes(tmp_path):
+    # a new run at each change of group object or sizes, equal groups included
+    families = [mixed_z10(), star_d10(), weighted_z8()[0], pair_z7()]
+    families += random_families(CyclicGroup(7), 1, 3) + random_families(CyclicGroup(7), 2, 3)
+    families += random_families(f21_group(), 3, 4) + [pair_z7(), pair_z7()]
+    random.Random(4).shuffle(families)
+    path = tmp_path / "hits.jsonl"
+    write_families_jsonl(path, families)
+    check_jsonl_lines(path, families)
+    write_families_jsonl(path, [])
+    assert path.read_text() == "" and read_families_jsonl(path) == []
 
 
 @pytest.mark.parametrize("reader, text", [

@@ -40,6 +40,7 @@ from helpers import (
     KERNEL_POOL,
     canonical_key,
     coset_z33,
+    least_in_orbit,
     mixed_z10,
     reference_orbit_keys,
     weighted_z8,
@@ -644,18 +645,38 @@ def test_symmetry_images_once_per_set_0(monkeypatch):
 
 
 def test_symmetric_search_expands_through_translation_classes(monkeypatch):
-    # perfbench times the orbit expansion by wrapping this module-level name
-    calls = []
+    # perfbench times the tie test and the orbit expansion by wrapping this
+    # module-level name, which every leaf of the symmetric walk passes through
+    spec = BENCH_SPECS[1][0]
+    autos = spec.group.automorphism_subgroup()
+    least = []
     expand = search._translation_classes
 
-    def counting(*args):
-        calls.append(args)
-        return expand(*args)
+    def counting(table, auto_array, sizes, keys, dedup, ties):
+        for leaf, row in enumerate(keys.tolist()):
+            own = ties[ties[:, 0] == leaf, 1:].tolist()
+            if least_in_orbit(spec.group, autos, split_key(row, sizes), own):
+                least.append(row)
+        return expand(table, auto_array, sizes, keys, dedup, ties)
 
     monkeypatch.setattr(search, "_translation_classes", counting)
-    res = enumerate_families(BENCH_SPECS[1][0])
+    res = enumerate_families(spec)
     assert len(res.families) == 1575
-    assert len(calls) == 170  # one call per T x| A orbit, at its least key
+    assert len(least) == len(set(map(tuple, least))) == 170  # one per T x| A orbit
+
+
+def split_key(row, sizes):
+    """A flat key's members split back into sets of the given sizes."""
+    members = iter(row)
+    return tuple(tuple(islice(members, k)) for k in sizes)
+
+
+def expand_one(table, autos, key, dedup):
+    """``_translation_classes`` on the batch of one key, its rows split back into sets."""
+    sizes = tuple(map(len, key))
+    flat = np.array([[x for s in key for x in s]], dtype=np.int64)
+    rows = search._translation_classes(table, np.array(autos), sizes, flat, dedup)
+    return [split_key(row, sizes) for row in rows.tolist()]
 
 
 def random_key(rng, group, sizes):
@@ -682,7 +703,7 @@ def test_orbit_expansion_matches_scalar_reference(monkeypatch, group, chunk):
     for _ in range(6):
         key = random_key(rng, group, random_sizes(rng, group.order))
         for dedup in ("none", "translation"):
-            got = search._translation_classes(table, np.array(autos), key, dedup)
+            got = expand_one(table, autos, key, dedup)
             assert got == reference_orbit_keys(group, autos, key, dedup)
 
 
@@ -695,8 +716,90 @@ def test_orbit_expansion_of_large_members():
     autos = [group.automorphism_subgroup()[u] for u in (0, 1, 255, 511)]  # x -> ux, u = 1, 3, 511, 1023
     key = random_key(random.Random(7), group, [7, 7, 3])
     for dedup in ("none", "translation"):
-        got = search._translation_classes(table, np.array(autos), key, dedup)
+        got = expand_one(table, autos, key, dedup)
         assert got == reference_orbit_keys(group, autos, key, dedup)
+
+
+@pytest.mark.parametrize("chunk", [1, search.PAIR_CHUNK])
+@pytest.mark.parametrize("group", KERNEL_POOL, ids=repr)
+def test_batch_expansion_matches_single_keys(monkeypatch, group, chunk):
+    # a batch, with random ties or none, is the concatenation of its one-key calls
+    monkeypatch.setattr(search, "PAIR_CHUNK", chunk)
+    rng = random.Random(group.order * 7919 + chunk)
+    idx = np.arange(group.order)
+    table = group.diff_array(idx[:, None], idx)
+    autos = np.array(group.automorphism_subgroup())
+    sizes = tuple(random_sizes(rng, group.order))
+    keys = np.array([[x for s in random_key(rng, group, sizes) for x in s] for _ in range(7)])
+    ties = np.array([(leaf, rng.choice(keys[leaf]), rng.randrange(len(autos)))
+                     for leaf in range(len(keys)) for _ in range(rng.randint(0, 3))],
+                    dtype=np.int64).reshape(-1, 3)
+    for dedup in ("none", "translation"):
+        for batch_ties in (None, ties):
+            got = search._translation_classes(table, autos, sizes, keys, dedup, batch_ties)
+            parts = []
+            for leaf in range(len(keys)):
+                own = None if batch_ties is None else ties[ties[:, 0] == leaf] * [0, 1, 1]
+                parts.append(search._translation_classes(
+                    table, autos, sizes, keys[leaf : leaf + 1], dedup, own))
+            assert got.dtype == np.int64
+            assert got.tolist() == np.concatenate(parts).tolist()
+    empty = search._translation_classes(table, autos, sizes, keys[:0], "none")
+    assert empty.shape == (0, sum(sizes))
+
+
+@pytest.mark.parametrize("spec, hits, nodes", BENCH_SPECS, ids=["z12", "z11", "z16"])
+def test_batched_tie_test_matches_scalar_reference(monkeypatch, spec, hits, nodes):
+    # every leaf of the symmetric walk is tested in a batch; each verdict is the
+    # scalar tie test's on the same key and ties
+    autos = spec.group.automorphism_subgroup()
+    leaves = []
+    test = search._least_keys
+
+    def recording(table, auto_array, sizes, keys, ties):
+        least = test(table, auto_array, sizes, keys, ties)
+        for leaf, row in enumerate(keys.tolist()):
+            own = ties[ties[:, 0] == leaf, 1:].tolist()
+            assert own  # the key itself: a = 0 and the identity
+            expected = least_in_orbit(spec.group, autos, split_key(row, sizes), own)
+            assert bool(least[leaf]) is expected
+            leaves.append(expected)
+        return least
+
+    monkeypatch.setattr(search, "_least_keys", recording)
+    res = enumerate_families(spec)
+    assert len(res.families) == hits and res.stats.nodes <= nodes
+    assert leaves
+    if spec.dedup == "translation":
+        assert sum(leaves) == 170 < len(leaves)  # one least key per T x| A orbit
+
+
+@pytest.mark.parametrize("spec, nodes", [
+    (SearchSpec(group=CyclicGroup(11), sizes=(2, 2, 2, 2), dedup="translation",
+                result_cap=100), 29),
+    (SearchSpec(group=CyclicGroup(13), sizes=(3, 3, 2, 2), dedup="translation",
+                result_cap=5000), 794),
+], ids=["z11", "z13"])
+def test_cap_stops_the_walk_at_the_leaf_that_reaches_it(spec, nodes):
+    # the pending leaves are flushed as soon as they could reach the cap, so the
+    # walk stops where it did when each leaf was expanded as it was met
+    res = enumerate_families(spec)
+    assert (len(res.families), res.stats.nodes, res.stats.complete) == (
+        spec.result_cap, nodes, False)
+    sets = [f.sets for f in res.families]
+    assert sets == sorted(sets)
+    if spec.group.order == 11:
+        assert set(sets) <= {f.sets for f in enumerate_families(BENCH_SPECS[1][0]).families}
+
+
+def test_budget_flushes_the_pending_leaves():
+    spec = SearchSpec(group=CyclicGroup(11), sizes=(2, 2, 2, 2), dedup="translation",
+                      node_budget=500)
+    with pytest.raises(BudgetExceeded) as info:
+        enumerate_families(spec)
+    assert len(info.value.families) == 1380 and info.value.stats.nodes == 500
+    assert not info.value.stats.complete
+    assert [f.sets for f in info.value.families] == sorted(f.sets for f in info.value.families)
 
 
 def test_dedup_search_memory_stays_near_its_output():
