@@ -29,7 +29,7 @@ gives: the R-optimal test, e_hat == r_bound, and the structure checks on ell.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -38,6 +38,7 @@ import numpy as np
 from .family import (
     DifferenceProfile,
     DisjointFamily,
+    _profile_of,
     check_weights,
     difference_profile,
     difference_profiles,
@@ -96,9 +97,7 @@ def check_wedf(
     Reads the profile's weighted sums when it was taken with these weights,
     and profiles the family once more otherwise.
     """
-    weights = check_weights(family.m, weights)
-    if profile.weights != weights:
-        profile = difference_profile(family, weights)
+    profile = _profile_of(family, profile, check_weights(family.m, weights))
     return _constant_value(profile.weighted, profile.weight_scale)
 
 
@@ -106,8 +105,7 @@ def check_rwedf(
     family: DisjointFamily, profile: Optional[DifferenceProfile] = None
 ) -> Optional[Fraction]:
     """The constant ell = sum_i N_i(delta)/k_i, or None if it varies."""
-    if profile is None:
-        profile = difference_profile(family)
+    profile = _profile_of(family, profile)
     return _constant_value(profile.reciprocal, profile.scale)
 
 
@@ -115,7 +113,7 @@ def rwedf_failure_witness(
     family: DisjointFamily, profile: DifferenceProfile
 ) -> Optional[int]:
     """Smallest delta whose reciprocal sum differs from delta = 1's, if any."""
-    sums = profile.reciprocal
+    sums = _profile_of(family, profile).reciprocal
     first = sums[0]
     for d, s in enumerate(sums, start=1):
         if s != first:
@@ -191,32 +189,25 @@ class ClassificationReport:
     wedf: Optional[Fraction] = None
 
     def to_json_dict(self) -> dict:
-        from .files import frac_str
-
-        out = {
-            "n": self.n,
-            "m": self.m,
-            "sizes": list(self.sizes),
-            "trivial": self.trivial,
-            "edf": self.edf,
-            "sedf": self.sedf,
-            "gsedf": list(self.gsedf) if self.gsedf is not None else None,
-            "rwedf": frac_str(self.rwedf) if self.rwedf is not None else None,
-            "rwedf_witness": self.rwedf_witness,
-            "bimodal": self.bimodal.holds,
-            "bimodal_witness": list(self.bimodal.witness) if self.bimodal.witness else None,
-            "e_hat": frac_str(self.e_hat),
-            "r_bound": frac_str(self.r_bound),
-            "r_optimal": self.r_optimal,
-            "param_identity_ok": self.param_identity_ok,
-            "ell_below_m": self.ell_below_m,
-            "m2_structure": self.m2_structure,
-            "key_prop": list(self.key_prop) if self.key_prop is not None else None,
-        }
-        if self.wedf_weights is not None:
-            out["wedf_weights"] = [frac_str(w) for w in self.wedf_weights]
-            out["wedf"] = frac_str(self.wedf) if self.wedf is not None else None
+        """The fields in order, ``bimodal`` as "bimodal" and "bimodal_witness", and the
+        wedf pair only when the report has weights; a Fraction as "p/q", a tuple as a list."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "bimodal":
+                out["bimodal"], out["bimodal_witness"] = value.holds, _json_value(value.witness)
+            elif self.wedf_weights is not None or not f.name.startswith("wedf"):
+                out[f.name] = _json_value(value)
         return out
+
+
+def _json_value(value):
+    """A Fraction as "p/q", a tuple as a list with each Fraction as "p/q", anything else as is."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, tuple):
+        return [str(v) if type(v) is Fraction else v for v in value]
+    return value
 
 
 def _is_trivial_shape(family: DisjointFamily) -> bool:
@@ -237,7 +228,7 @@ def classify(
 ) -> ClassificationReport:
     """Run every checker once over a shared profile."""
     _check_order(family)
-    return _report(family, difference_profile(family, weights))
+    return _report(difference_profile(family, weights))
 
 
 def classify_many(
@@ -251,11 +242,12 @@ def classify_many(
     for family in families:
         _check_order(family)
     profiles = difference_profiles(families, weights)
-    return [_report(f, p) for f, p in zip(families, profiles)]
+    return [_report(p) for p in profiles]
 
 
-def _report(family: DisjointFamily, profile: DifferenceProfile) -> ClassificationReport:
-    """Each reader's verdict over the family's profile; wedf under the weights it was taken with."""
+def _report(profile: DifferenceProfile) -> ClassificationReport:
+    """Each reader's verdict over the profile's family; wedf under the weights it was taken with."""
+    family = profile.family
     m, n, total = family.m, family.n, family.total
     rwedf = check_rwedf(family, profile)
     bimodal = is_bimodal(family, profile)

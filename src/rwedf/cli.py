@@ -280,32 +280,27 @@ _ROW_KEYS = ("path", "n", "m", "sizes", "ell", "classes", "e_hat", "r_bound", "r
 def _report_row(path) -> dict:
     try:
         family, weights, _ = read_family(path)
-        report = classify(family, weights)
+        data = classify(family, weights).to_json_dict()
     except Exception as exc:  # per-file, non-fatal
         return {"path": str(path), "error": str(exc)}
-    tags = []
-    if report.trivial:
-        tags.append("trivial")
-    if report.edf is not None:
-        tags.append(f"EDF({report.edf})")
-    if report.sedf is not None:
-        tags.append(f"SEDF({report.sedf})")
-    if report.gsedf is not None:
-        tags.append("GSEDF(" + ",".join(str(x) for x in report.gsedf) + ")")
-    if report.wedf is not None:
-        tags.append(f"WEDF({frac_str(report.wedf)})")
-    if report.bimodal.holds:
+    tags = ["trivial"] if data["trivial"] else []
+    for key in ("edf", "sedf", "gsedf", "wedf"):
+        value = data.get(key)
+        if value is not None:
+            text = ",".join(map(str, value)) if isinstance(value, list) else value
+            tags.append(f"{key.upper()}({text})")
+    if data["bimodal"]:
         tags.append("bimodal")
     return {
         "path": str(path),
-        "n": report.n,
-        "m": report.m,
-        "sizes": ",".join(str(k) for k in report.sizes),
-        "ell": frac_str(report.rwedf) if report.rwedf is not None else "-",
-        "classes": " ".join(tags) if tags else "-",
-        "e_hat": frac_str(report.e_hat),
-        "r_bound": frac_str(report.r_bound),
-        "r_optimal": "yes" if report.r_optimal else "no",
+        "n": data["n"],
+        "m": data["m"],
+        "sizes": ",".join(map(str, data["sizes"])),
+        "ell": "-" if data["rwedf"] is None else data["rwedf"],
+        "classes": " ".join(tags) or "-",
+        "e_hat": data["e_hat"],
+        "r_bound": data["r_bound"],
+        "r_optimal": "yes" if data["r_optimal"] else "no",
     }
 
 

@@ -478,8 +478,27 @@ def scaled_fractions(weights: Sequence[Fraction]) -> Tuple[int, Tuple[int, ...]]
     return d, tuple(int(w * d) for w in ws)
 
 
+def _profile_of(
+    family: DisjointFamily,
+    profile: Optional[DifferenceProfile] = None,
+    weights: Optional[Sequence[Fraction]] = None,
+) -> DifferenceProfile:
+    """The given profile when it is the family's (taken with these weights, if any), else a new one.
+
+    A profile is the family's when ``profile.family == family``: the same
+    group object and the same sets.  One of another family raises ValueError.
+    """
+    if profile is not None:
+        if profile.family != family:
+            raise ValueError("the profile is of another family")
+        if weights is None or profile.weights == tuple(weights):
+            return profile
+    return difference_profile(family, weights)
+
+
 def e_delta(family: DisjointFamily, profile: DifferenceProfile, delta: int) -> Fraction:
     """Exact adversary success probability at shift delta."""
+    profile = _profile_of(family, profile)
     total = profile.reciprocal[delta_column(family.n, delta)]
     return Fraction(total, profile.scale * family.m)
 
@@ -488,8 +507,7 @@ def e_hat(family: DisjointFamily, profile: Optional[DifferenceProfile] = None) -
     """Worst-case success probability: max over delta of e_delta."""
     if family.n < 2:
         raise ValueError("e_hat needs a group with at least one non-identity element")
-    if profile is None:
-        profile = difference_profile(family)
+    profile = _profile_of(family, profile)
     return Fraction(max(profile.reciprocal), profile.scale * family.m)
 
 
@@ -530,9 +548,7 @@ def is_bimodal(family: DisjointFamily, profile: Optional[DifferenceProfile] = No
     Scan order is rows then deltas, so the witness is deterministic: the first
     (i, delta) whose count falls strictly between.
     """
-    if profile is None:
-        profile = difference_profile(family)
-    witness = profile.bimodal_witness
+    witness = _profile_of(family, profile).bimodal_witness
     return BimodalVerdict(witness is None, witness)
 
 
@@ -555,6 +571,7 @@ def weighted_sum(
     delta: int,
 ) -> Fraction:
     """sum_i w_i * N_i(delta) for positive weights w_i <= 1."""
+    profile = _profile_of(family, profile)
     col = delta_column(family.n, delta)
     d, coef = scaled_fractions(check_weights(family.m, weights))
     return Fraction(sum(c * x for c, x in zip(coef, profile.matrix[:, col].tolist())), d)

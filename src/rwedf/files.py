@@ -50,10 +50,17 @@ def family_to_dict(
         "sets": [list(s) for s in family.sets],
     }
     if weights is not None:
-        out["weights"] = [frac_str(w) for w in weights]
+        out["weights"] = [frac_str(w) for w in check_weights(family.m, weights)]
     if metadata is not None:
-        out["metadata"] = metadata
+        out["metadata"] = _check_metadata(metadata)
     return out
+
+
+def _check_metadata(metadata):
+    """The metadata itself; ValueError unless it is a JSON object."""
+    if not isinstance(metadata, dict):
+        raise ValueError("metadata must be an object")
+    return metadata
 
 
 FAMILY_KEYS = ("group", "sets", "weights", "metadata")
@@ -90,9 +97,7 @@ def family_from_dict(data) -> Tuple[DisjointFamily, Optional[Tuple[Fraction, ...
             raise ValueError("weights must be a list of rationals")
         weights = check_weights(family.m, [parse_frac(s) for s in data["weights"]])
     metadata = data.get("metadata")
-    if metadata is not None and not isinstance(metadata, dict):
-        raise ValueError("metadata must be an object")
-    return family, weights, metadata
+    return family, weights, None if metadata is None else _check_metadata(metadata)
 
 
 def canonical_json(obj) -> str:
@@ -105,8 +110,9 @@ def write_family(
     weights: Optional[Sequence[Fraction]] = None,
     metadata: Optional[dict] = None,
 ) -> None:
+    text = canonical_json(family_to_dict(family, weights, metadata))  # refused before open
     with open(path, "w") as fh:
-        fh.write(canonical_json(family_to_dict(family, weights, metadata)))
+        fh.write(text)
 
 
 def read_family(path) -> Tuple[DisjointFamily, Optional[Tuple[Fraction, ...]], Optional[dict]]:

@@ -31,24 +31,16 @@ def prime_power_factor(q: int) -> Optional[Tuple[int, int]]:
     return (q, 1)
 
 
-def _poly_mulmod(u: List[int], v: List[int], modulus: List[int], p: int) -> List[int]:
-    """Product of coefficient lists reduced by the monic modulus, over Z_p."""
-    prod = [0] * (len(u) + len(v) - 1)
-    for i, cu in enumerate(u):
-        if cu:
-            for j, cv in enumerate(v):
-                prod[i + j] = (prod[i + j] + cu * cv) % p
+def _poly_mod(poly: List[int], modulus: List[int], p: int) -> List[int]:
+    """The remainder of a coefficient list by a monic polynomial over Z_p, deg(modulus) long."""
+    rem = list(poly)
     deg = len(modulus) - 1
-    for top in range(len(prod) - 1, deg - 1, -1):
-        c = prod[top]
+    for top in range(len(rem) - 1, deg - 1, -1):
+        c = rem[top]
         if c:
-            prod[top] = 0
             for j in range(deg):
-                prod[top - deg + j] = (prod[top - deg + j] - c * modulus[j]) % p
-    out = prod[:deg]
-    while len(out) < deg:
-        out.append(0)
-    return out
+                rem[top - deg + j] = (rem[top - deg + j] - c * modulus[j]) % p
+    return (rem + [0] * deg)[:deg]
 
 
 class FieldGF:
@@ -76,7 +68,7 @@ class FieldGF:
         for deg in range(1, a // 2 + 1):
             for enc in range(self.p**deg):
                 divisor = self._decode_any(enc, deg) + [1]
-                if self._poly_divides(divisor, candidate):
+                if not any(_poly_mod(candidate, divisor, self.p)):
                     return False
         return True
 
@@ -87,18 +79,6 @@ class FieldGF:
             coeffs.append(c)
         return coeffs
 
-    def _poly_divides(self, divisor: List[int], target: List[int]) -> bool:
-        p = self.p
-        rem = list(target)
-        dd = len(divisor) - 1
-        for top in range(len(rem) - 1, dd - 1, -1):
-            c = rem[top]
-            if c:
-                rem[top] = 0
-                for j in range(dd):
-                    rem[top - dd + j] = (rem[top - dd + j] - c * divisor[j]) % p
-        return not any(rem[:dd])
-
     def _least_irreducible(self) -> List[int]:
         for enc in range(self.q):
             candidate = self._decode_any(enc, self.a) + [1]
@@ -108,7 +88,12 @@ class FieldGF:
 
     def mul(self, x: int, y: int) -> int:
         u, v = self._decode_any(x, self.a), self._decode_any(y, self.a)
-        return self._encode(_poly_mulmod(u, v, self.modulus, self.p))
+        prod = [0] * (2 * self.a - 1)
+        for i, cu in enumerate(u):
+            if cu:
+                for j, cv in enumerate(v):
+                    prod[i + j] = (prod[i + j] + cu * cv) % self.p
+        return self._encode(_poly_mod(prod, self.modulus, self.p))
 
     def pow(self, x: int, e: int) -> int:
         out, base = 1, x

@@ -20,8 +20,6 @@ MAX_ORDER = 1 << 20
 # temporary stays a few hundred KB, so heap growth and allocator thresholds
 # track the data the caller keeps, not the kernel's scratch.
 PAIR_CHUNK = 1 << 15
-# Pairs up to which a closure squares its members instead of a BFS level.
-SMALL_CLOSURE = 1 << 12
 # Cells per row block of the count matrix (at least one row a block).  The
 # profile reduces each block as it comes, so a pass holds O(BLOCK_CELLS + n),
 # never the m x n matrix.  At 2 MB the block buffer, one for every block of a
@@ -699,21 +697,22 @@ def closure(group: FiniteGroup, generators: Iterable[int]) -> Subgroup:
 def _closure(group: FiniteGroup, start: np.ndarray, gens: Sequence[int]) -> Subgroup:
     """<gens> from start, members of <gens> and 0.
 
-    While a set S of members holds at most SMALL_CLOSURE pairs, it becomes
+    While a set S of members holds at most PAIR_CHUNK pairs, it becomes
     S * S^-1 by the membership step (``_member_differences``): that keeps S
     (S holds 0), doubles the length of the words reached, and adds nothing
     only when S is a subgroup, which is ``is_subgroup``'s test.  A larger S
     grows as a BFS over right multiplication: each level takes the frontier
-    times every generator, and times its own first few members, which lie in
-    <gens> too, so a long cycle takes about log2 of its length levels.  The
-    products go at most PAIR_CHUNK a step, and those not inside before the
-    level make the next frontier.
+    times every generator, and times up to PAIR_CHUNK / |frontier| of its own
+    members, which lie in <gens> too, taken evenly across the frontier so
+    they stay long steps as it scatters: a long cycle takes about log2 of its
+    length levels.  The products go at most PAIR_CHUNK a step, and those not
+    inside before the level make the next frontier.
     """
     inside = np.zeros(group.order, dtype=bool)
     inside[start] = True
     inside[list(gens)] = True
     members = np.flatnonzero(inside)
-    while len(members) ** 2 <= SMALL_CLOSURE:
+    while len(members) ** 2 <= PAIR_CHUNK:
         inside = _member_differences(group, members)
         grown = np.flatnonzero(inside)
         if 2 * len(grown) > group.order:  # <gens> holds them, and no proper subgroup does
@@ -725,7 +724,7 @@ def _closure(group: FiniteGroup, start: np.ndarray, gens: Sequence[int]) -> Subg
     gen_steps = group.diff_array(0, np.asarray(gens, dtype=np.int64))  # x * g = x * (g^-1)^-1
     while len(frontier):
         before = inside.copy()
-        extra = frontier[: max(1, PAIR_CHUNK // len(frontier))]
+        extra = frontier[:: -(-len(frontier) // max(1, PAIR_CHUNK // len(frontier)))]
         steps = np.concatenate([gen_steps, group.diff_array(0, extra)])
         rows = max(1, PAIR_CHUNK // len(steps))
         for lo in range(0, len(frontier), rows):

@@ -91,9 +91,16 @@ from .groups import (
     is_subgroup,
 )
 
-KNOWN_FLAGS = frozenset(
-    {"rwedf", "bimodal", "edf", "sedf", "gsedf", "wedf", "star_partition"}
-)
+# each classifying flag -> whether a classification report meets it
+_REPORT_FLAGS = {
+    "rwedf": lambda report: report.rwedf is not None,
+    "bimodal": lambda report: report.bimodal.holds,
+    "edf": lambda report: report.edf is not None,
+    "sedf": lambda report: report.sedf is not None,
+    "gsedf": lambda report: report.gsedf is not None,
+    "wedf": lambda report: report.wedf is not None,
+}
+KNOWN_FLAGS = frozenset({*_REPORT_FLAGS, "star_partition"})
 STAR_PARTITION_ORDER_LIMIT = 128
 NODE_BUDGET = 10**8  # the default node budget of the search and the star partition walk
 # Largest group order the search accepts.  The searcher keeps the n x n
@@ -241,19 +248,14 @@ def _build_caps(spec: SearchSpec) -> Optional[_Caps]:
 
 def _passing(families: List[DisjointFamily], spec: SearchSpec) -> List[DisjointFamily]:
     """The oracle's leaf filter: classify the families and keep those that meet every flag."""
-    req = spec.require
-    if "star_partition" in req:
+    if "star_partition" in spec.require:
         families = [f for f in families if _is_star_partition(f)]
-    if not req - {"star_partition"}:
+    meets = [_REPORT_FLAGS[flag] for flag in spec.require - {"star_partition"}]
+    if not meets:
         return families
     return [
         f for f, report in zip(families, classify_many(families, spec.weights))
-        if ("rwedf" not in req or report.rwedf is not None)
-        and ("bimodal" not in req or report.bimodal.holds)
-        and ("edf" not in req or report.edf is not None)
-        and ("sedf" not in req or report.sedf is not None)
-        and ("gsedf" not in req or report.gsedf is not None)
-        and ("wedf" not in req or report.wedf is not None)
+        if all(meet(report) for meet in meets)
     ]
 
 

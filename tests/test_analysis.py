@@ -29,6 +29,8 @@ from rwedf import (
     weighted_sum,
 )
 from rwedf import family as family_module
+from rwedf.classify import check_rwedf, check_wedf, rwedf_failure_witness
+from rwedf.constructions import f21_fixture, m2_edf
 from rwedf.family import scaled_weights
 
 from helpers import all_fixtures, bimodal_z12, mixed_z10, star_d10, weighted_z8
@@ -419,3 +421,31 @@ def test_bimodal_witness_is_exact(fam):
         i, d, c = verdict.witness
         assert prof.cell(i, d) == c
         assert 0 < c < fam.sizes[i]
+
+
+# every public reader given a family and its profile, at shift 5 where it takes one
+FAMILY_READERS = {
+    "e_hat": lambda fam, prof: e_hat(fam, prof),
+    "e_delta": lambda fam, prof: e_delta(fam, prof, 5),
+    "is_bimodal": lambda fam, prof: is_bimodal(fam, prof),
+    "weighted_sum": lambda fam, prof: weighted_sum(fam, prof, (1,) * fam.m, 5),
+    "check_rwedf": lambda fam, prof: check_rwedf(fam, prof),
+    "check_wedf": lambda fam, prof: check_wedf(fam, prof, (1,) * fam.m),
+    "rwedf_failure_witness": lambda fam, prof: rwedf_failure_witness(fam, prof),
+}
+
+
+@pytest.mark.parametrize("reader", FAMILY_READERS)
+def test_a_profile_of_another_family_is_refused(reader):
+    # read off the other family's counts, e_hat(F21, profile of m2_edf(3)) would be
+    # 1/6, not 21/40, and weighted_sum 1, not 8
+    read = FAMILY_READERS[reader]
+    f21, z10 = f21_fixture(), mixed_z10()
+    for fam, other in ((f21, m2_edf(3)), (z10, mixed_z10())):  # the same sets on another group object
+        with pytest.raises(ValueError, match="the profile is of another family"):
+            read(fam, difference_profile(other))
+    for fam in (f21, z10):
+        twin = DisjointFamily(fam.group, fam.sets)  # the same group object and sets: the family's
+        assert read(fam, difference_profile(twin)) == read(fam, difference_profile(fam))
+    assert FAMILY_READERS["e_hat"](f21, difference_profile(f21)) == Fraction(21, 40)
+    assert FAMILY_READERS["weighted_sum"](f21, difference_profile(f21)) == 8

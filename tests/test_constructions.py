@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,18 @@ def test_field_squares():
     f = FieldGF(13, 1)
     assert f.squares() == (1, 3, 4, 9, 10, 12)
     assert len(FieldGF(3, 2).squares()) == 4
+
+
+def test_field_arithmetic_digest():
+    # the modulus, the whole multiplication table and the squares of each field,
+    # frozen: one reduction (_poly_mod) serves the product and the irreducibility test
+    digest = hashlib.sha256()
+    for p, a in [(2, 1), (2, 2), (2, 3), (2, 4), (2, 6), (3, 1), (3, 2), (3, 3), (3, 4),
+                 (5, 1), (5, 2), (5, 3), (7, 2), (13, 1)]:
+        f = FieldGF(p, a)
+        table = [[f.mul(x, y) for y in range(f.q)] for x in range(f.q)]
+        digest.update(repr((p, a, f.modulus, table, f.squares())).encode())
+    assert digest.hexdigest() == "7ea6ab1f8ca7c1813e4d52eb8b3c9ddd03ce2ab30da1c30ee385270f08e4c993"
 
 
 def test_trivial_families():

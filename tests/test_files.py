@@ -34,7 +34,7 @@ from rwedf import (
 )
 from rwedf import cli
 from rwedf.cli import main
-from rwedf.constructions import f21_group
+from rwedf.constructions import f21_fixture, f21_group
 from rwedf.simulate import play_best_response
 
 from helpers import (
@@ -82,6 +82,20 @@ def test_family_file_key_order(tmp_path):
     data = json.loads(path.read_text())
     assert list(data) == ["group", "sets", "weights", "metadata"]
     assert data["weights"] == ["1/2", "1/2", "1/2"]
+
+
+def test_write_family_refuses_what_read_family_refuses(tmp_path):
+    path, fresh = tmp_path / "fam.json", tmp_path / "fresh.json"
+    write_family(path, mixed_z10())
+    before = path.read_bytes()
+    refused = [((HALF,), None, "need 2 weights, got 1"),
+               ((2, 1), None, r"weight 2 outside \(0, 1\]"),
+               (None, [1], "metadata must be an object")]
+    for weights, metadata, match in refused:
+        for target in (path, fresh):
+            with pytest.raises(ValueError, match=match):
+                write_family(target, f21_fixture(), weights, metadata)
+        assert path.read_bytes() == before and not fresh.exists()
 
 
 def test_family_dict_errors():
@@ -319,6 +333,21 @@ def test_cli_verify_json_and_csv(tmp_path, capsys):
     assert data["rwedf"] is None
     assert data["e_hat"] == "7/9"
     assert csv_path.read_text() == profile_to_csv(difference_profile(fam).matrix)
+
+
+REPORT_KEYS = ["n", "m", "sizes", "trivial", "edf", "sedf", "gsedf", "rwedf", "rwedf_witness",
+               "bimodal", "bimodal_witness", "e_hat", "r_bound", "r_optimal",
+               "param_identity_ok", "ell_below_m", "m2_structure", "key_prop"]
+
+
+def test_cli_verify_json_key_order(tmp_path, capsys):
+    path = tmp_path / "fam.json"
+    write_family(path, mixed_z10())
+    code, out, _ = run(capsys, "verify", str(path), "--json")
+    assert code == 0 and list(json.loads(out)) == REPORT_KEYS
+    write_family(path, *weighted_z8())
+    code, out, _ = run(capsys, "verify", str(path), "--json")
+    assert code == 0 and list(json.loads(out)) == REPORT_KEYS + ["wedf_weights", "wedf"]
 
 
 def test_cli_verify_weight_override(tmp_path, capsys):

@@ -213,6 +213,22 @@ def test_cayley_table_validation_errors():
         CayleyTableGroup([])
 
 
+def test_a_long_cycle_closes_in_few_steps(monkeypatch):
+    # the BFS's long steps are spread across the frontier, so they stay long as it
+    # scatters; steps near 0 would take tens of thousands of diff_array calls here
+    g = CyclicGroup(1048573)
+    calls = []
+    law = g.diff_array
+
+    def counted(a, b):
+        calls.append(1)
+        return law(a, b)
+
+    monkeypatch.setattr(g, "diff_array", counted)
+    assert closure(g, [1]).order == g.order
+    assert len(calls) < 2000
+
+
 def test_closure_examples():
     z12 = CyclicGroup(12)
     assert closure(z12, [4]).carrier == (0, 4, 8)
