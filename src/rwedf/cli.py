@@ -34,7 +34,6 @@ from .errors import BudgetExceeded, GroupTooLarge
 from .family import count_matrix
 from .files import (
     family_to_dict,
-    frac_str,
     parse_frac,
     parse_json,
     profile_to_csv,
@@ -94,6 +93,9 @@ def cmd_verify(args) -> int:
     family, weights, metadata = _load_family(args.path)
     if args.weights is not None:
         weights = _parse_list(args.weights, "--weights", parse_frac)
+    expect = (metadata or {}).get("expect")
+    if expect is not None and not isinstance(expect, dict):
+        raise CliError("metadata.expect must be an object", 2)
     report = classify(family, weights)
     # written before anything is printed: a matrix over its cell budget, or an
     # unwritable path, exits 2 with stdout empty
@@ -107,17 +109,11 @@ def cmd_verify(args) -> int:
     else:
         for key, value in data.items():
             print(f"{key} = {value}")
-    expect = (metadata or {}).get("expect")
-    if expect is not None:
-        if not isinstance(expect, dict):
-            raise CliError("metadata.expect must be an object", 2)
-        bad = [k for k, v in sorted(expect.items()) if data.get(k) != v]
-        for k in bad:
-            print(f"expect mismatch: {k}: expected {expect[k]!r}, got {data.get(k)!r}",
-                  file=sys.stderr)
-        if bad:
-            return 1
-    return 0
+    bad = [k for k, v in sorted((expect or {}).items()) if data.get(k) != v]
+    for k in bad:
+        print(f"expect mismatch: {k}: expected {expect[k]!r}, got {data.get(k)!r}",
+              file=sys.stderr)
+    return 1 if bad else 0
 
 
 # construct
@@ -261,14 +257,7 @@ def cmd_simulate(args) -> int:
         result = play_best_response(family, args.trials, args.seed)
     else:
         result = play_random_delta(family, args.trials, args.seed)
-    print(json.dumps({
-        "delta": result.delta,
-        "trials": result.trials,
-        "successes": result.successes,
-        "empirical_rate": result.empirical_rate,
-        "analytic_rate": frac_str(result.analytic_rate),
-        "z_score": result.z_score,
-    }, indent=2))
+    print(json.dumps(result.to_json_dict(), indent=2))
     return 0
 
 

@@ -86,6 +86,7 @@ from .groups import (
     PAIR_CHUNK,
     FiniteGroup,
     Subgroup,
+    check_integer,
     closure,
     enumerate_subgroups,
     is_subgroup,
@@ -163,6 +164,8 @@ def _validate_spec(spec: SearchSpec) -> SearchSpec:
             f"group too large: order {n} exceeds SEARCH_ORDER_LIMIT {SEARCH_ORDER_LIMIT}"
         )
     sizes = tuple(spec.sizes)
+    for k in sizes:
+        check_integer(k, "set size")
     if not sizes or any(k < 1 for k in sizes):
         raise InfeasibleParameters(f"sizes must be positive, got {sizes}")
     if any(sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)):
@@ -170,10 +173,15 @@ def _validate_spec(spec: SearchSpec) -> SearchSpec:
     total = sum(sizes)
     if total > n:
         raise InfeasibleParameters(f"total size {total} exceeds group order {n}")
-    if spec.result_cap is not None and spec.result_cap < 1:
-        raise InfeasibleParameters(f"result cap must be at least 1, got {spec.result_cap}")
+    if spec.result_cap is not None:
+        check_integer(spec.result_cap, "result cap")
+        if spec.result_cap < 1:
+            raise InfeasibleParameters(f"result cap must be at least 1, got {spec.result_cap}")
+    check_integer(spec.node_budget, "node budget")
     if spec.node_budget < 0:
         raise InfeasibleParameters(f"node budget must be non-negative, got {spec.node_budget}")
+    if isinstance(spec.require, str):
+        raise TypeError(f"require {spec.require!r} is a string, not a collection of flags")
     unknown = set(spec.require) - KNOWN_FLAGS
     if unknown:
         raise InfeasibleParameters(f"unknown requirement flags {sorted(unknown)}")
@@ -748,6 +756,7 @@ def enumerate_star_partitions(
     carrier tuples, each cover's subgroups by carrier.  Each star placed is a
     node; BudgetExceeded is raised when more than ``node_budget`` would be.
     """
+    check_integer(node_budget, "node budget")
     if node_budget < 0:
         raise InfeasibleParameters(f"node budget must be non-negative, got {node_budget}")
     if group.order > STAR_PARTITION_ORDER_LIMIT:

@@ -32,15 +32,16 @@ one block.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import sqrt
 from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
+from .classify import _json_value
 from .family import DisjointFamily, delta_column, difference_profile, r_bound, scaled_weights
-from .groups import packed
+from .groups import check_integer, packed
 
 # Trials drawn or scored, and cells scored, per step, so every temporary stays
 # about 128 KB at any trial count.  Steps of 2^18 made 100,000-trial games about
@@ -57,6 +58,10 @@ class GameResult:
     analytic_rate: Fraction
     z_score: float
 
+    def to_json_dict(self) -> dict:
+        """The fields in order, a Fraction as "p/q"."""
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+
 
 def _zscore(successes: int, trials: int, p: Fraction) -> float:
     if p == 0 or p == 1:
@@ -64,6 +69,23 @@ def _zscore(successes: int, trials: int, p: Fraction) -> float:
     mean = trials * p
     sigma = sqrt(trials * p * (1 - p))
     return float((successes - mean) / sigma)
+
+
+def _checked(family: DisjointFamily, trials) -> int:
+    """The trial count as an int, once it and the family can be played."""
+    check_integer(trials, "trials")
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if trials >= 2**63:  # the per-set counts and the tally's running sums are int64
+        raise ValueError(f"trials {trials} exceed the int64 counts: at most 2^63 - 1")
+    if family.n < 2:
+        raise ValueError("no non-identity element to shift by")
+    return int(trials)
+
+
+def _result(delta: Optional[int], trials: int, successes: int, analytic: Fraction) -> GameResult:
+    return GameResult(delta, trials, successes, successes / trials, analytic,
+                      _zscore(successes, trials, analytic))
 
 
 class _Board:
@@ -169,8 +191,7 @@ def _trial_cells(rng: np.random.Generator, n: int, m: int,
 def play(family: DisjointFamily, delta: int, trials: int, seed: int) -> GameResult:
     """Fixed-shift game; empirical estimate of e_delta, whose exact value it also returns."""
     delta_column(family.n, delta)
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    trials = _checked(family, trials)
     board = _Board(family)
     rng = np.random.default_rng(seed)
     counts = np.zeros(family.m, dtype=np.int64)
@@ -194,14 +215,7 @@ def play(family: DisjointFamily, delta: int, trials: int, seed: int) -> GameResu
     n_delta = wins.tolist()
     k, coef = scaled_weights(family.sizes)
     analytic = Fraction(sum(c * w for c, w in zip(coef, n_delta)), k * family.m)
-    return GameResult(
-        delta=delta,
-        trials=trials,
-        successes=successes,
-        empirical_rate=successes / trials,
-        analytic_rate=analytic,
-        z_score=_zscore(successes, trials, analytic),
-    )
+    return _result(int(delta), trials, successes, analytic)
 
 
 def play_random_delta(family: DisjointFamily, trials: int, seed: int) -> GameResult:
@@ -211,10 +225,7 @@ def play_random_delta(family: DisjointFamily, trials: int, seed: int) -> GameRes
     averaging bound (m-1)*T / (m*(n-1)).  Batch order: all deltas, then all
     sources, then per (delta, set) in lexicographic order the within-set picks.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if family.n < 2:
-        raise ValueError("no non-identity element to shift by")
+    trials = _checked(family, trials)
     board = _Board(family)
     rng = np.random.default_rng(seed)
     successes = 0
@@ -223,22 +234,11 @@ def play_random_delta(family: DisjointFamily, trials: int, seed: int) -> GameRes
         delta += 1
         inv_delta = board.group.diff_array(0, delta)
         successes += board.tally(rng, src, counts, lambda c, pos: board._lands(inv_delta[c], pos))
-    analytic = r_bound(family.n, family.m, family.total)
-    return GameResult(
-        delta=None,
-        trials=trials,
-        successes=successes,
-        empirical_rate=successes / trials,
-        analytic_rate=analytic,
-        z_score=_zscore(successes, trials, analytic),
-    )
+    return _result(None, trials, successes, r_bound(family.n, family.m, family.total))
 
 
 def play_best_response(family: DisjointFamily, trials: int, seed: int) -> GameResult:
     """Adversary plays a best shift: the least delta maximizing e_delta."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if family.n < 2:
-        raise ValueError("no non-identity element to shift by")
+    trials = _checked(family, trials)
     sums = difference_profile(family).reciprocal
     return play(family, sums.index(max(sums)) + 1, trials, seed)

@@ -232,6 +232,12 @@ def test_e_delta_and_e_hat():
         e_delta(fam, prof, 0)
 
 
+def test_e_hat_on_a_group_of_order_one():
+    lone = DisjointFamily.of(CyclicGroup(1), (0,))
+    with pytest.raises(ValueError, match="at least one non-identity element"):
+        e_hat(lone)
+
+
 def test_r_bound_arguments():
     assert r_bound(10, 4, 6) == Fraction(1, 2)
     with pytest.raises(ValueError):

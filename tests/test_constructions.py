@@ -55,6 +55,18 @@ def test_field_moduli_are_the_least_packed():
     assert FieldGF(5, 2).modulus == [2, 0, 1]
 
 
+@pytest.mark.parametrize("p, a, match", [(1, 1, "1 is not prime"), (4, 1, "4 is not prime"),
+                                         (2, 0, "degree must be positive")])
+def test_field_refuses_a_non_prime_or_degree_zero(p, a, match):
+    with pytest.raises(NotPrimePower, match=match):
+        FieldGF(p, a)
+
+
+def test_field_zero_has_no_inverse():
+    with pytest.raises(ZeroDivisionError, match="0 has no multiplicative inverse"):
+        FieldGF(5, 1).inv(0)
+
+
 @pytest.mark.parametrize("p,a", [(2, 1), (2, 3), (3, 2), (5, 1), (5, 2), (7, 1)])
 def test_field_axioms(p, a):
     f = FieldGF(p, a)

@@ -952,3 +952,67 @@ def test_cli_report_threads_keep_order(tmp_path, capsys):
     serial = run(capsys, "report", *paths, "--json")
     threaded = run(capsys, "report", *paths, "--threads", "4", "--json")
     assert serial == threaded
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["plain", "json"])
+def test_cli_verify_expect_not_an_object_exits_2_before_printing(tmp_path, capsys, flags):
+    path = tmp_path / "fam.json"
+    write_family(path, mixed_z10(), metadata={"expect": [1]})
+    code, out, err = run(capsys, "verify", str(path), *flags)
+    assert code == 2 and out == "" and _one_line_error(err)
+    assert "metadata.expect must be an object" in err
+
+
+@pytest.mark.parametrize("mode", [("--delta", "5"), ("--best",), ("--random-delta",)],
+                         ids=["delta", "best", "random-delta"])
+def test_cli_simulate_trials_past_int64_exits_2(tmp_path, capsys, mode):
+    code, out, err = run(capsys, "simulate", "--family", str(_pair_z7_file(tmp_path)), *mode,
+                         "--trials", str(10**23))
+    assert code == 2 and out == "" and _one_line_error(err) and "int64" in err
+
+
+# 1·1 = 0 and 1·2 = 3, but (1·1)·2 = 2 while 1·(1·2) = 4
+NON_ASSOCIATIVE_LOOP = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+                        [4, 3, 1, 2, 0]]
+
+
+@pytest.mark.parametrize("desc, match", [
+    ({"kind": "cayley_table", "table": [[0, 1], [1]]}, "row 1 has length 1, expected 2"),
+    ({"kind": "cayley_table", "table": [[0, 1], [1, 2]]}, "entry 2 in row 1 out of range"),
+    ({"kind": "cayley_table", "table": NON_ASSOCIATIVE_LOOP},
+     "associativity fails against element 1"),
+    ({"kind": "cayley_table", "table": "x"}, "needs a list 'table'"),
+    ({"kind": "cayley_table", "table": [[True, False], [False, True]]}, "list of integer rows"),
+    ({"kind": "product", "factors": [{"kind": "cyclic", "n": 2}]}, "at least two factors"),
+    ({"kind": "dihedral", "n": 0}, "rotation order must be positive"),
+    ({"kind": "elementary_abelian", "p": 2, "e": 0}, "exponent must be positive"),
+], ids=["short-row", "entry-out-of-range", "non-associative", "table-not-a-list",
+        "bool-entries", "one-factor", "dihedral-0", "elementary-abelian-e-0"])
+def test_cli_refused_group_descriptor_exits_2(tmp_path, capsys, desc, match):
+    out = tmp_path / "hits.jsonl"
+    code, text, err = run(capsys, "search", "--group", json.dumps(desc), "--sizes", "1",
+                          "--out", str(out))
+    assert code == 2 and text == "" and _one_line_error(err)
+    assert "bad group descriptor" in err and match in err and not out.exists()
+
+
+def test_cli_search_zero_sizes_exit_2(tmp_path, capsys):
+    out = tmp_path / "hits.jsonl"
+    code, text, err = run(capsys, "search", "--group", '{"kind": "cyclic", "n": 5}',
+                          "--sizes", "0,0", "--out", str(out))
+    assert code == 2 and text == "" and _one_line_error(err) and "sizes must be positive" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("params, code, match", [
+    (["m2_edf", "abc"], 2, "invalid literal for int()"),
+    (["m2_sedf", "0"], 1, "m2_sedf: k must be positive"),
+    (["m2_edf", "0"], 1, "m2_edf: k must be positive"),
+    (["two_prime_power_construction", "2", "0", "3", "1"], 1, "exponents must be positive"),
+    (["two_prime_power_construction", "2", "1", "2", "1"], 1, "need two distinct primes"),
+], ids=["not-an-int", "m2_sedf-0", "m2_edf-0", "exponent-0", "same-prime"])
+def test_cli_construct_refused_parameters(tmp_path, capsys, params, code, match):
+    out = tmp_path / "x.json"
+    got, text, err = run(capsys, "construct", *params, "--out", str(out))
+    assert got == code and text == "" and _one_line_error(err) and match in err
+    assert not out.exists()

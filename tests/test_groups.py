@@ -319,6 +319,14 @@ def test_left_cosets():
     assert left_cosets(d10, rot) == [(0, 1, 2, 3, 4), (5, 6, 7, 8, 9)]
 
 
+def test_subgroup_carrier_without_the_identity_is_refused():
+    z6 = CyclicGroup(6)
+    with pytest.raises(ValueError, match="must contain the identity 0"):
+        left_cosets(z6, (2, 4))
+    with pytest.raises(ValueError, match="must contain the identity 0"):
+        subgroup_star_family(z6, [(2, 4)])
+
+
 def test_subgroup_carriers_are_checked_against_the_group():
     # a carrier from another group object, or one past n-1, is refused, not read
     # mod n or used as an index; only a Subgroup built on the group itself is

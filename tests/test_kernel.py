@@ -632,6 +632,33 @@ def test_classify_many_with_a_family_past_int64():
             assert classify_many(fams) == expected, route
 
 
+def _profile_facts(profile):
+    return (profile.scale, profile.reciprocal, profile.row_constants, profile.bimodal_witness)
+
+
+def test_profile_scale_past_int64():
+    # the 16 primes 2..53 as sizes in Z_383: K = lcm(sizes) itself is past 2^63, so the
+    # scales are Python ints, alone and stacked with a family of the same total
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+    g = CyclicGroup(383)
+    elems = list(range(g.order))
+    random.Random(20180504).shuffle(elems)
+    sets, at = [], 0
+    for k in primes:
+        sets.append(elems[at : at + k])
+        at += k
+    fam = DisjointFamily.of(g, *sets)
+    assert fam.total == 381 and lcm(*primes) == 32_589_158_477_190_044_730 >= 2**63
+    ref = reference_classification(fam)
+    got = classify(fam).to_json_dict()
+    assert {k: got[k] for k in ref} == ref
+    pair = DisjointFamily.of(g, elems[:190], elems[190:381])
+    stacked = family_module.difference_profiles([fam, pair])
+    assert stacked[0].scale == lcm(*primes)
+    assert [_profile_facts(p) for p in stacked] == [
+        _profile_facts(difference_profile(f)) for f in (fam, pair)]
+
+
 # -- weighted sums in the same pass ---------------------------------------------
 
 def _count_passes(monkeypatch):

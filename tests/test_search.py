@@ -1414,3 +1414,53 @@ def test_subset_table_matches_the_profile_kernel(group):
             rest = [x for x in support if x not in block]
             counts = count_matrix(DisjointFamily.of(group, block, rest))[0]
             assert table[mask].tolist() == (scale // len(block) * counts).tolist(), (support, mask)
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "2"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize("field", ["sizes", "node_budget", "result_cap"])
+@pytest.mark.parametrize("walk", [enumerate_families, naive_enumerate])
+def test_search_counts_must_be_integers(walk, field, value):
+    given = {"sizes": (value, 1), "node_budget": value, "result_cap": value}[field]
+    spec = replace(SearchSpec(group=CyclicGroup(7), sizes=(2, 1)), **{field: given})
+    with pytest.raises(TypeError, match="is not an integer"):
+        walk(spec)
+
+
+@pytest.mark.parametrize("walk", [enumerate_families, naive_enumerate])
+def test_search_reads_numpy_integer_counts(walk):
+    g = CyclicGroup(7)
+    plain = walk(SearchSpec(group=g, sizes=(2, 1), node_budget=1000, result_cap=5))
+    numpy = walk(SearchSpec(group=g, sizes=(np.int64(2), np.int32(1)),
+                            node_budget=np.int64(1000), result_cap=np.int16(5)))
+    assert numpy.families == plain.families and numpy.stats == plain.stats
+
+
+@pytest.mark.parametrize("walk", [enumerate_families, naive_enumerate])
+def test_search_refuses_a_string_of_flags(walk):
+    # a str is a collection of its letters; it is refused, not read as flags 'r', 'w', ...
+    with pytest.raises(TypeError, match="'rwedf'"):
+        walk(SearchSpec(group=CyclicGroup(7), sizes=(2, 1), require="rwedf"))
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "2"], ids=["bool", "float", "str"])
+def test_star_partitions_budget_must_be_an_integer(value):
+    with pytest.raises(TypeError, match="node budget"):
+        enumerate_star_partitions(ElementaryAbelianGroup(2, 3), node_budget=value)
+    assert len(enumerate_star_partitions(ElementaryAbelianGroup(2, 3),
+                                         node_budget=np.int64(37))) == 9
+
+
+def test_star_partitions_refuse_an_order_past_the_limit():
+    with pytest.raises(GroupTooLarge, match="star partition limit 128"):
+        enumerate_star_partitions(CyclicGroup(search.STAR_PARTITION_ORDER_LIMIT + 1))
+
+
+@pytest.mark.parametrize("flag", ["edf", "sedf", "gsedf"])
+def test_one_set_meets_no_difference_family_flag(flag):
+    # edf, sedf and gsedf each need two sets; the walk places no node, the oracle tests all
+    spec = SearchSpec(group=CyclicGroup(5), sizes=(2,), require=frozenset({flag}))
+    walked = enumerate_families(spec)
+    assert walked.families == [] and walked.stats.nodes == 0
+    assert walked.stats.pruned_by["infeasible"] == 1 and walked.stats.complete
+    oracle = naive_enumerate(spec)
+    assert oracle.families == [] and oracle.stats.nodes == 10

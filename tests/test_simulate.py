@@ -282,3 +282,55 @@ def test_counted_random_shift_memory():
         tracemalloc.stop()
     assert peak < 16 * 2**20
     assert res.successes == 998082  # pinned when the cells came from one np.unique
+
+
+GAMES = {
+    "delta": lambda fam, trials: play(fam, 1, trials, 3),
+    "best": lambda fam, trials: play_best_response(fam, trials, 3),
+    "random": lambda fam, trials: play_random_delta(fam, trials, 3),
+}
+
+
+@pytest.mark.parametrize("trials", [True, 2.5, "10"])
+@pytest.mark.parametrize("game", GAMES)
+def test_games_refuse_a_trial_count_that_is_not_an_integer(game, trials):
+    with pytest.raises(TypeError, match="trials .* is not an integer"):
+        GAMES[game](mixed_z10(), trials)
+
+
+@pytest.mark.parametrize("game", GAMES)
+def test_games_report_a_numpy_trial_count_as_an_int(game):
+    res = GAMES[game](mixed_z10(), np.int64(10))
+    assert type(res.trials) is int and res == GAMES[game](mixed_z10(), 10)
+
+
+@pytest.mark.parametrize("game", GAMES)
+def test_games_refuse_trials_past_the_int64_counts(game):
+    # the per-set counts and the tally's cumulative sums are int64
+    for trials in (2**63, np.uint64(2**63), 10**23):
+        with pytest.raises(ValueError, match="int64"):
+            GAMES[game](mixed_z10(), trials)
+
+
+def test_best_response_on_a_group_of_order_one():
+    lone = DisjointFamily.of(CyclicGroup(1), (0,))
+    with pytest.raises(ValueError, match="no non-identity element to shift by"):
+        play_best_response(lone, trials=10, seed=0)
+
+
+def test_game_result_json_is_its_fields_in_order():
+    res = play(weighted_z8()[0], 4, trials=4000, seed=5)
+    assert res.to_json_dict() == {
+        "delta": 4,
+        "trials": 4000,
+        "successes": res.successes,
+        "empirical_rate": res.successes / 4000,
+        "analytic_rate": "2/3",
+        "z_score": res.z_score,
+    }
+    assert list(res.to_json_dict()) == ["delta", "trials", "successes", "empirical_rate",
+                                        "analytic_rate", "z_score"]
+    assert play_random_delta(weighted_z8()[0], 100, 5).to_json_dict()["delta"] is None
+    # a numpy shift is reported as an int, so the dict stays JSON
+    numpy = play(weighted_z8()[0], np.int64(4), trials=4000, seed=5)
+    assert type(numpy.delta) is int and numpy == res
