@@ -42,7 +42,7 @@ from .files import (
     write_family,
 )
 from .groups import FiniteGroup, closure, group_from_descriptor
-from .search import SearchSpec, enumerate_families
+from .search import NODE_BUDGET, SearchSpec, enumerate_families
 from .simulate import play, play_best_response, play_random_delta
 
 
@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--require", help="comma-separated flags, e.g. rwedf,bimodal")
     p.add_argument("--weights", help="weights for the wedf flag")
     p.add_argument("--dedup", choices=("none", "translation"), default="none")
-    p.add_argument("--budget", type=int, default=10**8, help="node budget")
+    p.add_argument("--budget", type=int, default=NODE_BUDGET, help="node budget")
     p.add_argument("--cap", type=int, default=None, help="stop after this many families")
     p.add_argument("--out", required=True, help="JSONL output path")
     p.set_defaults(func=cmd_search)

@@ -125,7 +125,7 @@ def subgroup_star_family(group: FiniteGroup, subgroups: Sequence[Subgroup]) -> D
             covered[x] = 1
         sets.append(star)
     sets.extend((x,) for x in range(1, group.order) if not covered[x])
-    return DisjointFamily(group, tuple(sets))
+    return DisjointFamily(group, sets)
 
 
 def two_prime_power_construction(p: int, alpha: int, q: int, beta: int) -> DisjointFamily:
@@ -160,7 +160,7 @@ def desarguesian_star_partition(p: int, a: int, b: int) -> DisjointFamily:
     group = ElementaryAbelianGroup(p, a * b)  # refuses a large order before the unit maps
     n = group.order
     if b == 1:
-        return DisjointFamily(group, (tuple(range(1, n)),))
+        return DisjointFamily(group, [range(1, n)])
     q = p**a
     times = np.array(ElementaryAbelianGroup(p, a).automorphism_subgroup(), dtype=np.int64)
     log = np.empty(q, dtype=np.int64)
@@ -171,7 +171,7 @@ def desarguesian_star_partition(p: int, a: int, b: int) -> DisjointFamily:
     lead = coords[np.arange(n - 1), np.argmax(coords != 0, axis=1)]
     label = times[(-log[lead] % (q - 1))[:, None], coords] @ place
     lines = x[np.argsort(label, kind="stable")].reshape(-1, q - 1)
-    return DisjointFamily(group, tuple(map(tuple, lines.tolist())))
+    return DisjointFamily(group, lines.tolist())
 
 
 def heisenberg_partition(p: int) -> DisjointFamily:
@@ -196,7 +196,7 @@ def heisenberg_partition(p: int) -> DisjointFamily:
             f"element {g} has order {group.order_of(g)}, not {p}; no star partition"
         )
     stars = x[np.argsort(label, kind="stable")].reshape(-1, p - 1)
-    return DisjointFamily(group, tuple(map(tuple, stars.tolist())))
+    return DisjointFamily(group, stars.tolist())
 
 
 def f21_group() -> CayleyTableGroup:

@@ -705,7 +705,15 @@ def enumerate_families(spec: SearchSpec, workers: int = 1) -> SearchResult:
 
 
 def naive_enumerate(spec: SearchSpec) -> SearchResult:
-    """Generate-and-test oracle: same canonical order, no pruning at all."""
+    """Generate-and-test oracle: same canonical order, no pruning at all.
+
+    Its nodes are its leaves.  ``result_cap`` keeps the first hits in
+    canonical order, and a run whose hits reach it is not complete, as the
+    pruned walk reports it.  Before a leaf past ``node_budget`` would be
+    counted, the run stops: it returns, not complete, when the hits among the
+    leaves met so far reach the cap, as the walk stops at the cap, and raises
+    BudgetExceeded carrying those hits otherwise.
+    """
     spec = _validate_spec(spec)
     sizes = spec.sizes
     g = spec.group
@@ -716,6 +724,12 @@ def naive_enumerate(spec: SearchSpec) -> SearchResult:
 
     def rec(i: int, used: int) -> None:
         if i == len(sizes):
+            if stats.nodes >= spec.node_budget:
+                stats.complete = False
+                found = hits()
+                if spec.result_cap is not None and len(found) == spec.result_cap:
+                    raise _StopSearch
+                raise BudgetExceeded("node budget exhausted", families=found, stats=stats)
             stats.nodes += 1
             leaves.append(DisjointFamily(g, tuple(slots)))
             return
@@ -731,19 +745,27 @@ def naive_enumerate(spec: SearchSpec) -> SearchResult:
             rec(i + 1, used | mask)
             slots.pop()
 
-    rec(0, 0)
-    results = _passing(leaves, spec)
-    results.sort(key=lambda f: f.sets)  # every family has the same sizes: the flat order
-    if spec.dedup == "translation":
-        # keep the least hit of each translation class
-        kept: List[DisjointFamily] = []
-        seen: Set[Tuple] = set()
-        for f in results:
-            if f.canonical_key() not in seen:
-                kept.append(f)
-                seen.update(f.translate(h).canonical_key() for h in g.elements())
-        results = kept
-    return SearchResult(results, stats)
+    def hits() -> List[DisjointFamily]:
+        results = _passing(leaves, spec)
+        results.sort(key=lambda f: f.sets)  # every family has the same sizes: the flat order
+        if spec.dedup == "translation":
+            # keep the least hit of each translation class
+            kept: List[DisjointFamily] = []
+            seen: Set[Tuple] = set()
+            for f in results:
+                if f.canonical_key() not in seen:
+                    kept.append(f)
+                    seen.update(f.translate(h).canonical_key() for h in g.elements())
+            results = kept
+        if spec.result_cap is not None and len(results) >= spec.result_cap:
+            stats.complete = False
+        return results[: spec.result_cap]
+
+    try:
+        rec(0, 0)
+    except _StopSearch:
+        pass
+    return SearchResult(hits(), stats)
 
 
 def enumerate_star_partitions(

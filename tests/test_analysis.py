@@ -25,8 +25,10 @@ from rwedf import (
     play,
     profile_to_csv,
     r_bound,
+    read_family,
     singletons_from_difference_set,
     weighted_sum,
+    write_family,
 )
 from rwedf import family as family_module
 from rwedf.classify import check_rwedf, check_wedf, rwedf_failure_witness
@@ -56,6 +58,66 @@ def test_family_validation():
     assert fam.sizes == (2, 1)
     assert fam.total == 3
     assert fam.support() == (0, 3, 5)
+
+
+TWIN = ((0, 2), (1, 5), (3, 4))  # in Z_7, every set of size 2 so a 2-D array can hold it
+TWIN_BUILDS = {
+    "lists": lambda g: DisjointFamily(g, [[0, 2], [1, 5], [3, 4]]),
+    "ranges": lambda g: DisjointFamily(g, (range(0, 4, 2), range(1, 6, 4), range(3, 5))),
+    "array per set": lambda g: DisjointFamily(g, [np.array(s) for s in TWIN]),
+    "2-D array": lambda g: DisjointFamily(g, np.array(TWIN, dtype=np.int32)),
+    "numpy members": lambda g: DisjointFamily(
+        g, tuple(tuple(np.uint8(x) for x in s) for s in TWIN)),
+    "of arrays": lambda g: DisjointFamily.of(g, *[np.array(s[::-1]) for s in TWIN]),
+}
+
+
+@pytest.mark.parametrize("build", TWIN_BUILDS.values(), ids=TWIN_BUILDS)
+def test_family_stores_a_tuple_of_tuples_of_int(tmp_path, build):
+    g = CyclicGroup(7)
+    twin = DisjointFamily(g, TWIN)
+    fam = build(g)
+    assert type(fam.sets) is tuple
+    assert all(type(s) is tuple and all(type(x) is int for x in s) for s in fam.sets)
+    assert fam == twin and hash(fam) == hash(twin)
+    assert (fam.sizes, fam.total) == (twin.sizes, twin.total)
+    # the twin's profile is this family's profile
+    assert e_hat(fam, difference_profile(twin)) == e_hat(twin)
+    write_family(tmp_path / "fam.json", fam)
+    write_family(tmp_path / "twin.json", twin)
+    assert (tmp_path / "fam.json").read_bytes() == (tmp_path / "twin.json").read_bytes()
+    assert read_family(tmp_path / "fam.json")[0].sets == TWIN
+
+
+def test_family_keeps_no_reference_to_its_input():
+    sets = [[0, 2], [3]]
+    fam = DisjointFamily(CyclicGroup(7), sets)
+    sets[0].append(5)
+    assert fam.sets == ((0, 2), (3,))
+
+
+def test_family_refusals_hold_for_lists_and_arrays():
+    g = CyclicGroup(6)
+    for sets in ([], np.empty((0, 2), dtype=np.int64)):
+        with pytest.raises(ValueError, match="a family needs at least one set"):
+            DisjointFamily(g, sets)
+    # a generator has no length, and the checks would spend it before the sets are stored
+    with pytest.raises(TypeError, match="has no len"):
+        DisjointFamily(g, (s for s in [(0, 1), (3,)]))
+    with pytest.raises(ValueError, match="set 0 is empty"):
+        DisjointFamily(g, [np.array([], dtype=np.int64)])
+    with pytest.raises(ValueError, match="set 1 is empty"):
+        DisjointFamily(g, [[0], range(0)])
+    for members in ([0, True], [0, 1.0], ["0"], np.array([0.0, 1.0])):
+        with pytest.raises(TypeError, match="is not an integer"):
+            DisjointFamily(g, [members])
+    for members in ([2, 1], np.array([2, 1]), [1, 1]):
+        with pytest.raises(ValueError, match="set 0 must be strictly increasing"):
+            DisjointFamily(g, [members])
+    with pytest.raises(ValueError, match="element 6 out of range in set 0"):
+        DisjointFamily(g, [np.array([0, 6])])
+    with pytest.raises(ValueError, match="set 1 overlaps an earlier set"):
+        DisjointFamily(g, np.array([[0, 1], [1, 2]]))
 
 
 def test_a_family_needs_a_set():

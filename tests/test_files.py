@@ -1,8 +1,11 @@
 import argparse
 import importlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -569,6 +572,11 @@ def test_cli_search_budget_partial(tmp_path, capsys):
     assert len(read_families_jsonl(out)) == summary["families"]
 
 
+def test_cli_search_budget_default_is_the_search_default():
+    args = cli.build_parser().parse_args(["search", "--group", "{}", "--sizes", "1", "--out", "x"])
+    assert args.budget == rwedf.search.NODE_BUDGET
+
+
 def test_cli_search_bad_input(tmp_path, capsys):
     out = str(tmp_path / "x.jsonl")
     base = ["search", "--group", '{"kind": "cyclic", "n": 8}', "--out", out]
@@ -1016,3 +1024,34 @@ def test_cli_construct_refused_parameters(tmp_path, capsys, params, code, match)
     got, text, err = run(capsys, "construct", *params, "--out", str(out))
     assert got == code and text == "" and _one_line_error(err) and match in err
     assert not out.exists()
+
+
+# Runs in a fresh interpreter: every job of the four benchmark workloads at
+# their quick size, then reports whether numpy.ma was imported.  Its first
+# import, through np.unique and other masked-array users, adds about 1.7 MB of
+# resident memory.
+_BENCH_PATHS = """
+import json, sys
+from pathlib import Path
+from perfbench import workloads
+
+failures = []
+for workload in ("verify", "search", "census", "simulate"):
+    jobs = workloads.setup(workload, Path(sys.argv[1]) / workload, 0, "quick")
+    failures += [msg for job in jobs for msg in job.failures(job.call())]
+print(json.dumps({"failures": failures, "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_benchmark_paths_do_not_import_numpy_ma(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(rwedf.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, str(root)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", _BENCH_PATHS, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["failures"] == []
+    assert result["numpy.ma"] is False

@@ -920,6 +920,55 @@ def test_result_cap():
     assert not res.stats.complete
 
 
+def test_naive_oracle_stops_at_the_cap_before_the_budget():
+    # its nodes are its leaves: at the fourth leaf the three met hold two hits,
+    # so the run ends at the cap and does not raise, as the walk does
+    spec = SearchSpec(group=CyclicGroup(7), sizes=(2, 1), node_budget=3, result_cap=2)
+    res = naive_enumerate(spec)
+    assert res.stats.nodes == 3 and not res.stats.complete
+    assert [f.sets for f in res.families] == [((0, 1), (2,)), ((0, 1), (3,))]
+    walk = enumerate_families(spec)
+    assert len(walk.families) == 2 and not walk.stats.complete
+
+
+def test_naive_oracle_raises_at_the_budget_before_the_cap():
+    spec = SearchSpec(group=CyclicGroup(7), sizes=(2, 1), node_budget=3, result_cap=5)
+    with pytest.raises(BudgetExceeded, match="node budget exhausted") as info:
+        naive_enumerate(spec)
+    err = info.value
+    assert err.stats.nodes == 3 and not err.stats.complete
+    assert [f.sets for f in err.families] == [((0, 1), (2,)), ((0, 1), (3,)), ((0, 1), (4,))]
+
+
+@pytest.mark.parametrize("sizes, require, dedup", [((2, 2), (), "translation"),
+                                                    ((3, 3), ("rwedf",), "none")])
+def test_naive_oracle_budget_keeps_the_hits_met(sizes, require, dedup):
+    # the leaves come in canonical order, so the hits among the first leaves,
+    # filtered and deduplicated as a full run is, begin the full run's list
+    spec = SearchSpec(group=CyclicGroup(7), sizes=sizes, require=frozenset(require), dedup=dedup)
+    full = [f.sets for f in naive_enumerate(spec).families]
+    for budget in (0, 20, 60):  # of 105 and 70 leaves
+        with pytest.raises(BudgetExceeded) as info:
+            naive_enumerate(replace(spec, node_budget=budget))
+        got = [f.sets for f in info.value.families]
+        assert info.value.stats.nodes == budget
+        assert got == full[: len(got)]
+        assert budget < 60 or got  # the full run has hits among its first 60 leaves
+
+
+def test_naive_oracle_honours_the_result_cap():
+    group = CyclicGroup(7)
+    full = naive_enumerate(SearchSpec(group=group, sizes=(2, 1)))
+    hits = [f.sets for f in full.families]
+    assert full.stats.complete and len(hits) == 105
+    for cap, complete in ((2, False), (len(hits), False), (len(hits) + 1, True)):
+        spec = SearchSpec(group=group, sizes=(2, 1), result_cap=cap)
+        res = naive_enumerate(spec)
+        assert [f.sets for f in res.families] == hits[:cap]
+        assert res.stats.complete is complete
+        assert enumerate_families(spec).stats.complete is complete  # as the walk reports it
+
+
 def test_star_partitions_dihedral():
     d10 = DihedralGroup(5)
     parts = enumerate_star_partitions(d10)
